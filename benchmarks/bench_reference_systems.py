@@ -1,6 +1,6 @@
 """Literature reference points the paper quotes (sections 5.3 and 7)."""
 
-from benchmarks.conftest import model_machine
+from benchmarks.conftest import model_session
 from repro.analysis.figures import figure4_data
 from repro.analysis.reference_systems import REFERENCE_SYSTEMS, render_reference_table
 from repro.calibration import paper
@@ -16,9 +16,12 @@ def test_m_series_vs_literature_efficiency(benchmark):
     """Situate simulated M-series efficiency among the quoted systems."""
 
     def run():
-        machine = model_machine("M3")
         return figure4_data(
-            {"M3": machine}, sizes=(16384,), impl_keys=("gpu-mps",), repeats=2
+            ("M3",),
+            sizes=(16384,),
+            impl_keys=("gpu-mps",),
+            repeats=2,
+            session=model_session(),
         )["M3"]["gpu-mps"][16384]
 
     m3_eff = benchmark.pedantic(run, rounds=2, iterations=1)

@@ -1,19 +1,21 @@
-"""The sweep fast path: cells/second per execution backend.
+"""The sweep fast path: CI's two speed gates on one shared grid.
 
 The paper's figures are sweeps — STREAM thread counts x repetitions, GEMM
 sizes x repetitions x implementations — so batch throughput, not single-cell
 latency, is the number that decides whether million-cell campaigns are
-feasible.  This bench drives the same 1k-cell grid
-(:func:`fastpath_grid`, shared with ``scripts/bench_to_json.py``) through
-every execution backend, asserts the vectorized engine's byte-identity
-guarantee on a subsample, and requires the fast path to beat the serial
-reference by a wide margin.
+feasible.  This bench drives a mixed-kind grid (:func:`fastpath_grid`)
+through the execution backends, asserts the vectorized engine's
+byte-identity guarantee on a subsample, and gates two ratios: vectorized
+must beat the serial reference by a wide margin, and sharded must not fall
+below in-process vectorized.  The end-to-end benchmark, with per-layer
+timings, is ``perfbench/run.py``.
 """
 
-import pytest
+import time
 
 from benchmarks.conftest import model_session
-from repro.experiments import BACKEND_NAMES, SweepSpec
+from repro.experiments import SweepSpec
+from repro.experiments.backends import ShardedBackend
 
 #: The three fast-path workloads span the roofline: memory-bound,
 #: mid-intensity, overhead-bound.
@@ -36,40 +38,14 @@ def fastpath_grid(cells: int = 1000) -> list:
     return specs[:cells]
 
 
-def measure_backend(
-    backend: str, specs, *, workers: int = 4, shard_size: int | None = None
-) -> dict:
-    """One uncached batch run under ``backend``: wall time and throughput.
-
-    The single measurement harness — ``scripts/bench_to_json.py`` (the
-    BENCH_PR4.json record and the CI smoke gate) imports this same
-    function, so the committed perf record and the bench suite always
-    measure the identical configuration.  ``shard_size`` tunes the sharded
-    backend for small smoke grids (the 4096-cell default would put the
-    whole grid in one shard).
-    """
-    import time
-
-    if backend == "sharded" and shard_size is not None:
-        from repro.experiments.backends import ShardedBackend
-
-        backend = ShardedBackend(workers, shard_size=shard_size)
+def cells_per_second(backend, specs, *, workers: int = 4) -> float:
+    """Throughput of one uncached batch run under ``backend``."""
     session = model_session()
     start = time.perf_counter()
     envelopes = session.run_batch(specs, backend=backend, max_workers=workers)
     elapsed = time.perf_counter() - start
-    if len(envelopes) != len(specs):
-        name = getattr(backend, "name", backend)
-        raise RuntimeError(f"{name}: {len(envelopes)}/{len(specs)} cells")
-    return {
-        "elapsed_s": round(elapsed, 4),
-        "cells_per_s": round(len(specs) / elapsed, 1),
-    }
-
-
-def backend_cells_per_second(backend: str, specs, *, workers: int = 4) -> float:
-    """Throughput of one uncached batch run under ``backend``."""
-    return measure_backend(backend, specs, workers=workers)["cells_per_s"]
+    assert len(envelopes) == len(specs)
+    return len(specs) / elapsed
 
 
 def grid_identity_holds(specs) -> bool:
@@ -84,23 +60,35 @@ def test_vectorized_identity_on_grid_subsample():
     assert grid_identity_holds(fastpath_grid(60))
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_backend_throughput(benchmark, backend):
-    specs = fastpath_grid(250)  # trimmed grid keeps the bench suite quick
-    rate = benchmark.pedantic(
-        lambda: backend_cells_per_second(backend, specs), rounds=1, iterations=1
-    )
-    print(f"\n{backend}: {rate:,.0f} cells/s on {len(specs)} cells")
-
-
 def test_vectorized_is_much_faster_than_serial():
     """The acceptance ratio, on a smaller grid so the suite stays fast."""
     specs = fastpath_grid(250)
-    serial = backend_cells_per_second("serial", specs)
-    vectorized = backend_cells_per_second("vectorized", specs)
+    serial = cells_per_second("serial", specs)
+    vectorized = cells_per_second("vectorized", specs)
     ratio = vectorized / serial
     print(
         f"\nserial {serial:,.0f} cells/s -> vectorized {vectorized:,.0f} "
         f"cells/s ({ratio:.1f}x)"
     )
     assert ratio >= 5.0  # the 1k-cell acceptance run (BENCH_PR4.json) sees >=10x
+
+
+def test_sharded_keeps_up_with_vectorized():
+    """Sharded at 4 workers must not drop below one-core vectorized.
+
+    A 6000-cell grid cut into 400-cell shards gives the pool real
+    parallelism to amortize worker startup; the 4096-cell default shard
+    would put most of the grid in one worker.  An untimed vectorized pass
+    first memoizes every spec's serialization, so both timed runs see the
+    same warm grid instead of vectorized paying that one-time cost alone.
+    """
+    specs = fastpath_grid(6000)
+    cells_per_second("vectorized", specs)
+    vectorized = cells_per_second("vectorized", specs)
+    sharded = cells_per_second(ShardedBackend(4, shard_size=400), specs)
+    ratio = sharded / vectorized
+    print(
+        f"\nvectorized {vectorized:,.0f} cells/s -> sharded {sharded:,.0f} "
+        f"cells/s ({ratio:.2f}x)"
+    )
+    assert ratio >= 1.0

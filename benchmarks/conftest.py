@@ -9,14 +9,9 @@ doubles as a reproduction report.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.calibration import paper
 from repro.experiments import Session
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsConfig
-
-CHIPS = list(paper.CHIPS)
 
 
 def model_machine(chip: str, *, seed: int = 0) -> Machine:
@@ -24,19 +19,10 @@ def model_machine(chip: str, *, seed: int = 0) -> Machine:
     return Machine.for_chip(chip, seed=seed, numerics=NumericsConfig.model_only())
 
 
-def model_machines(chips=CHIPS, *, seed: int = 0) -> dict[str, Machine]:
-    return {chip: model_machine(chip, seed=seed) for chip in chips}
-
-
 def model_session(*, seed: int = 0, **kwargs) -> Session:
     """A fresh model-only session (one per benchmark round, so the result
     cache never short-circuits the measured work)."""
     return Session(numerics="model-only", seed=seed, **kwargs)
-
-
-@pytest.fixture
-def machines():
-    return model_machines()
 
 
 def print_series(title: str, data: dict, unit: str) -> None:

@@ -11,7 +11,6 @@ from repro.analysis.figures import (
     figure3_from_envelopes,
     figure4_from_envelopes,
     make_session,
-    session_from_machines,
 )
 from repro.analysis.compare import ComparisonRow, compare_to_paper, shape_checks
 from repro.analysis.export import rows_to_csv, to_json
@@ -30,7 +29,6 @@ __all__ = [
     "figure3_from_envelopes",
     "figure4_from_envelopes",
     "make_session",
-    "session_from_machines",
     "ComparisonRow",
     "compare_to_paper",
     "shape_checks",

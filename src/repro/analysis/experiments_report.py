@@ -154,10 +154,10 @@ def generate_experiments_report(*, seed: int = 0) -> str:
     lines.append("")
     lines.append(
         "Sweeps execute through pluggable backends — "
-        "`repro run --backend serial|threads|processes|vectorized` "
-        "(processes sidesteps the GIL for the real-NumPy numerics paths; "
-        "vectorized batch-evaluates whole grids through the roofline model, "
-        "see DESIGN.md §7) — with byte-identical envelopes by construction. "
+        "`repro run --backend serial|vectorized|sharded` "
+        "(vectorized batch-evaluates whole grids through the roofline model, "
+        "see DESIGN.md §7; sharded runs it inside worker processes) — with "
+        "byte-identical envelopes by construction. "
         "`repro run --out DIR` writes a sharded, "
         "manifest-indexed store as cells complete, and "
         "`repro run --resume DIR` finishes an interrupted campaign by "

@@ -9,14 +9,9 @@ Each ``figureN_data`` function is now a facade: it builds the figure's
 byte-identical to the historical hand-assembled loops — enforced by the
 equivalence suite in ``tests/study/test_equivalence.py``.
 
-Two invocation styles are supported:
-
-* declarative — pass chip names (or nothing) plus ``session=``/``fast=``;
-* legacy — pass a ``{chip: Machine}`` mapping.  This style is
-  **deprecated**: it predates the spec API and now routes through the
-  single warning-emitting :func:`session_from_machines` adapter.  Migrate
-  to ``figureN_data(chips, session=Session(...))`` or a
-  :class:`~repro.study.spec.StudySpec`.
+Pass chip names (or nothing, for the paper's four chips) plus
+``session=``/``fast=``.  Off-catalog chips run through a session with a
+custom ``machine_factory``, whose batches resolve to the serial backend.
 
 The ``figureN_from_envelopes`` counterparts run the identical series query
 over persisted :class:`~repro.experiments.ResultEnvelope` records, so
@@ -25,22 +20,18 @@ over persisted :class:`~repro.experiments.ResultEnvelope` records, so
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping, Sequence
 
 from repro.calibration import paper
+from repro.errors import ConfigurationError
 from repro.experiments.envelope import ResultEnvelope
 from repro.experiments.session import Session
-from repro.sim.machine import Machine
-from repro.sim.policy import NumericsConfig
 from repro.study.defs import get_figure
 from repro.study.frame import ResultFrame
 from repro.study.spec import run_study
 
 __all__ = [
-    "make_machines",
     "make_session",
-    "session_from_machines",
     "figure1_data",
     "figure2_data",
     "figure3_data",
@@ -52,19 +43,6 @@ __all__ = [
 ]
 
 
-def make_machines(
-    chips: Sequence[str] = paper.CHIPS,
-    *,
-    fast: bool = False,
-    seed: int = 0,
-) -> dict[str, Machine]:
-    """The study machines, optionally in fast (model-only) mode."""
-    numerics = NumericsConfig.model_only() if fast else None
-    return {
-        chip: Machine.for_chip(chip, seed=seed, numerics=numerics) for chip in chips
-    }
-
-
 def make_session(*, fast: bool = False, seed: int = 0, **kwargs) -> Session:
     """A figure-building session: sampled numerics, or model-only if fast."""
     return Session(
@@ -72,74 +50,9 @@ def make_session(*, fast: bool = False, seed: int = 0, **kwargs) -> Session:
     )
 
 
-def session_from_machines(
-    machines: Mapping[str, Machine], *, _stacklevel: int = 2
-) -> Session:
-    """Adapter for the deprecated ``{chip: Machine}`` invocation style.
-
-    Each cell executes on a *fresh clone* of the mapping's machine for that
-    chip — same chip/device specs (catalog or custom), numerics, thermal
-    model, noise seed and sigma — preserving the pre-spec-API behaviour of
-    running on exactly the machines the caller configured, while keeping
-    per-cell execution pure.  This is the single deprecation choke point:
-    every figure builder funnels mapping-style calls through here, and the
-    warning tells callers what to migrate to.  ``_stacklevel`` lets the
-    figure facades point the warning at *their* caller's line rather than
-    at library internals.
-    """
-    warnings.warn(
-        "passing a {chip: Machine} mapping to the figure builders is "
-        "deprecated; pass chip names plus session=Session(...) (or run a "
-        "repro.study.StudySpec) instead",
-        DeprecationWarning,
-        stacklevel=_stacklevel,
-    )
-    machines = dict(machines)
-    first = next(iter(machines.values()))
-
-    def factory(chip: str, seed: int, numerics) -> Machine:
-        template = machines[chip]
-        return Machine(
-            template.chip,
-            template.device,
-            envelope=template.envelope,
-            thermal=template.thermal,
-            seed=template.noise.seed,
-            noise_sigma=template.noise.default_sigma,
-            numerics=template.numerics,
-        )
-
-    return Session(
-        numerics=first.numerics,
-        seed=first.noise.seed,
-        noise_sigma=first.noise.default_sigma,
-        thermal_enabled=first.thermal.enabled,
-        machine_factory=factory,
-    )
-
-
-def _resolve(
-    machines: Mapping[str, Machine] | Sequence[str] | None,
-    fast: bool,
-    session: Session | None,
-) -> tuple[tuple[str, ...], Session]:
-    """Chips + session from either invocation style."""
-    if isinstance(machines, Mapping):
-        chips = tuple(machines)
-        if session is None:
-            # 5 frames: warn < adapter < _resolve < _figure_data < figureN_data
-            # < the user's call site.
-            session = session_from_machines(machines, _stacklevel=5)
-        return chips, session
-    chips = tuple(machines) if machines is not None else paper.CHIPS
-    if session is None:
-        session = make_session(fast=fast)
-    return chips, session
-
-
 def _figure_data(
     name: str,
-    machines: Mapping[str, Machine] | Sequence[str] | None,
+    chips: Sequence[str] | None,
     fast: bool,
     session: Session | None,
     max_workers: int | None,
@@ -148,7 +61,17 @@ def _figure_data(
     **axis_overrides,
 ) -> dict:
     """The shared facade body: study -> run -> series query."""
-    chips, session = _resolve(machines, fast, session)
+    if isinstance(chips, Mapping):
+        # the removed {chip: Machine} style would otherwise run catalog
+        # machines under the mapping's chip names, silently
+        raise ConfigurationError(
+            "figure builders take chip names, not a {chip: Machine} "
+            "mapping; pass session=Session(machine_factory=...) for custom "
+            "machines"
+        )
+    chips = tuple(chips) if chips is not None else paper.CHIPS
+    if session is None:
+        session = make_session(fast=fast)
     figure = get_figure(name)
     if impl_keys is not None:
         axis_overrides["impl_keys"] = tuple(impl_keys)
@@ -161,7 +84,7 @@ def _figure_data(
 # Figure 1 — STREAM
 # ---------------------------------------------------------------------------
 def figure1_data(
-    machines: Mapping[str, Machine] | Sequence[str] | None = None,
+    chips: Sequence[str] | None = None,
     *,
     fast: bool = False,
     n_elements: int | None = None,
@@ -175,7 +98,7 @@ def figure1_data(
     # Fast mode skips numerics, so full-size arrays cost nothing; the array
     # footprint must stay large or the GPU ramp underreports bandwidth.
     return _figure_data(
-        "figure1", machines, fast, session, max_workers, n_elements=n_elements
+        "figure1", chips, fast, session, max_workers, n_elements=n_elements
     )
 
 
@@ -194,7 +117,7 @@ def figure1_from_envelopes(
 # Figures 2-4 — GEMM series
 # ---------------------------------------------------------------------------
 def figure2_data(
-    machines: Mapping[str, Machine] | Sequence[str] | None = None,
+    chips: Sequence[str] | None = None,
     *,
     sizes: tuple[int, ...] = paper.GEMM_SIZES,
     impl_keys: Sequence[str] | None = None,
@@ -209,7 +132,7 @@ def figure2_data(
     """
     return _figure_data(
         "figure2",
-        machines,
+        chips,
         fast,
         session,
         max_workers,
@@ -231,7 +154,7 @@ def figure2_from_envelopes(
 
 
 def figure3_data(
-    machines: Mapping[str, Machine] | Sequence[str] | None = None,
+    chips: Sequence[str] | None = None,
     *,
     sizes: tuple[int, ...] = paper.POWER_SIZES,
     impl_keys: Sequence[str] | None = None,
@@ -243,7 +166,7 @@ def figure3_data(
     """Figure 3: mean combined CPU+GPU power (mW) per chip, impl and size."""
     return _figure_data(
         "figure3",
-        machines,
+        chips,
         fast,
         session,
         max_workers,
@@ -265,7 +188,7 @@ def figure3_from_envelopes(
 
 
 def figure4_data(
-    machines: Mapping[str, Machine] | Sequence[str] | None = None,
+    chips: Sequence[str] | None = None,
     *,
     sizes: tuple[int, ...] = paper.POWER_SIZES,
     impl_keys: Sequence[str] | None = None,
@@ -277,7 +200,7 @@ def figure4_data(
     """Figure 4: efficiency (GFLOPS/W) per chip, implementation and size."""
     return _figure_data(
         "figure4",
-        machines,
+        chips,
         fast,
         session,
         max_workers,

@@ -19,10 +19,10 @@ Determinism: sessions run ``model-only`` numerics with ``noise_sigma=0.0``
 pure arithmetic, and ties break toward the lower candidate — the same seed
 and trace always produce a byte-identical :class:`CalibrationResult`.
 
-The registry of derived chips is process-local, so the ``processes`` and
-``sharded`` backends (whose workers rebuild sessions from plain data) are
-rejected with :class:`~repro.errors.CalibrationError`; the default —
-``vectorized`` — is also the fastest seat for this workload.
+The registry of derived chips is process-local, so the ``sharded`` backend
+(whose workers rebuild sessions from plain data) is rejected with
+:class:`~repro.errors.CalibrationError`; the default — ``vectorized`` — is
+also the fastest seat for this workload.
 """
 
 from __future__ import annotations
@@ -50,18 +50,14 @@ __all__ = ["run_calibration", "synthesize_trace", "DEFAULT_BACKEND"]
 #: The calibration loop's default execution backend.
 DEFAULT_BACKEND = "vectorized"
 
-#: Backends whose workers live in other processes and cannot see the
-#: in-process derived-chip registry.
-_REGISTRY_BOUND_BACKENDS = ("processes", "sharded")
-
 
 def _check_backend(backend: str | None) -> str:
     resolved = backend or DEFAULT_BACKEND
-    if resolved in _REGISTRY_BOUND_BACKENDS:
+    if resolved == "sharded":
         raise CalibrationError(
-            f"the {resolved!r} backend runs candidate cells in worker "
-            f"processes that cannot see the in-process derived-chip "
-            f"registry; use 'vectorized' (default), 'threads' or 'serial'"
+            "the 'sharded' backend runs candidate cells in worker processes "
+            "that cannot see the in-process derived-chip registry; use "
+            "'vectorized' (default) or 'serial'"
         )
     if resolved not in BACKEND_NAMES:
         raise CalibrationError(
@@ -158,7 +154,7 @@ def run_calibration(
         trace's chips.
     backend:
         Execution backend for the candidate sweeps (default
-        ``"vectorized"``; pool backends are rejected, see module docs).
+        ``"vectorized"``; ``"sharded"`` is rejected, see module docs).
     out_dir:
         When given, candidate envelopes persist to ``<out_dir>/store`` (an
         interrupted search resumes from cache) and the result artifact is

@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=list(BACKEND_NAMES),
-        help="execution backend (default: serial for --workers 1, else threads; "
-        "processes sidesteps the GIL for real-NumPy numerics, vectorized "
+        help="execution backend (default: vectorized for --workers 1, else "
+        "sharded; serial is the per-cell reference loop, vectorized "
         "batch-evaluates whole grids through the roofline model, sharded "
         "streams contiguous grid shards through vectorized worker "
         "processes — the million-cell path)",
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cells per worker shard for --backend sharded "
-        "(default: 4096)",
+        help="cells per worker shard; selects --backend sharded when no "
+        "backend is named (default: 4096)",
     )
     run.add_argument(
         "--json", action="store_true", help="emit the envelopes as JSON on stdout"
@@ -249,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell deadline arming hung-worker detection in the pool "
-        "backends (default: no deadline)",
+        help="per-cell deadline arming hung-worker detection in the sharded "
+        "backend, which gives each shard this times its cell count "
+        "(default: no deadline)",
     )
     source = run.add_mutually_exclusive_group()
     source.add_argument(
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=list(BACKEND_NAMES),
-        help="execution backend (default: serial for --workers 1, else threads)",
+        help="execution backend (default: vectorized for --workers 1, else "
+        "sharded)",
     )
     srun.add_argument(
         "--out",
@@ -400,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell deadline for hung-worker detection (default: none)",
+        help="per-cell deadline arming hung-worker detection in the sharded "
+        "backend, which gives each shard this times its cell count "
+        "(default: no deadline)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
@@ -564,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument(
         "--backend",
         default=None,
-        choices=["serial", "threads", "vectorized"],
-        help="candidate-sweep backend (default: vectorized; pool backends "
+        choices=["serial", "vectorized"],
+        help="candidate-sweep backend (default: vectorized; sharded workers "
         "cannot see the in-process derived-chip registry)",
     )
     cal.add_argument(
@@ -761,56 +765,14 @@ def _run_progress(args):
     return progress, executed
 
 
-def _warn_processes_footgun(backend, specs, session) -> None:
-    """Steer ``--backend processes`` away from pure-model grids.
-
-    BENCH_PR4.json measured the 216-cell model-only grid at 941.3 cells/s
-    serial, 661.9 with processes (spawn + IPC overhead swamps the cheap
-    cells) and 15,822.6 vectorized; BENCH_PR8.json adds the million-cell
-    record, where the sharded backend (vectorized lowering inside each
-    worker) sustains 1,329 cells/s against 29.05 serial — so when every
-    cell of the grid would actually lower (its workload declares a
-    vectorized body *and* its effective numerics profile is model-only, the
-    gate every lowering applies), processes is strictly the wrong tool and
-    the envelopes would be byte-identical either way.
-    """
-    if backend != "processes":
-        return
-    from repro.sim.policy import NumericsPolicy
-
-    specs = list(specs)
-    kinds = {spec.kind for spec in specs}
-    if (
-        kinds
-        and all(
-            get_workload(kind).vectorized_body is not None for kind in kinds
-        )
-        and all(
-            session.numerics_for(spec).policy is NumericsPolicy.MODEL_ONLY
-            for spec in specs
-        )
-    ):
-        print(
-            "warning: every workload in this grid has a vectorized lowering; "
-            "--backend processes pays process spawn/IPC per cheap model cell "
-            "(BENCH_PR4.json: 662 cells/s vs 941 serial vs 15,823 "
-            "vectorized). --backend vectorized yields byte-identical "
-            "envelopes ~17x faster on one core; for grids too large for "
-            "one core, --backend sharded runs the vectorized lowering "
-            "inside each worker (BENCH_PR8.json: 1,329 cells/s vs 29 "
-            "serial on the million-cell grid, 45.8x).",
-            file=sys.stderr,
-        )
-
-
 def _effective_backend(args):
     """The backend argument for ``repro run``: a name, or a configured
     :class:`~repro.experiments.backends.ShardedBackend` when ``--shard-size``
-    tunes it."""
+    tunes it (which also selects sharded when no backend is named)."""
     shard_size = getattr(args, "shard_size", None)
     if shard_size is None:
         return args.backend
-    if args.backend != "sharded":
+    if args.backend not in (None, "sharded"):
         raise ReproError("--shard-size only applies to --backend sharded")
     from repro.experiments.backends import ShardedBackend
 
@@ -884,7 +846,6 @@ def _run_sweep(args) -> int:
                 f"done, {pending} to run; sweep flags are ignored]",
                 file=sys.stderr,
             )
-        _warn_processes_footgun(args.backend, manifest.specs(), session)
         progress, executed = _run_progress(args)
         envelopes, manifest = run_with_manifest(
             session,
@@ -918,7 +879,6 @@ def _run_sweep(args) -> int:
         # the sweep goes down un-expanded: run_with_manifest expands it in
         # one lazy pass, and run_batch hands it whole to streaming backends
         # (sharded never materializes the grid in this process at all)
-        _warn_processes_footgun(args.backend, sweep.expand_iter(), session)
         progress, executed = _run_progress(args)
         if args.out:
             envelopes, _ = run_with_manifest(

@@ -80,10 +80,11 @@ class TransientError(ReproError):
 class WorkerCrashError(TransientError):
     """A worker process died (or its pool broke) while executing a cell.
 
-    Raised parent-side when a process-pool future is lost to a crashed
+    Raised parent-side when a sharded worker's future is lost to a crashed
     worker — a ``BrokenProcessPool``, an ``os._exit`` in the worker, an
-    OOM kill.  Retryable: the pool is rebuilt per attempt, and cells that
-    keep crashing degrade to the in-process serial path.
+    OOM kill.  Retryable: the sharded backend redoes the lost shard in the
+    parent, and cells that keep failing degrade to the in-process serial
+    path.
     """
 
 

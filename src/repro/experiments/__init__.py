@@ -13,12 +13,13 @@ records that figures re-render from disk::
     print(env.result.best_gflops)
 
     sweep = SweepSpec(kind="gemm", chips=("M1", "M4"), sizes=(4096, 16384))
-    envelopes = session.run_batch(sweep, max_workers=4, backend="processes")
+    envelopes = session.run_batch(sweep, max_workers=4, backend="sharded")
 
 Batches execute through pluggable :mod:`~repro.experiments.backends`
-(serial / threads / processes / vectorized — bit-identical by
-construction; ``vectorized`` batch-evaluates whole grids through
-:mod:`repro.sim.vectorized` instead of per-operation Python loops), and
+(serial / vectorized / sharded — bit-identical by construction;
+``vectorized`` batch-evaluates whole grids through
+:mod:`repro.sim.vectorized` instead of per-operation Python loops, and
+``sharded`` runs it inside worker processes), and
 :func:`~repro.experiments.manifest.run_with_manifest` makes long campaigns
 resumable: envelopes land in a sharded store indexed by a ``manifest.json``
 that ``repro run --resume DIR`` completes after an interrupt.
@@ -27,9 +28,7 @@ that ``repro run --resume DIR`` completes after an interrupt.
 from repro.experiments.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     VectorizedBackend,
     resolve_backend,
 )
@@ -86,8 +85,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "VectorizedBackend",
     "resolve_backend",
     "MANIFEST_FILENAME",

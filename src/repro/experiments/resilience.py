@@ -6,7 +6,7 @@ The fault-tolerance contract of batched execution
 * :class:`RetryPolicy` — how many times a cell that fails with a
   :class:`~repro.errors.TransientError` (or subclass) is re-executed, how
   long the exponential backoff between attempts is, and the per-cell
-  deadline pool backends enforce (``cell_timeout``);
+  deadline the sharded backend enforces per shard (``cell_timeout``);
 * :class:`CellFailure` — the structured error payload of one cell that
   exhausted the ladder: error class, message, attempts, spec identity.
   This is what lands in the run manifest (``status=failed``), the job
@@ -47,8 +47,9 @@ class RetryPolicy:
     round retrying cells whose ``attempt``-th try failed:
     ``backoff_base * 2**(attempt-1)`` capped at ``backoff_cap`` — fully
     deterministic, no jitter, so chaos runs reproduce exactly.
-    ``cell_timeout`` (seconds) arms hung-worker detection in the pool
-    backends; ``None`` disables deadlines.
+    ``cell_timeout`` (seconds) arms hung-worker detection in the sharded
+    backend (a shard gets ``cell_timeout`` × its cell count); ``None``
+    disables deadlines.
     """
 
     max_retries: int = 2

@@ -10,15 +10,14 @@ Every spec executes on a **fresh machine** seeded from the spec.  The
 simulator's jitter is content-addressed (noise keys name the chip, kernel,
 size and repetition, not wall-clock order), so a cell's result is a pure
 function of (spec, session fingerprint).  That purity is what makes the
-cache sound and lets ``run_batch(backend=...)`` run cells concurrently —
-on threads or worker processes (:mod:`repro.experiments.backends`) — with
-bit-identical results to sequential execution.
+cache sound and lets ``run_batch(backend=...)`` evaluate cells in bulk or
+in worker processes (:mod:`repro.experiments.backends`) with bit-identical
+results to sequential execution.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import pathlib
 import threading
@@ -89,20 +88,6 @@ def _retry_policy(
     return RetryPolicy.from_dict(retry)
 
 
-def _backend_supports_resilience(method: Callable[..., Any]) -> bool:
-    """Whether a backend ``run``/``run_sweep`` accepts the fault-tolerance
-    kwargs.  Third-party backends predating the contract keep working:
-    they are driven with the historical signature and fail-fast semantics.
-    """
-    try:
-        parameters = inspect.signature(method).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins, mocks
-        return False
-    return "fail" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
 def _config_fingerprint(config: NumericsConfig) -> dict[str, Any]:
     return {
         "policy": config.policy.value,
@@ -133,14 +118,15 @@ class Session:
     machine_factory:
         Override for machine construction — a callable
         ``(chip, seed, numerics) -> Machine`` — enabling off-catalog chips.
+        Such a session's batches run on the serial backend.
     max_workers:
         Default concurrency of :meth:`run_batch` (1 = sequential).
     backend:
         Default execution backend of :meth:`run_batch` — ``"serial"``,
-        ``"threads"``, ``"processes"`` or an
+        ``"vectorized"``, ``"sharded"`` or an
         :class:`~repro.experiments.backends.ExecutionBackend` instance.
         ``None`` defers to the ``REPRO_BACKEND`` environment variable and
-        finally to serial/threads depending on ``max_workers``.
+        finally to vectorized/sharded depending on ``max_workers``.
     fault_plan:
         Optional :class:`~repro.experiments.faults.FaultPlan` (or its
         plain-data form) injecting deterministic failures for chaos
@@ -404,10 +390,10 @@ class Session:
         Results come back in input order regardless of completion order,
         and — because each cell runs on a fresh machine with
         content-addressed jitter — are bit-identical for any
-        ``max_workers`` and any ``backend`` (``"serial"``, ``"threads"``,
-        ``"processes"``, ``"vectorized"`` — the sweep fast path, which
-        batch-evaluates whole grids through
-        :mod:`repro.sim.vectorized` — or an
+        ``max_workers`` and any ``backend`` (``"serial"``; ``"vectorized"``
+        — the sweep fast path, which batch-evaluates whole grids through
+        :mod:`repro.sim.vectorized`; ``"sharded"`` — vectorized inside
+        worker processes; or an
         :class:`~repro.experiments.backends.ExecutionBackend` instance;
         see :func:`~repro.experiments.backends.resolve_backend` for the
         default chain).  ``progress`` is invoked after each cell completes
@@ -489,7 +475,6 @@ class Session:
         primary = (
             exec_backend.run_sweep if streaming else exec_backend.run
         )
-        resilient = _backend_supports_resilience(primary)
 
         #: index -> (exception, spec) of the round that just ran
         round_failures: dict[int, tuple[BaseException, ExperimentSpec]] = {}
@@ -501,21 +486,16 @@ class Session:
             report.count(exc)
             round_failures[index] = (exc, spec)
 
-        batch_input = specs if streaming else spec_list
-        if resilient:
-            primary(
-                self,
-                batch_input,
-                finish,
-                use_cache=use_cache,
-                fail=fail,
-                attempt=1,
-                cell_timeout=policy.cell_timeout,
-                health=report,
-            )
-        else:
-            # pre-contract custom backend: historical fail-fast semantics
-            primary(self, batch_input, finish, use_cache=use_cache)
+        primary(
+            self,
+            specs if streaming else spec_list,
+            finish,
+            use_cache=use_cache,
+            fail=fail,
+            attempt=1,
+            cell_timeout=policy.cell_timeout,
+            health=report,
+        )
 
         # --- retry ladder -------------------------------------------------
         # Rounds re-run only the failed cells, all at the same attempt
@@ -556,7 +536,7 @@ class Session:
             open_failures.update(round_failures)
 
         attempt = 1
-        while resilient and open_failures and attempt <= policy.max_retries:
+        while open_failures and attempt <= policy.max_retries:
             retryable = {
                 index: entry
                 for index, entry in open_failures.items()
@@ -572,7 +552,7 @@ class Session:
             report.retries += len(retryable)
             rerun(retryable, exec_backend.run, attempt)
 
-        if resilient and open_failures:
+        if open_failures:
             # the last rung: crash/timeout victims re-execute in-process,
             # where no worker can die and no deadline preempts
             infra = {

@@ -62,8 +62,8 @@ _MASK_128 = (1 << 128) - 1  # kept for documentation of the fold domain
 
 #: Per-thread reusable generator the PCG64 states are injected into — state
 #: injection replaces the costly per-key ``default_rng`` construction, and a
-#: thread-local instance keeps concurrent scalar draws (the threads backend)
-#: from racing on shared bit-generator state.
+#: thread-local instance keeps concurrent scalar draws (the service's job
+#: threads) from racing on shared bit-generator state.
 _LOCAL = threading.local()
 
 

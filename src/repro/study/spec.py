@@ -8,7 +8,7 @@ frozen, hashable and JSON-round-trippable like every other spec, and
 ``compile()`` lowers it to the existing concrete experiment specs through
 each workload's own :class:`~repro.experiments.specs.SweepSpec` semantics —
 so a study runs through any :class:`~repro.experiments.session.Session`
-backend (serial / threads / processes / vectorized), hits the same caches,
+backend (serial / vectorized / sharded), hits the same caches,
 and resumes from the same run manifests as hand-built spec lists.
 
 :func:`run_study` is the one-call entry point: compile, execute (optionally

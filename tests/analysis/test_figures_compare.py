@@ -1,5 +1,8 @@
 """Figure assembly, paper comparison and shape checks (fast mode)."""
 
+import dataclasses
+import warnings
+
 import pytest
 
 from repro.analysis.compare import (
@@ -14,29 +17,37 @@ from repro.analysis.figures import (
     figure2_data,
     figure3_data,
     figure4_data,
-    make_machines,
+    make_session,
 )
 from repro.calibration import paper
+from repro.errors import ConfigurationError
+from repro.experiments import GemmSpec, Session
+from repro.sim.machine import Machine
+from repro.soc.catalog import M4
+from repro.soc.device import device_for_chip
+
+
+CHIPS = ("M1", "M4")
 
 
 @pytest.fixture(scope="module")
-def machines():
-    return make_machines(("M1", "M4"), fast=True)
+def session():
+    return make_session(fast=True, seed=0)
 
 
 @pytest.fixture(scope="module")
-def fig1(machines):
-    return figure1_data(machines)
+def fig1(session):
+    return figure1_data(CHIPS, session=session)
 
 
 @pytest.fixture(scope="module")
-def fig2(machines):
-    return figure2_data(machines, sizes=(32, 1024, 16384), repeats=2)
+def fig2(session):
+    return figure2_data(CHIPS, sizes=(32, 1024, 16384), repeats=2, session=session)
 
 
 @pytest.fixture(scope="module")
-def fig4(machines):
-    return figure4_data(machines, sizes=(2048, 16384), repeats=2)
+def fig4(session):
+    return figure4_data(CHIPS, sizes=(2048, 16384), repeats=2, session=session)
 
 
 class TestFigureData:
@@ -51,8 +62,14 @@ class TestFigureData:
             assert 16384 not in fig2[chip]["cpu-single"]
             assert 16384 in fig2[chip]["gpu-mps"]
 
-    def test_figure3_reports_milliwatts(self, machines):
-        fig3 = figure3_data(machines, sizes=(16384,), impl_keys=("gpu-mps",), repeats=1)
+    def test_figure3_reports_milliwatts(self, session):
+        fig3 = figure3_data(
+            CHIPS,
+            sizes=(16384,),
+            impl_keys=("gpu-mps",),
+            repeats=1,
+            session=session,
+        )
         for chip in fig3:
             mw = fig3[chip]["gpu-mps"][16384]
             assert 1000.0 < mw < 25000.0  # a few watts in mW
@@ -60,6 +77,78 @@ class TestFigureData:
     def test_figure4_efficiency_units(self, fig4):
         for chip in fig4:
             assert max(fig4[chip]["gpu-mps"].values()) > 100.0
+
+    def test_off_catalog_chip_runs_through_a_machine_factory(self):
+        # a factory session resolves to the serial backend by default
+        chip = dataclasses.replace(M4, name="M4-Custom")
+        device = dataclasses.replace(device_for_chip("M4"), chip_name=chip.name)
+        session = Session(
+            numerics="model-only",
+            machine_factory=lambda name, seed, numerics: Machine(
+                chip, device, seed=seed, numerics=numerics
+            ),
+        )
+        data = figure1_data((chip.name,), session=session, n_elements=1 << 14)
+        assert set(data) == {chip.name}
+        assert data[chip.name]["cpu"]  # executed, not rejected by the catalog
+
+    def test_machine_mapping_is_rejected(self):
+        machines = {"M1": Machine.for_chip("M1", seed=7)}
+        with pytest.raises(ConfigurationError, match="chip names"):
+            figure2_data(machines, sizes=(64,), impl_keys=("gpu-mps",))
+
+
+GEMM_AXES = dict(sizes=(64,), impl_keys=("gpu-mps",), repeats=1)
+
+BUILDERS = {
+    "figure1": (figure1_data, dict(n_elements=1 << 14)),
+    "figure2": (figure2_data, GEMM_AXES),
+    "figure3": (figure3_data, GEMM_AXES),
+    "figure4": (figure4_data, GEMM_AXES),
+}
+
+
+class TestSessionStyle:
+    """Chip names plus ``session=``: the one way to call a figure builder."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_builder_emits_no_deprecation_warning(self, name):
+        build, axes = BUILDERS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            data = build(("M1",), fast=True, **axes)
+        assert set(data) == {"M1"}
+
+    def test_chip_names_match_an_explicit_session_run(self):
+        data = figure2_data(
+            ("M3",),
+            sizes=(4096,),
+            impl_keys=("gpu-mps",),
+            repeats=2,
+            session=Session(numerics="model-only", seed=7),
+        )
+        envelope = Session(numerics="model-only", seed=7).run(
+            GemmSpec(chip="M3", impl_key="gpu-mps", n=4096, repeats=2, seed=7)
+        )
+        assert data["M3"]["gpu-mps"][4096] == envelope.result.best_gflops
+
+    def test_factory_session_supplies_its_seed_and_numerics(self):
+        calls = []
+
+        def factory(name, seed, numerics):
+            calls.append((name, seed, numerics))
+            return Machine.for_chip(name, seed=seed, numerics=numerics)
+
+        session = Session(numerics="model-only", seed=7, machine_factory=factory)
+        axes = dict(sizes=(64, 2048), impl_keys=("cpu-accelerate",), repeats=2)
+        data = figure2_data(("M1", "M4"), session=session, **axes)
+        assert {name for name, _, _ in calls} == {"M1", "M4"}
+        assert {(seed, numerics) for _, seed, numerics in calls} == {
+            (7, session.numerics)
+        }
+        # catalog machines through a factory match the catalog session
+        catalog = Session(numerics="model-only", seed=7)
+        assert data == figure2_data(("M1", "M4"), session=catalog, **axes)
 
 
 class TestCompare:

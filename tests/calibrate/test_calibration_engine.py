@@ -82,14 +82,15 @@ class TestDeterminism:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["processes", "sharded"])
+    @pytest.mark.parametrize("backend", ["sharded"])
     def test_pool_backends_rejected(self, synthetic_trace, backend):
         with pytest.raises(CalibrationError, match="derived-chip registry"):
             run_calibration(synthetic_trace, backend=backend)
 
-    def test_unknown_backend_rejected(self, synthetic_trace):
+    @pytest.mark.parametrize("backend", ["quantum", "threads", "processes"])
+    def test_unknown_backend_rejected(self, synthetic_trace, backend):
         with pytest.raises(CalibrationError, match="unknown backend"):
-            run_calibration(synthetic_trace, backend="quantum")
+            run_calibration(synthetic_trace, backend=backend)
 
     def test_serial_backend_agrees_with_vectorized(self):
         trace = synthesize_trace(["M1"])

@@ -7,9 +7,11 @@ a cell that cannot be recovered surfaces as an exact, structured failure
 without aborting its siblings.
 
 The suite executes through whatever backend ``REPRO_BACKEND`` selects
-(the chaos-smoke CI job runs the ``processes`` and ``vectorized`` legs),
-so the same fault classes exercise pool recovery, in-parent execution and
-shard redo paths without per-backend test duplication.
+(the chaos-smoke CI job runs the ``vectorized`` and ``sharded`` legs),
+so the same fault classes exercise in-parent execution and shard redo
+paths without per-backend test duplication; the crash and hang tests
+also pin a :class:`~repro.experiments.backends.ShardedBackend` so a real
+worker pool is exercised on every leg.
 """
 
 import pytest

@@ -1,4 +1,4 @@
-"""Cross-backend determinism: serial == threads == processes, byte for byte.
+"""Cross-backend determinism: serial == vectorized == sharded, byte for byte.
 
 DESIGN.md §2's purity property — every cell is a pure function of (spec,
 session fingerprint) — is what makes parallel execution sound.  This suite
@@ -13,14 +13,14 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     BACKEND_NAMES,
     GemmSpec,
-    ProcessBackend,
     SerialBackend,
     Session,
     StreamSpec,
     SweepSpec,
-    ThreadBackend,
+    VectorizedBackend,
     resolve_backend,
 )
+from repro.experiments.backends import ShardedBackend
 from repro.sim.machine import Machine
 from repro.workloads import get_workload, workload_kinds
 
@@ -55,7 +55,15 @@ class TestCrossBackendDeterminism:
         for backend in PARALLEL_BACKENDS:
             assert batch_json(specs, backend=backend, max_workers=4) == reference
 
-    def test_all_six_workload_sweeps_serial_vs_processes(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_default_backend_bit_identical_to_serial(self, monkeypatch, workers):
+        # no backend named: vectorized at one worker, sharded above
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        specs = [get_workload(kind).sample_spec() for kind in workload_kinds()]
+        reference = batch_json(specs, backend="serial")
+        assert batch_json(specs, max_workers=workers) == reference
+
+    def test_all_six_workload_sweeps_serial_vs_sharded(self):
         """The acceptance grid: one sweep per registered kind, both backends."""
         sweeps = [
             SweepSpec(kind="gemm", chips=("M1",), impl_keys=("gpu-mps",), sizes=(256,)),
@@ -67,113 +75,99 @@ class TestCrossBackendDeterminism:
         ]
         assert {s.kind for s in sweeps} == set(workload_kinds())
         specs = [spec for sweep in sweeps for spec in sweep.expand()]
-        assert batch_json(specs, backend="processes", max_workers=4) == batch_json(
+        assert batch_json(specs, backend="sharded", max_workers=2) == batch_json(
             specs, backend="serial"
         )
 
-    def test_results_in_input_order_for_processes(self):
-        specs = list(
-            SweepSpec(
-                kind="gemm",
-                chips=("M1", "M4"),
-                impl_keys=("gpu-mps",),
-                sizes=(256, 512),
-            ).expand()
-        )
-        envs = model_session().run_batch(specs, backend="processes", max_workers=4)
-        assert [e.spec for e in envs] == specs
 
-
-class TestProcessBackendCaching:
-    def test_populates_parent_cache(self):
-        session = model_session()
-        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
-        session.run_batch([spec], backend="processes")
-        assert session.cache_info()["in_memory"] == 1
-        again = session.run_batch([spec], backend="processes")
-        assert session.cache_info()["hits"] == 1
-        assert again[0] is session.run_batch([spec], backend="serial")[0]
-
-    def test_disk_cache_shared_with_serial(self, tmp_path):
-        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
-        first = model_session(cache_dir=tmp_path).run_batch(
-            [spec], backend="processes"
-        )[0]
-        revived = model_session(cache_dir=tmp_path)
-        second = revived.run_batch([spec], backend="serial")[0]
-        assert second.to_json() == first.to_json()
-        assert revived.cache_info()["misses"] == 0
-
-    def test_uncached_miss_counters_match_serial(self):
-        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
-        counts = {}
-        for backend in ("serial", "processes"):
-            session = model_session()
-            session.run_batch([spec], backend=backend, use_cache=False)
-            counts[backend] = session.cache_info()["misses"]
-        assert counts["processes"] == counts["serial"] == 1
-
-    def test_machine_factory_rejected(self):
-        def factory(chip, seed, numerics):
-            return Machine.for_chip("M1", seed=seed, numerics=numerics)
-
-        session = Session(numerics="model-only", machine_factory=factory)
-        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
-        with pytest.raises(ConfigurationError, match="machine_factory"):
-            session.run_batch([spec], backend="processes")
+def factory_session() -> Session:
+    return Session(
+        numerics="model-only",
+        machine_factory=lambda chip, seed, numerics: Machine.for_chip(
+            "M1", seed=seed, numerics=numerics
+        ),
+    )
 
 
 class TestBackendResolution:
     def test_defaults_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert isinstance(resolve_backend(None, 1), SerialBackend)
-        assert isinstance(resolve_backend(None, 4), ThreadBackend)
+        assert isinstance(resolve_backend(None, 1), VectorizedBackend)
+        sharded = resolve_backend(None, 4)
+        assert isinstance(sharded, ShardedBackend)
+        assert sharded.max_workers == 4
 
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("threads", 4), ThreadBackend)
-        assert isinstance(resolve_backend("processes", 4), ProcessBackend)
+        assert isinstance(resolve_backend("vectorized", 4), VectorizedBackend)
+        assert isinstance(resolve_backend("sharded", 4), ShardedBackend)
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend(2)
+        backend = ShardedBackend(2)
         assert resolve_backend(backend, 8) is backend
 
-    def test_unknown_name_raises(self):
+    @pytest.mark.parametrize("name", ["fibers", "threads", "processes"])
+    def test_unknown_name_raises(self, name):
         with pytest.raises(ConfigurationError, match="unknown execution backend"):
-            resolve_backend("fibers", 4)
+            resolve_backend(name, 4)
 
-    def test_unknown_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "proceses")
+    @pytest.mark.parametrize("name", ["proceses", "threads", "processes"])
+    def test_unknown_env_value_names_the_variable(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_BACKEND", name)
         with pytest.raises(ConfigurationError, match=r"\$REPRO_BACKEND"):
             resolve_backend(None, 4)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_env_serial_is_honoured(self, monkeypatch, workers):
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert isinstance(resolve_backend(None, workers), SerialBackend)
+
     def test_env_var_is_soft_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
-        assert isinstance(resolve_backend(None, 1), ProcessBackend)
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        assert isinstance(resolve_backend(None, 1), ShardedBackend)
         # explicit argument wins over the environment
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
 
-    def test_env_processes_degrades_for_machine_factory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
-        session = Session(
-            numerics="model-only",
-            machine_factory=lambda chip, seed, numerics: Machine.for_chip(
-                "M1", seed=seed, numerics=numerics
-            ),
-        )
-        resolved = resolve_backend(None, 4, session=session)
-        assert isinstance(resolved, ThreadBackend)
+    @pytest.mark.parametrize("env", [None, "vectorized", "sharded"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_machine_factory_session_resolves_to_serial(
+        self, monkeypatch, env, workers
+    ):
+        if env is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", env)
+        session = factory_session()
+        resolved = resolve_backend(None, workers, session=session)
+        assert isinstance(resolved, SerialBackend)
         # ...and the batch actually executes instead of raising
-        env = session.run_batch(
-            [GemmSpec(chip="M1", impl_key="gpu-mps", n=256)]
+        envelope = session.run_batch(
+            [GemmSpec(chip="M1", impl_key="gpu-mps", n=256)],
+            max_workers=workers,
         )[0]
-        assert env.result.best_gflops > 0
+        assert envelope.result.best_gflops > 0
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [GemmSpec(chip="M1", impl_key="gpu-mps", n=256)],
+            # a SweepSpec streams through ShardedBackend.run_sweep
+            SweepSpec(kind="spmv", chips=("M1", "M4")),
+        ],
+        ids=["spec-list", "sweep"],
+    )
+    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    def test_explicit_request_on_machine_factory_session_raises(
+        self, backend, batch
+    ):
+        with pytest.raises(ConfigurationError, match="machine_factory"):
+            factory_session().run_batch(batch, backend=backend)
 
     def test_env_var_drives_run_batch(self, monkeypatch):
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         reference = model_session().run_batch([spec])[0].to_json()
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
         assert model_session().run_batch([spec])[0].to_json() == reference
 
     def test_session_level_backend_default(self):
@@ -181,9 +175,3 @@ class TestBackendResolution:
         spec = StreamSpec(chip="M1", target="gpu", n_elements=1 << 14, repeats=2)
         envs = session.run_batch([spec], max_workers=8)
         assert len(envs) == 1
-
-    def test_bad_worker_count_still_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThreadBackend(0)
-        with pytest.raises(ConfigurationError):
-            ProcessBackend(0)

@@ -12,6 +12,7 @@ from repro.experiments import (
     load_envelopes,
     run_with_manifest,
 )
+from repro.experiments.backends import ShardedBackend
 
 
 class TestRunCommand:
@@ -138,25 +139,63 @@ class TestRunBackends:
         "--quiet",
     ]
 
-    def test_processes_store_is_byte_identical_to_serial(self, tmp_path, capsys):
+    def test_sharded_store_is_byte_identical_to_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial"
-        procs = tmp_path / "procs"
+        sharded = tmp_path / "sharded"
         assert main(self.SWEEP_ARGS + ["--backend", "serial", "--out", str(serial)]) == 0
         assert (
             main(
                 self.SWEEP_ARGS
-                + ["--backend", "processes", "--workers", "2", "--out", str(procs)]
+                + ["--backend", "sharded", "--workers", "2", "--out", str(sharded)]
             )
             == 0
         )
         capsys.readouterr()
-        assert _store_bytes(procs) == _store_bytes(serial)
+        assert _store_bytes(sharded) == _store_bytes(serial)
 
-    def test_threads_backend_summary_identical(self, capsys):
+    def test_sharded_backend_summary_identical(self, capsys):
         assert main(self.SWEEP_ARGS + ["--backend", "serial"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(self.SWEEP_ARGS + ["--backend", "threads", "--workers", "4"]) == 0
+        assert main(self.SWEEP_ARGS + ["--backend", "sharded", "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial_out
+
+    def test_shard_size_selects_sharded_unless_another_backend_is_named(
+        self, monkeypatch, capsys
+    ):
+        shard_sizes = []
+        run_sweep = ShardedBackend.run_sweep
+
+        def spy(backend, *args, **kwargs):
+            shard_sizes.append(backend.shard_size)
+            return run_sweep(backend, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedBackend, "run_sweep", spy)
+        assert main(self.SWEEP_ARGS + ["--shard-size", "2"]) == 0
+        assert shard_sizes == [2]
+        capsys.readouterr()
+        for backend in ("vectorized", "serial"):
+            args = self.SWEEP_ARGS + ["--backend", backend, "--shard-size", "2"]
+            assert main(args) == 2
+            assert "--shard-size only applies to --backend sharded" in (
+                capsys.readouterr().err
+            )
+
+    def test_shard_size_tunes_an_explicit_sharded_backend(
+        self, monkeypatch, capsys
+    ):
+        configs = []
+        run_sweep = ShardedBackend.run_sweep
+
+        def spy(backend, *args, **kwargs):
+            configs.append((backend.max_workers, backend.shard_size))
+            return run_sweep(backend, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedBackend, "run_sweep", spy)
+        args = self.SWEEP_ARGS + [
+            "--backend", "sharded", "--workers", "2", "--shard-size", "3"
+        ]
+        assert main(args) == 0
+        assert configs == [(2, 3)]
 
     def test_out_writes_manifest_with_all_cells_done(self, tmp_path, capsys):
         out = tmp_path / "store"
@@ -471,103 +510,3 @@ class TestFigureFromEnvelopes:
             capsys, ["figure2", "--fast", "--chips", "M1", "--workers", "4"]
         )
         assert sequential == parallel
-
-
-class TestProcessesFootgunWarning:
-    """`--backend processes` on an all-vectorizable grid points at vectorized."""
-
-    def _run(self, capsys, *extra):
-        code = main(
-            [
-                "run",
-                "--kind",
-                "spmv",
-                "--chips",
-                "M1",
-                "--sizes",
-                "4096",
-                "--numerics",
-                "model-only",
-                "--quiet",
-                *extra,
-            ]
-        )
-        assert code == 0
-        return capsys.readouterr().err
-
-    def test_processes_on_vectorizable_grid_warns(self, capsys):
-        err = self._run(capsys, "--backend", "processes")
-        assert "vectorized lowering" in err
-        assert "BENCH_PR4.json" in err
-
-    def test_other_backends_stay_silent(self, capsys):
-        assert "vectorized lowering" not in self._run(capsys)
-        assert "vectorized lowering" not in self._run(
-            capsys, "--backend", "vectorized"
-        )
-
-    def test_stream_now_lowers_and_warns(self, capsys):
-        # STREAM gained a vectorized lowering; model-only STREAM grids are
-        # exactly the cheap cells the warning exists for.
-        code = main(
-            [
-                "run",
-                "--kind",
-                "stream",
-                "--chips",
-                "M1",
-                "--targets",
-                "cpu",
-                "--numerics",
-                "model-only",
-                "--backend",
-                "processes",
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        assert "vectorized lowering" in capsys.readouterr().err
-
-    def test_real_numerics_grids_stay_silent(self, capsys):
-        # Under sampled numerics every lowering declines, so processes is a
-        # legitimate choice — the warning must not fire.
-        code = main(
-            [
-                "run",
-                "--kind",
-                "spmv",
-                "--chips",
-                "M1",
-                "--sizes",
-                "4096",
-                "--numerics",
-                "sampled",
-                "--backend",
-                "processes",
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        assert "vectorized lowering" not in capsys.readouterr().err
-
-    def test_resume_also_warns(self, tmp_path, capsys):
-        out = tmp_path / "store"
-        session = Session(numerics="model-only")
-        sweep = SweepSpec(kind="spmv", chips=("M1",), sizes=(256, 4096))
-        specs = sweep.expand()
-        run_with_manifest(session, specs[:1], out)  # partial store
-        manifest = RunManifest.load(out)
-        manifest.merge_specs(specs)
-        manifest.save()
-        code = main(
-            [
-                "run",
-                "--resume",
-                str(out),
-                "--backend",
-                "processes",
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        assert "vectorized lowering" in capsys.readouterr().err

@@ -255,12 +255,12 @@ class TestRunWithManifest:
         assert manifest.status_counts() == {STATUS_DONE: len(SWEEP.expand())}
         assert len(envelopes) == len(SWEEP.expand())
 
-    def test_parallel_backends_checkpoint_too(self, tmp_path):
+    def test_sharded_backend_checkpoints_too(self, tmp_path):
         envelopes, manifest = run_with_manifest(
             model_session(),
             SWEEP,
             tmp_path,
-            backend="processes",
+            backend="sharded",
             max_workers=2,
         )
         assert manifest.status_counts() == {STATUS_DONE: len(SWEEP.expand())}

@@ -135,13 +135,16 @@ class TestBatch:
         assert [e.spec for e in envs] == specs
 
     def test_progress_callback_counts_up(self):
+        # a materialized batch: a SweepSpec on 2 workers streams through
+        # sharded, whose total is unknown (-1) until the stream ends
         seen = []
+        specs = SWEEP.expand()
         model_session().run_batch(
-            SWEEP,
+            specs,
             max_workers=2,
             progress=lambda done, total, env: seen.append((done, total)),
         )
-        total = len(SWEEP.expand())
+        total = len(specs)
         assert seen == [(i, total) for i in range(1, total + 1)]
 
     def test_batch_populates_cache(self):

@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments import (
     ResultEnvelope,
     Session,
@@ -24,7 +23,6 @@ from repro.experiments import (
     save_envelopes,
 )
 from repro.experiments.specs import ExperimentSpec
-from repro.sim.machine import Machine
 from repro.workloads import (
     Workload,
     get_workload,
@@ -303,34 +301,6 @@ class TestBackendSemantics:
         second = revived.run_batch([spec], backend="serial")[0]
         assert second.to_json() == first.to_json()
         assert revived.cache_info()["misses"] == 0
-
-    def test_machine_factory_rejected(self):
-        session = Session(
-            numerics="model-only",
-            machine_factory=lambda chip, seed, numerics: Machine.for_chip(
-                "M1", seed=seed, numerics=numerics
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="machine_factory"):
-            session.run_batch(
-                [get_workload("spmv").sample_spec()], backend="vectorized"
-            )
-
-    def test_env_vectorized_degrades_for_machine_factory(self, monkeypatch):
-        from repro.experiments import ThreadBackend
-
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        session = Session(
-            numerics="model-only",
-            machine_factory=lambda chip, seed, numerics: Machine.for_chip(
-                "M1", seed=seed, numerics=numerics
-            ),
-        )
-        assert isinstance(
-            resolve_backend(None, 4, session=session), ThreadBackend
-        )
-        envs = session.run_batch([get_workload("spmv").sample_spec()])
-        assert len(envs) == 1
 
     def test_envelope_meta_matches_serial(self):
         """Provenance (cache key, fingerprint) is stamped exactly like serial."""

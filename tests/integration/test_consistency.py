@@ -113,23 +113,29 @@ class TestPowermetricsConservation:
 
 class TestDeterminism:
     def test_identical_seeds_identical_figures(self):
-        from repro.analysis.figures import figure2_data, make_machines
+        from repro.analysis.figures import figure2_data, make_session
 
         def run():
-            machines = make_machines(("M1",), fast=True, seed=123)
             return figure2_data(
-                machines, sizes=(512, 4096), impl_keys=("gpu-mps",), repeats=3
+                ("M1",),
+                sizes=(512, 4096),
+                impl_keys=("gpu-mps",),
+                repeats=3,
+                session=make_session(fast=True, seed=123),
             )
 
         assert run() == run()
 
     def test_different_seeds_differ(self):
-        from repro.analysis.figures import figure2_data, make_machines
+        from repro.analysis.figures import figure2_data, make_session
 
         def run(seed):
-            machines = make_machines(("M1",), fast=True, seed=seed)
             return figure2_data(
-                machines, sizes=(4096,), impl_keys=("gpu-mps",), repeats=3
+                ("M1",),
+                sizes=(4096,),
+                impl_keys=("gpu-mps",),
+                repeats=3,
+                session=make_session(fast=True, seed=seed),
             )
 
         assert run(1) != run(2)

@@ -18,6 +18,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure1", "--chips", "M9"])
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (command, name)
+            for command in (["run"], ["study", "run"], ["serve"], ["calibrate"])
+            for name in ("threads", "processes")
+        ]
+        # derived chips live in the parent's registry; workers cannot see them
+        + [(["calibrate"], "sharded")],
+    )
+    def test_backend_option_rejects_unsupported_backends(
+        self, command, name, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--backend", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self, capsys):
