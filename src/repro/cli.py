@@ -72,6 +72,7 @@ from repro.study import (
     get_table,
     paper_study,
     render_efficiency_report,
+    render_figure_text,
     run_study,
 )
 from repro.workloads import all_workloads, get_workload, workload_kinds
@@ -625,19 +626,6 @@ def _figure1_series(args) -> dict:
     return data
 
 
-def _render_figure1_text(data: dict) -> None:
-    print("Figure 1 — STREAM bandwidth (GB/s), max over repetitions")
-    for chip, entry in data.items():
-        print(f"\n{chip} (theoretical {entry['theoretical']:.0f} GB/s)")
-        for target in ("cpu", "gpu"):
-            if target not in entry:
-                continue  # partial stores may hold only one target
-            cells = "  ".join(
-                f"{kernel}={gbs:6.1f}" for kernel, gbs in entry[target].items()
-            )
-            print(f"  {target.upper():3s}: {cells}")
-
-
 def _figure1_csv_rows(data: dict) -> list[dict]:
     rows = []
     for chip, entry in data.items():
@@ -652,14 +640,6 @@ def _figure1_csv_rows(data: dict) -> list[dict]:
                     }
                 )
     return rows
-
-
-def _print_figure1(args) -> None:
-    data = _figure1_series(args)
-    if args.csv:
-        print(rows_to_csv(_figure1_csv_rows(data)), end="")
-        return
-    _render_figure1_text(data)
 
 
 def _flush_sink(args, session: Session) -> None:
@@ -681,22 +661,15 @@ def _figure_series(args, builder, from_builder) -> dict:
     return data
 
 
-def _print_series_figure(
-    name: str,
-    data: dict,
-    value_name: str,
-    unit: str,
-    as_csv: bool,
-) -> None:
-    if as_csv:
+def _print_figure(name: str, data: dict, as_csv: bool) -> None:
+    """One figure's series as CSV or as the text the service also serves."""
+    if not as_csv:
+        print(render_figure_text(name, data))
+    elif name == "figure1":
+        print(rows_to_csv(_figure1_csv_rows(data)), end="")
+    else:
+        value_name = get_figure(name).value_name
         print(rows_to_csv(figure_series_to_rows(data, value_name)), end="")
-        return
-    print(f"{name} ({unit})")
-    for chip, impls in data.items():
-        print(f"\n{chip}")
-        for impl, series in impls.items():
-            cells = "  ".join(f"n={n}:{v:9.1f}" for n, v in sorted(series.items()))
-            print(f"  {impl:16s} {cells}")
 
 
 def _sorted_envelopes(envelopes) -> list:
@@ -876,9 +849,9 @@ def _run_sweep(args) -> int:
         session = Session(
             numerics=args.numerics, seed=args.seed, cache_dir=args.cache
         )
-        # the sweep goes down un-expanded: run_with_manifest expands it in
-        # one lazy pass, and run_batch hands it whole to streaming backends
-        # (sharded never materializes the grid in this process at all)
+        # the sweep goes down un-expanded: run_with_manifest expands it
+        # once, and run_batch streams it to the sharded backend, which never
+        # holds the whole grid in this process
         progress, executed = _run_progress(args)
         if args.out:
             envelopes, _ = run_with_manifest(
@@ -1001,17 +974,8 @@ def _study_render(args) -> None:
     if args.name == "compare":
         print(render_comparison(compare_study(frame, chips=chips)))
         return
-    figure = get_figure(args.name)
-    data = figure.series(frame, chips=chips)
-    if args.name == "figure1":
-        if args.csv:
-            print(rows_to_csv(_figure1_csv_rows(data)), end="")
-        else:
-            _render_figure1_text(data)
-        return
-    _print_series_figure(
-        figure.title, data, figure.value_name, figure.unit, args.csv
-    )
+    data = get_figure(args.name).series(frame, chips=chips)
+    _print_figure(args.name, data, args.csv)
 
 
 def _run_serve(args) -> None:
@@ -1296,7 +1260,7 @@ def _dispatch(args) -> int:
 
             print(figure1_chart(_figure1_series(args)))
         else:
-            _print_figure1(args)
+            _print_figure("figure1", _figure1_series(args), args.csv)
     elif command == "figure2":
         data = _figure_series(args, figure2_data, figure2_from_envelopes)
         if args.chart:
@@ -1304,15 +1268,13 @@ def _dispatch(args) -> int:
 
             print(figure2_chart(data))
         else:
-            _print_series_figure("Figure 2 — GEMM", data, "gflops", "GFLOPS", args.csv)
+            _print_figure("figure2", data, args.csv)
     elif command == "figure3":
         data = _figure_series(args, figure3_data, figure3_from_envelopes)
-        _print_series_figure("Figure 3 — power", data, "power_mw", "mW", args.csv)
+        _print_figure("figure3", data, args.csv)
     elif command == "figure4":
         data = _figure_series(args, figure4_data, figure4_from_envelopes)
-        _print_series_figure(
-            "Figure 4 — efficiency", data, "gflops_per_w", "GFLOPS/W", args.csv
-        )
+        _print_figure("figure4", data, args.csv)
     elif command == "compare":
         envelopes = _figure_envelopes(args)
         if envelopes is not None:
@@ -1386,20 +1348,15 @@ def _dispatch(args) -> int:
             print(block)
             print()
         session = make_session(fast=args.fast)
-        data1 = figure1_data(list(paper.CHIPS), session=session)
-        _render_figure1_text(data1)
-        print()
-        data2 = figure2_data(list(paper.CHIPS), session=session)
-        _print_series_figure("Figure 2 — GEMM", data2, "gflops", "GFLOPS", False)
-        print()
-        data3 = figure3_data(list(paper.CHIPS), session=session)
-        _print_series_figure("Figure 3 — power", data3, "power_mw", "mW", False)
-        print()
-        data4 = figure4_data(list(paper.CHIPS), session=session)
-        _print_series_figure(
-            "Figure 4 — efficiency", data4, "gflops_per_w", "GFLOPS/W", False
-        )
-        print()
+        for name, builder in (
+            ("figure1", figure1_data),
+            ("figure2", figure2_data),
+            ("figure3", figure3_data),
+            ("figure4", figure4_data),
+        ):
+            data = builder(list(paper.CHIPS), session=session)
+            print(render_figure_text(name, data))
+            print()
         _run_gh200(args.fast)
         print()
         print(render_reference_table())

@@ -13,12 +13,12 @@ the cells of a batch execute:
   per-operation Python loops, with automatic per-cell fallback to the
   scalar executor for cells that do not lower;
 * ``sharded`` — vectorized inside worker processes, for grids too large
-  for one core: the grid is cut into contiguous shards, each shard crosses
-  to a worker process (as a sweep slice or as plain-data specs), runs
-  there under the vectorized backend, and streams its envelopes back as
-  plain data; the parent delivers shards strictly in submission order with
-  a bounded number in flight, so a grid of any size runs in constant
-  parent memory.
+  for one core: the parent pulls the batch — any iterable of specs — in
+  contiguous shards, ships each shard's cache misses to a worker process
+  as plain-data specs, runs them there under the vectorized backend, and
+  streams their envelopes back as plain data; the parent delivers shards
+  strictly in submission order with a bounded number in flight, so a grid
+  of any size runs in constant parent memory.
 
 Because every cell is a pure function of (spec, session fingerprint) — the
 simulator's jitter is content-addressed, machines are fresh per cell — all
@@ -43,7 +43,7 @@ import itertools
 import os
 import pickle
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CellTimeoutError, ConfigurationError, WorkerCrashError
 
@@ -115,16 +115,18 @@ class ExecutionBackend:
     #: Registry/CLI name of this backend.
     name = "base"
 
-    #: Streaming backends additionally implement :meth:`run_sweep` and accept
-    #: an un-expanded :class:`~repro.experiments.specs.SweepSpec`;
-    #: ``Session.run_batch`` routes grids to it so they are never fully
-    #: materialized in the parent process.
+    #: Streaming backends consume ``specs`` as a one-pass iterable;
+    #: ``Session.run_batch`` hands them a
+    #: :class:`~repro.experiments.specs.SweepSpec`'s lazy
+    #: :meth:`~repro.experiments.specs.SweepSpec.expand_iter` stream, so a
+    #: grid is never fully materialized in the parent process.  Other
+    #: backends receive a list.
     streaming = False
 
     def run(
         self,
         session: "Session",
-        specs: Sequence["ExperimentSpec"],
+        specs: Iterable["ExperimentSpec"],
         finish: FinishCallback,
         *,
         use_cache: bool = True,
@@ -356,89 +358,52 @@ class VectorizedBackend(ExecutionBackend):
             deliver(index, spec, key, result)
 
 
-#: Worker-side cursor over the most recent sweep's lazy expansion.  The
-#: parent ships contiguous grid slices and each worker sees its share in
-#: increasing order, so resuming one iterator makes slice expansion cost
-#: O(cells skipped or handled) per worker instead of re-expanding the grid
-#: from cell zero for every shard.
-_WORKER_SWEEP_CURSOR: dict[str, Any] = {"key": None, "iter": None, "pos": 0}
-
-
-def _sweep_slice_specs(
-    sweep_data: Mapping[str, Any], start: int, stop: int
+def _run_shard(
+    shard: Mapping[str, Any],
+    session_config: Mapping[str, Any],
+    attempt: int,
+    fail: "FailCallback | None" = None,
 ) -> list:
-    """Expand cells ``[start, stop)`` of a sweep grid, resuming the cursor.
+    """One shard's plain-data specs in, their envelope dicts out in order.
 
-    Slices past the end of the grid come back short or empty — that is how
-    the parent learns the grid's length without ever expanding it.
+    The shard executes under the vectorized backend on a fresh session with
+    the parent's configuration, which is what keeps the payloads
+    byte-identical to every other backend.  Workers and the in-parent redo
+    both run shards through here.
     """
-    from repro.experiments.specs import SweepSpec
-
-    cursor = _WORKER_SWEEP_CURSOR
-    # plain-data equality (C-level, even for six-figure size axes) — a
-    # canonical-JSON key would cost milliseconds per shard on huge grids
-    key = dict(sweep_data)
-    if cursor["key"] != key or cursor["pos"] > start:
-        cursor["key"] = key
-        cursor["iter"] = SweepSpec.from_dict(sweep_data).expand_iter()
-        cursor["pos"] = 0
-    iterator = cursor["iter"]
-    skip = start - cursor["pos"]
-    if skip:
-        # drain the gap cells other workers own (spec construction only)
-        for _ in itertools.islice(iterator, skip):
-            pass
-    specs = list(itertools.islice(iterator, stop - start))
-    cursor["pos"] = start + len(specs)
-    return specs
-
-
-def _shard_specs(shard: Mapping[str, Any]) -> list:
-    """Materialize one shard's specs (worker-side, or in-parent on redo)."""
+    from repro.experiments.session import Session
     from repro.experiments.specs import spec_from_dict
 
-    if "specs" in shard:
-        return [spec_from_dict(data) for data in shard["specs"]]
-    return _sweep_slice_specs(shard["sweep"], shard["start"], shard["stop"])
+    specs = [spec_from_dict(data) for data in shard["specs"]]
+    items: list[Any] = [None] * len(specs)
+
+    def collect(index: int, envelope) -> None:
+        items[index] = envelope.to_dict()
+
+    VectorizedBackend().run(
+        Session(**session_config),
+        specs,
+        collect,
+        use_cache=False,
+        fail=fail,
+        attempt=attempt,
+    )
+    return items
 
 
 def _execute_shard_payload(
     shard: Mapping[str, Any],
     session_config: Mapping[str, Any],
     attempt: int = 1,
-) -> tuple[int, bytes]:
-    """Worker-side entry point: one shard in, its envelope dicts out in order.
+) -> bytes:
+    """Worker-side entry point: one shard in, its pickled envelope dicts out.
 
-    ``shard`` is either ``{"specs": [...]}`` (plain-data cells, the caching
-    path) or ``{"sweep": ..., "start": i, "stop": j}`` (a grid slice the
-    worker expands itself, so the parent never builds the spec objects).
-    The shard executes under the vectorized backend on a fresh session with
-    the parent's configuration, which is what keeps the payloads
-    byte-identical to every other backend.
-
-    Returns ``(cell count, pickled payload list)``: one pre-pickled blob
-    crosses the pool boundary as a cheap bytes copy, and the parent defers
-    decoding it until an envelope field is actually read — the count alone
-    drives delivery and end-of-grid detection.
+    One pre-pickled blob crosses the pool boundary as a cheap bytes copy,
+    and the parent defers decoding it until an envelope field is actually
+    read.
     """
-    from repro.experiments.session import Session
-
-    specs = _shard_specs(shard)
-    if not specs:
-        return 0, _EMPTY_SHARD
-    session = Session(**session_config)
-    out: list[Any] = [None] * len(specs)
-
-    def collect(index: int, envelope) -> None:
-        out[index] = envelope.to_dict()
-
-    VectorizedBackend().run(
-        session, specs, collect, use_cache=False, attempt=attempt
-    )
-    return len(out), pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-_EMPTY_SHARD = pickle.dumps([], protocol=pickle.HIGHEST_PROTOCOL)
+    items = _run_shard(shard, session_config, attempt)
+    return pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _ShardResults:
@@ -463,41 +428,20 @@ class _ShardResults:
         return items[index]
 
 
-class _ListResults:
-    """In-parent shard results (the degradation path): plain list, no pickle."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: list) -> None:
-        self._items = items
-
-    def item(self, index: int) -> Mapping[str, Any]:
-        return self._items[index]
-
-
 class ShardedBackend(ExecutionBackend):
     """Vectorized in worker processes: contiguous grid shards, in order.
 
-    The batch is cut into shards of ``shard_size`` consecutive cells; each
-    shard crosses to a worker as plain data, runs there under the
-    vectorized backend, and streams its envelope dicts back.  The parent
-    keeps a bounded number of shards in flight and delivers them strictly
-    in submission order, wrapping payloads in lazy envelopes
-    (:meth:`ResultEnvelope.from_payload`) — so a million-cell grid runs in
-    constant parent memory and the parent's per-cell work is a dict handoff,
-    not codec rehydration.
-
-    Two dispatch modes, chosen per call:
-
-    * **sweep slices** (:meth:`run_sweep` with caching off) — the parent
-      ships ``(sweep, start, stop)`` descriptors and the workers expand
-      their own slices; the parent never materializes a single spec.
-      Submission is open-ended: the grid's end is detected when a shard
-      comes back short.
-    * **plain-data cells** (:meth:`run`, or :meth:`run_sweep` with caching
-      on) — the parent streams the expansion shard-wise, resolves cache
-      hits per shard, and ships only the misses.  Hits are held and merged
-      back when their shard returns, keeping delivery in grid order.
+    :meth:`run` pulls its specs — a list, or the lazy grid stream
+    ``Session.run_batch`` hands a streaming backend — ``shard_size`` cells
+    at a time.  Per shard, the parent resolves cache hits and ships only
+    the misses to a worker as plain-data specs; the worker runs them under
+    the vectorized backend and streams their envelope dicts back.  Hits are
+    held and merged back when their shard returns, and the parent keeps a
+    bounded number of shards in flight and delivers them strictly in
+    submission order, wrapping payloads in lazy envelopes
+    (:meth:`ResultEnvelope.from_deferred`) — so a million-cell grid runs in
+    constant parent memory and the parent's per-cell work is a cache key
+    and a dict handoff, not codec rehydration.
     """
 
     name = "sharded"
@@ -518,14 +462,6 @@ class ShardedBackend(ExecutionBackend):
         self.max_workers = int(max_workers)
         self.shard_size = int(shard_size or self.DEFAULT_SHARD_SIZE)
 
-    def _check_session(self, session: "Session") -> None:
-        if session.machine_factory is not None:
-            raise ConfigurationError(
-                "the sharded backend ships cells to worker processes and "
-                "lowers them onto shared chip templates; a custom "
-                "machine_factory supports neither — use the serial backend"
-            )
-
     def run(
         self,
         session,
@@ -538,111 +474,24 @@ class ShardedBackend(ExecutionBackend):
         cell_timeout=None,
         health=None,
     ):
-        """Execute a materialized spec sequence shard-wise."""
-        self._check_session(session)
-        self._run_chunked(
-            session,
-            iter(enumerate(specs)),
-            finish,
-            use_cache,
-            fail=fail,
-            attempt=attempt,
-            cell_timeout=cell_timeout,
-            health=health,
-        )
+        """Stream any iterable of specs shard-wise through the pool.
 
-    def run_sweep(
-        self,
-        session,
-        sweep,
-        finish,
-        *,
-        use_cache=True,
-        fail=None,
-        attempt=1,
-        cell_timeout=None,
-        health=None,
-    ):
-        """Execute a grid without materializing it in the parent.
-
-        With caching on, the parent must see every spec to compute its
-        cache key, so cells stream through the chunked plain-data path
-        (still never holding more than the in-flight window).  With caching
-        off, the workers expand their own contiguous slices and the parent
-        touches nothing but envelope payloads.
-        """
-        self._check_session(session)
-        if use_cache:
-            self._run_chunked(
-                session,
-                iter(enumerate(sweep.expand_iter())),
-                finish,
-                use_cache,
-                fail=fail,
-                attempt=attempt,
-                cell_timeout=cell_timeout,
-                health=health,
-            )
-            return
-        from repro.experiments.envelope import ResultEnvelope
-
-        sweep_data = sweep.to_dict()
-        size = self.shard_size
-
-        def shards():
-            for start in itertools.count(0, size):
-                yield {
-                    "sweep": sweep_data,
-                    "start": start,
-                    "stop": start + size,
-                }
-
-        def deliver(shard, count, results, failures):
-            base = shard["start"]
-            item = results.item
-            from_deferred = ResultEnvelope.from_deferred
-            record_miss = session.record_miss
-            for offset in range(count):
-                record_miss()
-                if offset in failures:
-                    exc, spec = failures[offset]
-                    _report_cell_failure(fail, base + offset, exc, spec)
-                    continue
-                finish(base + offset, from_deferred(partial(item, offset)))
-
-        self._pump(
-            session,
-            shards(),
-            deliver,
-            open_ended=True,
-            fail=fail,
-            attempt=attempt,
-            cell_timeout=cell_timeout,
-            health=health,
-        )
-
-    def _run_chunked(
-        self,
-        session,
-        indexed_specs,
-        finish,
-        use_cache,
-        *,
-        fail=None,
-        attempt=1,
-        cell_timeout=None,
-        health=None,
-    ):
-        """Stream ``(index, spec)`` pairs shard-wise through the pool.
-
-        Cache hits are resolved per shard but *held* until the shard's
-        misses return, so ``finish`` always runs in grid order; peak
-        materialized state is the in-flight window's worth of specs.
+        ``specs`` is consumed once, lazily: cache hits are resolved per
+        shard but *held* until the shard's misses return, so ``finish``
+        always runs in grid order; peak materialized state is the in-flight
+        window's worth of specs.
         """
         import collections
 
         from repro.experiments.envelope import ResultEnvelope
 
+        if session.machine_factory is not None:
+            raise ConfigurationError(
+                "the sharded backend ships cells to worker processes and "
+                "lowers them onto shared chip templates; a custom "
+                "machine_factory supports neither — use the serial backend"
+            )
+        indexed_specs = enumerate(specs)
         size = self.shard_size
         pending_entries: "collections.deque" = collections.deque()
 
@@ -668,7 +517,7 @@ class ShardedBackend(ExecutionBackend):
                     "label": f"{first.kind} cells from {first.spec_hash()}",
                 }
 
-        def deliver(shard, count, results, failures):
+        def deliver(item, failures):
             entries = pending_entries.popleft()
             position = 0
             for index, spec, key, cached in entries:
@@ -680,7 +529,7 @@ class ShardedBackend(ExecutionBackend):
                         _report_cell_failure(fail, index, exc, spec)
                         continue
                     envelope = ResultEnvelope.from_deferred(
-                        partial(results.item, position)
+                        partial(item, position)
                     )
                     position += 1
                     if use_cache:
@@ -708,28 +557,12 @@ class ShardedBackend(ExecutionBackend):
         ladder for a persistently crashing shard.  Cells that *still* fail
         come back in the failures map instead of taking the shard down.
         """
-        from repro.experiments.session import Session
-
-        specs = _shard_specs(shard)
-        worker = Session(**config)
-        items: list[Any] = [None] * len(specs)
         failures: dict[int, tuple] = {}
-
-        def collect(index, envelope):
-            items[index] = envelope.to_dict()
 
         def collect_fail(index, exc, spec):
             failures[index] = (exc, spec)
 
-        VectorizedBackend().run(
-            worker,
-            specs,
-            collect,
-            use_cache=False,
-            fail=collect_fail,
-            attempt=attempt,
-        )
-        return len(specs), items, failures
+        return _run_shard(shard, config, attempt, fail=collect_fail), failures
 
     def _pump(
         self,
@@ -737,7 +570,6 @@ class ShardedBackend(ExecutionBackend):
         shards,
         deliver,
         *,
-        open_ended=False,
         fail=None,
         attempt=1,
         cell_timeout=None,
@@ -745,10 +577,9 @@ class ShardedBackend(ExecutionBackend):
     ):
         """Submit shards with a bounded in-flight window; deliver in order.
 
-        ``open_ended`` shards describe grid slices of unknown total count:
-        submission stops once a completed shard comes back short (the grid
-        ended at or before its ``stop``); slices already in flight beyond
-        the end return empty and deliver nothing.
+        ``deliver(item, failures)`` receives each shard's ``item(position)``
+        accessor over its envelope dicts and the ``{position: (exc, spec)}``
+        map of its cells that failed.
 
         Failure handling is shard-grained: a shard whose worker raises,
         crashes, or hangs past its deadline (``cell_timeout`` × shard
@@ -774,12 +605,10 @@ class ShardedBackend(ExecutionBackend):
             in_flight: dict[int, tuple] = {}
             next_submit = 0
             next_deliver = 0
-            exhausted = False
             while True:
-                while not exhausted and len(in_flight) < window:
+                while len(in_flight) < window:
                     shard = next(shards, None)
                     if shard is None:
-                        exhausted = True
                         break
                     future = (
                         None
@@ -795,22 +624,19 @@ class ShardedBackend(ExecutionBackend):
                 future, shard = in_flight.pop(next_deliver)
                 shard_index = next_deliver
                 next_deliver += 1
-                if "start" in shard:
-                    where = f"grid cells {shard['start']}..{shard['stop']}"
-                    cells = shard["stop"] - shard["start"]
-                else:
-                    where = shard.get("label", "a shard")
-                    cells = max(1, len(shard.get("specs", ())))
+                where = shard["label"]
                 cause = None
-                count = None
-                results = None
+                item = None
                 if future is not None:
                     deadline = (
-                        None if cell_timeout is None else cell_timeout * cells
+                        None
+                        if cell_timeout is None
+                        else cell_timeout * max(1, len(shard["specs"]))
                     )
                     try:
-                        count, blob = future.result(timeout=deadline)
-                        results = _ShardResults(blob)
+                        item = _ShardResults(
+                            future.result(timeout=deadline)
+                        ).item
                     except concurrent.futures.TimeoutError:
                         future.cancel()
                         # the hung worker holds a pool slot forever; stop
@@ -837,7 +663,7 @@ class ShardedBackend(ExecutionBackend):
                             )
                         else:
                             cause = exc
-                if results is None:
+                if item is None:
                     # pool lost the shard (or was already written off)
                     if not recover:
                         for other, _ in in_flight.values():
@@ -851,15 +677,13 @@ class ShardedBackend(ExecutionBackend):
                         health.fallbacks += 1
                         if cause is not None:
                             health.count(cause)
-                    count, items, failures = self._redo_shard_in_parent(
+                    items, failures = self._redo_shard_in_parent(
                         config, shard, attempt + 1
                     )
-                    results = _ListResults(items)
+                    item = items.__getitem__
                 else:
                     failures = {}
-                if open_ended and count < (shard["stop"] - shard["start"]):
-                    exhausted = True
-                deliver(shard, count, results, failures)
+                deliver(item, failures)
         finally:
             pool.shutdown(wait=not abandoned, cancel_futures=True)
 

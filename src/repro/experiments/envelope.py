@@ -125,33 +125,21 @@ class ResultEnvelope:
         )
 
     @classmethod
-    def from_payload(cls, data: Mapping[str, Any]) -> "ResultEnvelope":
-        """Wrap a :meth:`to_dict` payload without rehydrating it yet.
-
-        The streaming counterpart of :meth:`from_dict`: the returned
-        envelope holds the plain-data payload and defers the registry codec
-        work (``spec_from_dict``/``result_from_dict``) until ``spec`` or
-        ``result`` is first read.  ``to_dict``/``to_json``/``spec_hash``
-        serve straight from the payload, so a sharded batch can persist a
-        million envelopes without parsing fields nobody reads — at ~16 us
-        per codec rehydration, eager parsing would otherwise dominate the
-        parent process's share of a sharded run.
-        """
-        _check_schema(data)
-        return _LazyEnvelope(data)
-
-    @classmethod
     def from_deferred(cls, loader: "Any") -> "ResultEnvelope":
-        """Wrap a payload that has not even been decoded yet.
+        """Wrap a :meth:`to_dict` payload that has not been decoded yet.
 
-        ``loader`` is a zero-argument callable returning a :meth:`to_dict`
-        payload; it runs (once) on the first access to any envelope field.
-        The sharded backend ships whole shards as single pickled blobs and
-        hands each cell a loader into the shared decode — so a timing loop
-        that only counts envelopes never deserializes them at all.  The
-        schema check of :meth:`from_payload` runs when the loader fires.
+        ``loader`` is a zero-argument callable returning the payload; it
+        runs (once, with the schema check) on the first access to any
+        envelope field.  The sharded backend ships whole shards as single
+        pickled blobs and hands each cell a loader into the shared decode —
+        so a timing loop that only counts envelopes never deserializes them
+        at all.  The registry codec work (``spec_from_dict``/
+        ``result_from_dict``) is deferred further, until ``spec`` or
+        ``result`` is first read: ``to_dict``/``to_json``/``spec_hash``
+        serve straight from the payload, so a sharded batch can persist a
+        million envelopes without parsing fields nobody reads.
         """
-        return _LazyEnvelope(None, loader=loader)
+        return _LazyEnvelope(loader)
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """JSON text with deterministic key order."""
@@ -204,20 +192,17 @@ class ResultEnvelope:
 class _LazyEnvelope(ResultEnvelope):
     """An envelope backed by its plain-data payload, rehydrated on demand.
 
-    Built only by :meth:`ResultEnvelope.from_payload` and
-    :meth:`ResultEnvelope.from_deferred`.  ``spec`` and ``result`` are data
-    descriptors that run the registry codecs on first read and memoize the
-    hydrated objects; ``meta``, ``kind``, ``spec_hash`` and the serializers
-    read the payload directly, so an envelope that is only persisted or
-    keyed never pays for codec work at all.  A deferred envelope holds a
-    loader instead of the payload and decodes (with the schema check) on
-    the first touch of any field.
+    Built only by :meth:`ResultEnvelope.from_deferred`.  The loader runs
+    (with the schema check) on the first touch of any field.  ``spec`` and
+    ``result`` are data descriptors that run the registry codecs on first
+    read and memoize the hydrated objects; ``meta``, ``kind``,
+    ``spec_hash`` and the serializers read the payload directly, so an
+    envelope that is only persisted or keyed never pays for codec work at
+    all.
     """
 
-    def __init__(
-        self, payload: "Mapping[str, Any] | None", *, loader: Any = None
-    ) -> None:
-        object.__setattr__(self, "_payload_data", payload)
+    def __init__(self, loader: Any) -> None:
+        object.__setattr__(self, "_payload_data", None)
         object.__setattr__(self, "_loader", loader)
 
     @property

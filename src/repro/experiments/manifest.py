@@ -480,10 +480,8 @@ def run_with_manifest(
             f"on_mismatch must be 'replace' or 'error', got {on_mismatch!r}"
         )
     root = pathlib.Path(directory)
-    # single-pass expansion through the lazy iterator: the manifest needs
-    # the full cell list (it indexes every hash), but not two copies of it
     spec_list: Sequence[ExperimentSpec] = (
-        list(specs.expand_iter()) if isinstance(specs, SweepSpec) else list(specs)
+        specs.expand() if isinstance(specs, SweepSpec) else list(specs)
     )
     if manifest is None and root.joinpath(MANIFEST_FILENAME).is_file():
         manifest = RunManifest.load(root)

@@ -399,11 +399,11 @@ class Session:
         default chain).  ``progress`` is invoked after each cell completes
         as ``progress(completed, total, envelope)``.
 
-        A :class:`SweepSpec` handed to a *streaming* backend (``sharded``)
-        is passed down un-expanded: the backend pulls cells through
-        :meth:`SweepSpec.expand_iter` (or ships grid slices to its
-        workers), so the grid is never fully materialized here — only the
-        returned envelopes are.
+        Every backend executes through its ``run`` method.  A
+        :class:`SweepSpec` handed to a *streaming* backend (``sharded``)
+        reaches it as the lazy :meth:`SweepSpec.expand_iter` stream, so the
+        grid is never fully materialized here — only the returned envelopes
+        are.
 
         Fault tolerance.  Cells that fail with a
         :class:`~repro.errors.TransientError` (injected faults, worker
@@ -442,16 +442,13 @@ class Session:
             session=self,
         )
 
-        streaming = (
-            isinstance(specs, SweepSpec)
-            and getattr(exec_backend, "streaming", False)
-        )
         spec_list: Sequence[ExperimentSpec] | None = None
-        if streaming:
+        if isinstance(specs, SweepSpec) and exec_backend.streaming:
+            batch: Iterable[ExperimentSpec] = specs.expand_iter()
             total: int | None = None  # unknown until the stream ends
             results: list[ResultEnvelope | None] = []
         else:
-            spec_list = (
+            batch = spec_list = (
                 specs.expand() if isinstance(specs, SweepSpec) else list(specs)
             )
             total = len(spec_list)
@@ -472,10 +469,6 @@ class Session:
             else:
                 completed += 1
 
-        primary = (
-            exec_backend.run_sweep if streaming else exec_backend.run
-        )
-
         #: index -> (exception, spec) of the round that just ran
         round_failures: dict[int, tuple[BaseException, ExperimentSpec]] = {}
 
@@ -486,9 +479,9 @@ class Session:
             report.count(exc)
             round_failures[index] = (exc, spec)
 
-        primary(
+        exec_backend.run(
             self,
-            specs if streaming else spec_list,
+            batch,
             finish,
             use_cache=use_cache,
             fail=fail,
@@ -591,7 +584,7 @@ class Session:
             # A backend that drops cells is a bug, not a partial result —
             # name the victims instead of silently returning a short list.
             if spec_list is None:
-                spec_list = list(specs.expand_iter())
+                spec_list = specs.expand()
             hashes = ", ".join(
                 spec_list[i].spec_hash() for i in undelivered[:5]
             )

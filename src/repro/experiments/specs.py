@@ -259,31 +259,21 @@ class SweepSpec:
         return self.expand_iter()
 
     def expand(self) -> tuple[ExperimentSpec, ...]:
-        """The concrete cell specs of this grid.
-
-        Expansion is delegated to the registered workload's ``sweep_cells``
-        (the GEMM workloads apply the section-4 exclusions here).
-        """
-        from repro import workloads
-
-        return tuple(workloads.get_workload(self.kind).sweep_cells(self))
+        """The grid's concrete cell specs: a tuple of :meth:`expand_iter`."""
+        return tuple(self.expand_iter())
 
     def expand_iter(self) -> Iterator[ExperimentSpec]:
-        """The grid's cells as a lazy stream, in :meth:`expand` order.
+        """The grid's cells as a lazy stream, in row-major order.
 
-        Workloads that declare a ``sweep_cells_iter`` hook yield cells one
-        at a time, so consumers that stream (``run_batch`` under the
-        ``sharded`` backend, the service's job expansion) never materialize
-        a million-cell grid; workloads without the hook fall back to
-        iterating the materialized :meth:`expand` tuple.  Both paths yield
-        the identical specs in identical order.
+        Expansion is delegated to the registered workload's ``sweep_cells``
+        (the GEMM workloads apply the section-4 exclusions there).  The
+        built-in workloads expand through generators, so a streaming
+        consumer (``run_batch`` under the ``sharded`` backend) never
+        materializes a million-cell grid.
         """
         from repro import workloads
 
-        workload = workloads.get_workload(self.kind)
-        if workload.sweep_cells_iter is not None:
-            return iter(workload.sweep_cells_iter(self))
-        return iter(self.expand())
+        return iter(workloads.get_workload(self.kind).sweep_cells(self))
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form (JSON-ready), tagged ``kind="sweep"``."""

@@ -92,10 +92,7 @@ def grid_specs(payload: Mapping[str, Any]) -> tuple:
         return StudySpec.from_dict(payload).compile()
     spec = spec_from_dict(payload)
     if isinstance(spec, SweepSpec):
-        # stream the expansion (one pass, one tuple) rather than delegating
-        # to expand(), which builds the tuple inside the workload and again
-        # here for kinds whose sweep_cells materializes eagerly
-        return tuple(spec.expand_iter())
+        return spec.expand()
     return (spec,)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "Workload",
     "best_elapsed_s",
-    "expand_axes",
     "iter_axes",
     "modelled_power_metrics",
     "repetitions_to_dicts",
@@ -148,36 +147,18 @@ def iter_axes(
 ):
     """Lazy row-major ``chips x variants x sizes`` expansion.
 
-    The generator behind :func:`expand_axes`, exposed so workloads can
-    declare a streaming ``sweep_cells_iter`` hook with the same axis
-    arguments — cells come out one at a time, in exactly the order
-    :func:`expand_axes` materializes them.
+    The standard ``sweep_cells`` shape, shared by plugins: ``variants`` is
+    whatever the workload's middle axis means (implementation keys,
+    targets, ...), ``make_spec`` builds one concrete cell, and
+    ``cell_filter`` optionally drops unsupported combinations (the GEMM
+    section-4 exclusions).  Cells come out one at a time, so streaming
+    consumers never hold the whole grid.
     """
     for chip in chips:
         for variant in variants:
             for n in sizes:
                 if cell_filter is None or cell_filter(chip, variant, n):
                     yield make_spec(chip, variant, n)
-
-
-def expand_axes(
-    chips,
-    variants,
-    sizes,
-    make_spec: Callable[[str, str, int], Any],
-    *,
-    cell_filter: Callable[[str, str, int], bool] | None = None,
-) -> tuple:
-    """Row-major ``chips x variants x sizes`` expansion shared by plugins.
-
-    The standard ``sweep_cells`` shape: ``variants`` is whatever the
-    workload's middle axis means (implementation keys, targets, ...),
-    ``make_spec`` builds one concrete cell, and ``cell_filter`` optionally
-    drops unsupported combinations (the GEMM section-4 exclusions).
-    """
-    return tuple(
-        iter_axes(chips, variants, sizes, make_spec, cell_filter=cell_filter)
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,16 +186,13 @@ class Workload:
         JSON codec for :attr:`result_cls` (plain data, tagged with
         ``type=kind``).
     sweep_cells:
-        Grid expander ``(sweep) -> tuple[spec, ...]`` interpreting the
+        Grid expander ``(sweep) -> iterable[spec]`` interpreting the
         generic :class:`~repro.experiments.specs.SweepSpec` axes for this
-        workload.
-    sweep_cells_iter:
-        Optional streaming grid expander ``(sweep) -> iterator[spec]``
-        yielding exactly the cells :attr:`sweep_cells` materializes, in the
-        same order, one at a time.  ``SweepSpec.expand_iter`` prefers it, so
-        million-cell grids flow through streaming consumers (the ``sharded``
-        backend, the service jobs) without ever holding every spec object;
-        workloads that leave it ``None`` stream from the materialized tuple.
+        workload, in a deterministic order.  Any iterable will do; a
+        generator (such as :func:`iter_axes`) is preferred, because
+        ``SweepSpec.expand_iter`` passes it straight to streaming consumers
+        (the ``sharded`` backend), so million-cell grids flow through them
+        without ever holding every spec object.
     sample_spec:
         Factory for a small, cheap, representative spec — the hook that
         lets registry-parametrized tests auto-cover every workload.
@@ -265,13 +243,12 @@ class Workload:
     execute: Callable[["Machine", "ExperimentSpec"], Any]
     result_to_dict: Callable[[Any], dict[str, Any]]
     result_from_dict: Callable[[Mapping[str, Any]], Any]
-    sweep_cells: Callable[["SweepSpec"], tuple]
+    sweep_cells: Callable[["SweepSpec"], Iterable["ExperimentSpec"]]
     sample_spec: Callable[[], "ExperimentSpec"]
     cell_label: Callable[["ExperimentSpec"], str]
     summary_line: Callable[["ExperimentSpec", Any], str]
     impl_keys: tuple[str, ...] = ()
     sample_variants: Callable[[int, int], tuple] | None = None
-    sweep_cells_iter: "Callable[[SweepSpec], Any] | None" = None
     vectorized_body: "Callable[[Any, ExperimentSpec], Any] | None" = None
     metrics: Mapping[str, Callable[["ExperimentSpec", Any], Any]] = (
         dataclasses.field(default_factory=dict)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    expand_axes,
     iter_axes,
     modelled_power_metrics,
     repetitions_from_dicts,
@@ -308,13 +307,13 @@ def _result_from_dict(data: Mapping[str, Any]) -> BatchedGemmResult:
     )
 
 
-def _sweep_axes(sweep: SweepSpec) -> dict:
+def _sweep_cells(sweep: SweepSpec) -> Iterator[BatchedGemmSpec]:
     from repro.calibration import paper
 
     repeats = (
         sweep.repeats if sweep.repeats is not None else DEFAULT_BATCHED_REPEATS
     )
-    return dict(
+    return iter_axes(
         chips=sweep.chips or paper.CHIPS,
         variants=sweep.impl_keys or BATCHED_GEMM_IMPL_KEYS,
         sizes=sweep.sizes or DEFAULT_BATCHED_SIZES,
@@ -327,14 +326,6 @@ def _sweep_axes(sweep: SweepSpec) -> dict:
             repeats=repeats,
         ),
     )
-
-
-def _sweep_cells(sweep: SweepSpec) -> tuple[BatchedGemmSpec, ...]:
-    return expand_axes(**_sweep_axes(sweep))
-
-
-def _sweep_cells_iter(sweep: SweepSpec):
-    return iter_axes(**_sweep_axes(sweep))
 
 
 def _sample_variants(seed: int, count: int) -> tuple[BatchedGemmSpec, ...]:
@@ -365,7 +356,6 @@ BATCHED_GEMM_WORKLOAD: Workload = register_workload(
         result_to_dict=_result_to_dict,
         result_from_dict=_result_from_dict,
         sweep_cells=_sweep_cells,
-        sweep_cells_iter=_sweep_cells_iter,
         sample_spec=lambda: BatchedGemmSpec(
             chip="M1", impl_key="gpu-batched", n=32, batch=64, repeats=2
         ),

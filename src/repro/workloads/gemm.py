@@ -24,7 +24,7 @@ scalar engine per cell inside a ``vectorized``/``sharded`` batch
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
 from repro.calibration.gemm import build_gemm_operation
@@ -40,7 +40,6 @@ from repro.units import NS_PER_S
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    expand_axes,
     iter_axes,
     repetitions_from_dicts,
     repetitions_to_dicts,
@@ -220,9 +219,9 @@ def lower_gemm_spec(machine, spec: GemmSpec) -> "LoweredSequence | None":
     )
 
 
-def _sweep_axes(sweep: SweepSpec) -> dict:
+def _sweep_cells(sweep: SweepSpec) -> Iterator[GemmSpec]:
     repeats = sweep.repeats if sweep.repeats is not None else paper.GEMM_REPEATS
-    return dict(
+    return iter_axes(
         chips=sweep.chips or paper.CHIPS,
         variants=sweep.impl_keys or paper_implementation_keys(),
         sizes=sweep.sizes or paper.GEMM_SIZES,
@@ -236,14 +235,6 @@ def _sweep_axes(sweep: SweepSpec) -> dict:
         ),
         cell_filter=cell_is_supported if sweep.skip_unsupported else None,
     )
-
-
-def _sweep_cells(sweep: SweepSpec) -> tuple[GemmSpec, ...]:
-    return expand_axes(**_sweep_axes(sweep))
-
-
-def _sweep_cells_iter(sweep: SweepSpec):
-    return iter_axes(**_sweep_axes(sweep))
 
 
 def _sample_spec() -> GemmSpec:
@@ -278,7 +269,6 @@ GEMM_WORKLOAD: Workload = register_workload(
         result_to_dict=gemm_result_to_dict,
         result_from_dict=gemm_result_from_dict,
         sweep_cells=_sweep_cells,
-        sweep_cells_iter=_sweep_cells_iter,
         sample_spec=_sample_spec,
         cell_label=lambda spec: f"{spec.chip} {spec.impl_key} n={spec.n}",
         summary_line=lambda spec, result: (

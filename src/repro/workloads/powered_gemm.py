@@ -15,7 +15,7 @@ power rails averaged over exactly the operation's own window — so
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
 from repro.core.gemm.registry import get_implementation, paper_implementation_keys
@@ -34,7 +34,6 @@ from repro.soc.power import PowerComponent
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    expand_axes,
     iter_axes,
     variant_grid,
 )
@@ -212,9 +211,9 @@ def lower_powered_gemm_spec(
     )
 
 
-def _sweep_axes(sweep: SweepSpec) -> dict:
+def _sweep_cells(sweep: SweepSpec) -> Iterator[PoweredGemmSpec]:
     repeats = sweep.repeats if sweep.repeats is not None else paper.GEMM_REPEATS
-    return dict(
+    return iter_axes(
         chips=sweep.chips or paper.CHIPS,
         variants=sweep.impl_keys or paper_implementation_keys(),
         sizes=sweep.sizes or paper.POWER_SIZES,
@@ -228,14 +227,6 @@ def _sweep_axes(sweep: SweepSpec) -> dict:
         ),
         cell_filter=cell_is_supported if sweep.skip_unsupported else None,
     )
-
-
-def _sweep_cells(sweep: SweepSpec) -> tuple[PoweredGemmSpec, ...]:
-    return expand_axes(**_sweep_axes(sweep))
-
-
-def _sweep_cells_iter(sweep: SweepSpec):
-    return iter_axes(**_sweep_axes(sweep))
 
 
 def _sample_spec() -> PoweredGemmSpec:
@@ -273,7 +264,6 @@ POWERED_GEMM_WORKLOAD: Workload = register_workload(
         result_to_dict=_powered_to_dict,
         result_from_dict=_powered_from_dict,
         sweep_cells=_sweep_cells,
-        sweep_cells_iter=_sweep_cells_iter,
         sample_spec=_sample_spec,
         cell_label=lambda spec: f"{spec.chip} {spec.impl_key} n={spec.n}",
         summary_line=lambda spec, result: (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    expand_axes,
     iter_axes,
     modelled_power_metrics,
     repetitions_from_dicts,
@@ -315,14 +314,14 @@ def _result_from_dict(data: Mapping[str, Any]) -> SpmvResult:
     )
 
 
-def _sweep_axes(sweep: SweepSpec) -> dict:
+def _sweep_cells(sweep: SweepSpec) -> Iterator[SpmvSpec]:
     from repro.calibration import paper
 
     repeats = (
         sweep.repeats if sweep.repeats is not None else DEFAULT_SPMV_REPEATS
     )
     # The listed implementation keys ARE the targets; honour --impls too.
-    return dict(
+    return iter_axes(
         chips=sweep.chips or paper.CHIPS,
         variants=sweep.impl_keys or sweep.targets,
         sizes=sweep.sizes or DEFAULT_SPMV_SIZES,
@@ -335,14 +334,6 @@ def _sweep_axes(sweep: SweepSpec) -> dict:
             repeats=repeats,
         ),
     )
-
-
-def _sweep_cells(sweep: SweepSpec) -> tuple[SpmvSpec, ...]:
-    return expand_axes(**_sweep_axes(sweep))
-
-
-def _sweep_cells_iter(sweep: SweepSpec):
-    return iter_axes(**_sweep_axes(sweep))
 
 
 def _sample_variants(seed: int, count: int) -> tuple[SpmvSpec, ...]:
@@ -373,7 +364,6 @@ SPMV_WORKLOAD: Workload = register_workload(
         result_to_dict=_result_to_dict,
         result_from_dict=_result_from_dict,
         sweep_cells=_sweep_cells,
-        sweep_cells_iter=_sweep_cells_iter,
         sample_spec=lambda: SpmvSpec(chip="M1", target="cpu", n=4096, repeats=2),
         cell_label=lambda spec: f"{spec.chip} spmv/{spec.target} n={spec.n}",
         summary_line=lambda spec, result: (

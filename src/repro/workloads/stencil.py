@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    expand_axes,
     iter_axes,
     modelled_power_metrics,
     repetitions_from_dicts,
@@ -300,13 +299,13 @@ def _result_from_dict(data: Mapping[str, Any]) -> StencilResult:
     )
 
 
-def _sweep_axes(sweep: SweepSpec) -> dict:
+def _sweep_cells(sweep: SweepSpec) -> Iterator[StencilSpec]:
     from repro.calibration import paper
 
     repeats = (
         sweep.repeats if sweep.repeats is not None else DEFAULT_STENCIL_REPEATS
     )
-    return dict(
+    return iter_axes(
         chips=sweep.chips or paper.CHIPS,
         variants=sweep.impl_keys or STENCIL_IMPL_KEYS,
         sizes=sweep.sizes or DEFAULT_STENCIL_SIZES,
@@ -319,14 +318,6 @@ def _sweep_axes(sweep: SweepSpec) -> dict:
             repeats=repeats,
         ),
     )
-
-
-def _sweep_cells(sweep: SweepSpec) -> tuple[StencilSpec, ...]:
-    return expand_axes(**_sweep_axes(sweep))
-
-
-def _sweep_cells_iter(sweep: SweepSpec):
-    return iter_axes(**_sweep_axes(sweep))
 
 
 def _sample_variants(seed: int, count: int) -> tuple[StencilSpec, ...]:
@@ -357,7 +348,6 @@ STENCIL_WORKLOAD: Workload = register_workload(
         result_to_dict=_result_to_dict,
         result_from_dict=_result_from_dict,
         sweep_cells=_sweep_cells,
-        sweep_cells_iter=_sweep_cells_iter,
         sample_spec=lambda: StencilSpec(
             chip="M1", impl_key="stencil-blocked", n=256, iterations=2, repeats=2
         ),

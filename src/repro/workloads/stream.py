@@ -20,7 +20,7 @@ cell (DESIGN.md §7).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
 from repro.calibration.stream import (
@@ -323,7 +323,7 @@ def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence | None:
     )
 
 
-def _sweep_cells_iter(sweep: SweepSpec):
+def _sweep_cells(sweep: SweepSpec) -> Iterator[StreamSpec]:
     # The listed implementation keys ARE the targets; honour --impls too.
     for chip in sweep.chips or paper.CHIPS:
         for target in sweep.impl_keys or sweep.targets:
@@ -335,10 +335,6 @@ def _sweep_cells_iter(sweep: SweepSpec):
                 n_elements=sweep.n_elements,
                 repeats=sweep.repeats,
             )
-
-
-def _sweep_cells(sweep: SweepSpec) -> tuple[StreamSpec, ...]:
-    return tuple(_sweep_cells_iter(sweep))
 
 
 def _sample_spec() -> StreamSpec:
@@ -372,7 +368,6 @@ STREAM_WORKLOAD: Workload = register_workload(
         result_to_dict=stream_result_to_dict,
         result_from_dict=stream_result_from_dict,
         sweep_cells=_sweep_cells,
-        sweep_cells_iter=_sweep_cells_iter,
         sample_spec=_sample_spec,
         cell_label=lambda spec: f"{spec.chip} {spec.target}",
         summary_line=lambda spec, result: (

@@ -151,7 +151,7 @@ class TestBackendResolution:
         "batch",
         [
             [GemmSpec(chip="M1", impl_key="gpu-mps", n=256)],
-            # a SweepSpec streams through ShardedBackend.run_sweep
+            # a SweepSpec reaches ShardedBackend.run as a lazy stream
             SweepSpec(kind="spmv", chips=("M1", "M4")),
         ],
         ids=["spec-list", "sweep"],

@@ -163,13 +163,13 @@ class TestRunBackends:
         self, monkeypatch, capsys
     ):
         shard_sizes = []
-        run_sweep = ShardedBackend.run_sweep
+        run = ShardedBackend.run
 
         def spy(backend, *args, **kwargs):
             shard_sizes.append(backend.shard_size)
-            return run_sweep(backend, *args, **kwargs)
+            return run(backend, *args, **kwargs)
 
-        monkeypatch.setattr(ShardedBackend, "run_sweep", spy)
+        monkeypatch.setattr(ShardedBackend, "run", spy)
         assert main(self.SWEEP_ARGS + ["--shard-size", "2"]) == 0
         assert shard_sizes == [2]
         capsys.readouterr()
@@ -184,13 +184,13 @@ class TestRunBackends:
         self, monkeypatch, capsys
     ):
         configs = []
-        run_sweep = ShardedBackend.run_sweep
+        run = ShardedBackend.run
 
         def spy(backend, *args, **kwargs):
             configs.append((backend.max_workers, backend.shard_size))
-            return run_sweep(backend, *args, **kwargs)
+            return run(backend, *args, **kwargs)
 
-        monkeypatch.setattr(ShardedBackend, "run_sweep", spy)
+        monkeypatch.setattr(ShardedBackend, "run", spy)
         args = self.SWEEP_ARGS + [
             "--backend", "sharded", "--workers", "2", "--shard-size", "3"
         ]

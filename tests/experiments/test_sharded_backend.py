@@ -2,9 +2,9 @@
 
 Covers the streaming execution path end to end: multi-shard byte-identity
 against the serial reference (including scalar-fallback mixes inside
-worker shards), sweep-slice dispatch that never materializes a spec in the
-parent process, ordered delivery, cache semantics, worker-crash
-propagation that names the failing cell, the undelivered-cell guard in
+worker shards), a sweep streamed through the parent in one expansion
+pass, ordered delivery, cache semantics, worker-crash propagation that
+names the failing cell, the undelivered-cell guard in
 ``Session.run_batch``, and the lazy envelopes shards stream back.
 """
 
@@ -44,8 +44,8 @@ class TestShardedByteIdentity:
     @pytest.mark.parametrize("kind", workload_kinds())
     @pytest.mark.parametrize("use_cache", (False, True))
     def test_multi_shard_grid_identical_to_serial(self, kind, use_cache):
-        # shard_size 5 forces several shards per grid; both dispatch modes
-        # (sweep slices for use_cache=False, plain-data cells otherwise)
+        # shard_size 5 forces several shards per grid; every shard ships
+        # plain-data cells, with and without the parent's cache in the loop
         sweep = SweepSpec(kind=kind, chips=("M1",), numerics="model-only")
         reference = [
             env.to_json() for env in model_session().run_batch(sweep, backend="serial")
@@ -95,9 +95,12 @@ class TestShardedByteIdentity:
 
 
 class TestShardedStreaming:
-    def test_sweep_slice_mode_builds_no_parent_specs(self, monkeypatch):
-        # with caching off the workers expand their own grid slices; the
-        # parent must construct zero spec objects on the happy path
+    @pytest.mark.parametrize("use_cache", (True, False))
+    def test_chunked_mode_expands_each_cell_exactly_once(
+        self, monkeypatch, use_cache
+    ):
+        # the parent streams the expansion shard-wise (cache keys, plain
+        # data for the workers) — one pass, no re-expansion per shard
         from repro.workloads.spmv import SpmvSpec
 
         sweep = small_sweep("spmv")
@@ -113,30 +116,7 @@ class TestShardedStreaming:
         envs = model_session().run_batch(
             sweep,
             backend=ShardedBackend(max_workers=2, shard_size=3),
-            use_cache=False,
-        )
-        assert len(envs) == expected
-        assert not constructed
-
-    def test_chunked_mode_expands_each_cell_exactly_once(self, monkeypatch):
-        # with caching on the parent streams the expansion for cache keys —
-        # one pass, no re-expansion per shard
-        from repro.workloads.spmv import SpmvSpec
-
-        sweep = small_sweep("spmv")
-        expected = len(sweep.expand())
-        constructed = []
-        original = SpmvSpec.__post_init__
-
-        def counting(self):
-            constructed.append(1)
-            original(self)
-
-        monkeypatch.setattr(SpmvSpec, "__post_init__", counting)
-        envs = model_session().run_batch(
-            sweep,
-            backend=ShardedBackend(max_workers=2, shard_size=3),
-            use_cache=True,
+            use_cache=use_cache,
         )
         assert len(envs) == expected
         assert len(constructed) == expected
@@ -218,7 +198,7 @@ class TestWorkerCrashPropagation:
         assert "gemm" in message
         assert self.BAD.spec_hash() in message
 
-    def test_sharded_sweep_slice_failure_names_the_cells(self):
+    def test_sharded_uncached_sweep_failure_names_the_cells(self):
         # an unknown chip passes spec validation but dies in the worker
         sweep = SweepSpec(kind="spmv", chips=("NoSuchChip",))
         with pytest.raises(SimulationError) as excinfo:
@@ -305,20 +285,24 @@ class TestLazyEnvelope:
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=64)
         return model_session().run(spec)
 
+    @staticmethod
+    def _lazy(payload):
+        return ResultEnvelope.from_deferred(lambda: payload)
+
     def test_payload_round_trip_is_byte_identical(self):
         eager = self._envelope()
-        lazy = ResultEnvelope.from_payload(eager.to_dict())
+        lazy = self._lazy(eager.to_dict())
         assert lazy.to_json() == eager.to_json()
 
     def test_equality_crosses_laziness_both_ways(self):
         eager = self._envelope()
-        lazy = ResultEnvelope.from_payload(eager.to_dict())
+        lazy = self._lazy(eager.to_dict())
         assert lazy == eager
         assert eager == lazy
 
     def test_identity_fields_skip_rehydration(self):
         eager = self._envelope()
-        lazy = ResultEnvelope.from_payload(eager.to_dict())
+        lazy = self._lazy(eager.to_dict())
         assert lazy.kind == "gemm"
         assert lazy.spec_hash == eager.spec_hash
         assert "_spec_cache" not in lazy.__dict__  # nothing rehydrated yet
@@ -328,5 +312,6 @@ class TestLazyEnvelope:
     def test_schema_check_still_applies(self):
         payload = self._envelope().to_dict()
         payload["schema"] = 99
+        lazy = self._lazy(payload)  # nothing is decoded or checked yet
         with pytest.raises(ConfigurationError, match="unsupported envelope schema"):
-            ResultEnvelope.from_payload(payload)
+            lazy.spec_hash

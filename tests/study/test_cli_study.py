@@ -77,8 +77,9 @@ class TestStudyRun:
 
 
 class TestStudyRender:
+    @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_from_store_matches_classic_figure_path(
-        self, study_store, capsys
+        self, study_store, capsys, name
     ):
         # Pin --chips so both commands apply the same series scaffold
         # (classic figures default to all four chips, study render to
@@ -88,7 +89,7 @@ class TestStudyRender:
                 [
                     "study",
                     "render",
-                    "figure2",
+                    name,
                     "--chips",
                     "M1",
                     "--from",
@@ -98,10 +99,9 @@ class TestStudyRender:
             == 0
         )
         via_study = capsys.readouterr().out
-        assert (
-            main(["figure2", "--chips", "M1", "--from", str(study_store)]) == 0
-        )
+        assert main([name, "--chips", "M1", "--from", str(study_store)]) == 0
         via_figure = capsys.readouterr().out
+        assert "M1" in via_study
         assert via_study == via_figure
 
     def test_figure1_text_and_csv(self, study_store, capsys):
