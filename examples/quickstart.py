@@ -32,7 +32,7 @@ def main() -> None:
 
     result = session.run(repro.GemmSpec(chip=chip, impl_key="gpu-mps", n=n)).result
     print(f"GPU-MPS GEMM n={n}:")
-    print(f"  best of {len(result.repetitions)} repetitions: "
+    print(f"  best of {len(result.elapsed_ns)} repetitions: "
           f"{result.best_gflops:,.1f} GFLOPS "
           f"({result.best_elapsed_ns / 1e6:.3f} ms)")
     print(f"  numerics verified: {result.verified}")

@@ -21,8 +21,9 @@ __all__ = [
     "StreamResult",
     "PowerMeasurement",
     "PoweredGemmResult",
+    "check_elapsed_ns",
+    "repetition_view",
     "summarize_series",
-    "timed_repetitions",
 ]
 
 
@@ -38,62 +39,68 @@ class GemmRepetition:
             raise ConfigurationError("repetition must take positive time")
 
 
-def timed_repetitions(elapsed_ns: Sequence[int]) -> tuple[GemmRepetition, ...]:
-    """``(GemmRepetition(0, ns), GemmRepetition(1, ns), ...)`` in bulk.
+def check_elapsed_ns(elapsed_ns: tuple[int, ...]) -> None:
+    """Validate a timed result's repetition column.
 
-    Grid engines construct hundreds of thousands of repetition records per
-    sweep, where the generated dataclass ``__init__`` dominates.  This maker
-    fills instances directly — callers guarantee ``elapsed_ns >= 1`` by
-    construction (both clock paths apply ``max(1, round(...))``), so the
-    positivity check is already discharged — and yields objects
-    indistinguishable from the regular constructor.
+    The shared ``__post_init__`` check of every timed result record: at
+    least one repetition, and every repetition took positive time.
     """
-    new = GemmRepetition.__new__
-    out = []
-    append = out.append
-    for rep, ns in enumerate(elapsed_ns):
-        obj = new(GemmRepetition)
-        obj.__dict__["repetition"] = rep
-        obj.__dict__["elapsed_ns"] = ns
-        append(obj)
-    return tuple(out)
+    if not elapsed_ns:
+        raise ConfigurationError(
+            "a timed result needs at least one repetition"
+        )
+    if min(elapsed_ns) <= 0:
+        raise ConfigurationError("repetition must take positive time")
+
+
+def repetition_view(elapsed_ns: tuple[int, ...]) -> tuple[GemmRepetition, ...]:
+    """``(GemmRepetition(0, ns), GemmRepetition(1, ns), ...)`` of a column.
+
+    Timed results store their repetitions as one ``elapsed_ns`` tuple; this
+    derives the per-repetition records their ``repetitions`` property shows.
+    """
+    return tuple(GemmRepetition(rep, ns) for rep, ns in enumerate(elapsed_ns))
 
 
 @dataclasses.dataclass(frozen=True)
 class GemmResult:
-    """All repetitions of one (implementation, chip, n) cell of Figure 2."""
+    """All repetitions of one (implementation, chip, n) cell of Figure 2.
+
+    ``elapsed_ns`` holds one timing per repetition, in repetition order.
+    """
 
     impl_key: str
     chip_name: str
     n: int
     flop_count: int
-    repetitions: tuple[GemmRepetition, ...]
+    elapsed_ns: tuple[int, ...]
     verified: bool | None = None
 
     def __post_init__(self) -> None:
-        if not self.repetitions:
-            raise ConfigurationError("a GEMM result needs at least one repetition")
+        check_elapsed_ns(self.elapsed_ns)
         if self.flop_count <= 0:
             raise ConfigurationError("FLOP count must be positive")
 
-    def _gflops(self, elapsed_ns: int) -> float:
-        return self.flop_count / elapsed_ns  # flops/ns == GFLOPS
+    @property
+    def repetitions(self) -> tuple[GemmRepetition, ...]:
+        """Per-repetition records, derived from ``elapsed_ns``."""
+        return repetition_view(self.elapsed_ns)
 
     @property
     def best_gflops(self) -> float:
-        return max(self._gflops(r.elapsed_ns) for r in self.repetitions)
+        return self.flop_count / self.best_elapsed_ns  # flops/ns == GFLOPS
 
     @property
     def mean_gflops(self) -> float:
-        return statistics.fmean(self._gflops(r.elapsed_ns) for r in self.repetitions)
+        return statistics.fmean(self.flop_count / ns for ns in self.elapsed_ns)
 
     @property
     def best_elapsed_ns(self) -> int:
-        return min(r.elapsed_ns for r in self.repetitions)
+        return min(self.elapsed_ns)
 
     @property
     def mean_elapsed_ns(self) -> float:
-        return statistics.fmean(r.elapsed_ns for r in self.repetitions)
+        return statistics.fmean(self.elapsed_ns)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,12 +16,7 @@ from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.core.gemm.registry import get_implementation
 from repro.core.gemm.verify import verify_result
 from repro.core.power.harness import measure_gemm_power
-from repro.core.results import (
-    GemmRepetition,
-    GemmResult,
-    PoweredGemmResult,
-    StreamResult,
-)
+from repro.core.results import GemmResult, PoweredGemmResult, StreamResult
 from repro.core.stream.runner import run_stream
 from repro.core.timer import measure_ns
 from repro.errors import UnsupportedProblemError
@@ -71,12 +66,10 @@ def run_gemm_spec(
     problem = GemmProblem.generate(spec.n, seed=spec.seed, fill_random=fill)
     context = impl.prepare(machine, problem)
 
-    repetitions = []
-    for rep in range(spec.repeats):
-        elapsed = measure_ns(
-            machine, lambda: impl.execute(machine, problem, context)
-        )
-        repetitions.append(GemmRepetition(repetition=rep, elapsed_ns=elapsed))
+    elapsed_ns = tuple(
+        measure_ns(machine, lambda: impl.execute(machine, problem, context))
+        for _ in range(spec.repeats)
+    )
 
     verified: bool | None = None
     policy = machine.numerics.effective_policy(spec.n)
@@ -96,7 +89,7 @@ def run_gemm_spec(
         chip_name=machine.chip.name,
         n=spec.n,
         flop_count=paper.gemm_flop_count(spec.n),
-        repetitions=tuple(repetitions),
+        elapsed_ns=elapsed_ns,
         verified=verified,
     )
 
@@ -121,27 +114,22 @@ def run_powered_gemm_spec(
     problem = GemmProblem.generate(spec.n, seed=spec.seed, fill_random=fill)
     context = impl.prepare(machine, problem)
 
-    repetitions = []
-    measurements = []
-    for rep in range(spec.repeats):
-        t0 = machine.now_ns()
-        measurement = measure_gemm_power(machine, impl, problem, context)
-        elapsed_protocol = machine.now_ns() - t0
-        # The multiplication window is the measurement window itself.
-        elapsed = int(measurement.elapsed_ms * 1e6)
-        del elapsed_protocol  # warm-up excluded from the compute timing
-        repetitions.append(
-            GemmRepetition(repetition=rep, elapsed_ns=max(1, elapsed))
-        )
-        measurements.append(measurement)
+    measurements = tuple(
+        measure_gemm_power(machine, impl, problem, context)
+        for _ in range(spec.repeats)
+    )
+    # The multiplication window is the measurement window itself; the
+    # protocol's warm-up is excluded from the compute timing.
     gemm = GemmResult(
         impl_key=impl.key,
         chip_name=machine.chip.name,
         n=spec.n,
         flop_count=paper.gemm_flop_count(spec.n),
-        repetitions=tuple(repetitions),
+        elapsed_ns=tuple(
+            max(1, int(m.elapsed_ms * 1e6)) for m in measurements
+        ),
     )
-    return PoweredGemmResult(gemm=gemm, measurements=tuple(measurements))
+    return PoweredGemmResult(gemm=gemm, measurements=measurements)
 
 
 def run_stream_spec(machine: Machine, spec: StreamSpec) -> StreamResult:

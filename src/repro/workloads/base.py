@@ -33,14 +33,13 @@ __all__ = [
     "repetitions_from_dicts",
     "spec_size",
     "spec_variant",
-    "timed_repetition",
     "variant_grid",
 ]
 
 
 def best_elapsed_s(result: Any) -> float:
     """Fastest repetition of a timed result record, in seconds."""
-    return min(r.elapsed_ns for r in result.repetitions) * 1e-9
+    return min(result.elapsed_ns) * 1e-9
 
 
 def spec_variant(spec: Any) -> str:
@@ -108,33 +107,32 @@ def variant_grid(
     return tuple(make(rng) for _ in range(count))
 
 
-def repetitions_to_dicts(repetitions) -> list[dict[str, int]]:
-    """Serialize a tuple of timed repetitions (the shared codec fragment)."""
+def repetitions_to_dicts(elapsed_ns: tuple[int, ...]) -> list[dict[str, int]]:
+    """Serialize an ``elapsed_ns`` column (the shared codec fragment).
+
+    The persisted layout is one ``{"repetition": i, "elapsed_ns": ns}``
+    object per repetition, in repetition order.
+    """
     return [
-        {"repetition": r.repetition, "elapsed_ns": r.elapsed_ns}
-        for r in repetitions
+        {"repetition": rep, "elapsed_ns": ns}
+        for rep, ns in enumerate(elapsed_ns)
     ]
 
 
-def repetitions_from_dicts(data) -> tuple:
-    """Rebuild timed repetitions from :func:`repetitions_to_dicts` output."""
-    from repro.core.results import GemmRepetition
+def repetitions_from_dicts(data) -> tuple[int, ...]:
+    """The ``elapsed_ns`` column of :func:`repetitions_to_dicts` output.
 
-    return tuple(
-        GemmRepetition(
-            repetition=int(r["repetition"]), elapsed_ns=int(r["elapsed_ns"])
-        )
-        for r in data
-    )
+    A column cannot carry repetition indices, so the codec refuses data it
+    would silently renumber: indices must run ``0 .. R-1`` in order.  Every
+    time must be positive, as the result records require.
+    """
+    from repro.core.results import check_elapsed_ns
 
-
-def timed_repetition(rep: int, completed) -> Any:
-    """One repetition record from a completed simulator operation."""
-    from repro.core.results import GemmRepetition
-
-    return GemmRepetition(
-        repetition=rep, elapsed_ns=max(1, round(completed.elapsed_s * 1e9))
-    )
+    if [int(r["repetition"]) for r in data] != list(range(len(data))):
+        raise ConfigurationError("repetition indices must run 0..R-1 in order")
+    elapsed_ns = tuple(int(r["elapsed_ns"]) for r in data)
+    check_elapsed_ns(elapsed_ns)
+    return elapsed_ns
 
 
 def iter_axes(

@@ -27,7 +27,11 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from repro.calibration.gemm import gemm_power_draws
-from repro.core.results import GemmRepetition, timed_repetitions
+from repro.core.results import (
+    GemmRepetition,
+    check_elapsed_ns,
+    repetition_view,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
 from repro.sim.engine import EngineKind
@@ -148,7 +152,7 @@ class BatchedGemmResult:
     batch: int
     flop_count: int  # whole batch, per repetition
     overhead_s: float  # modelled dispatch overhead per repetition
-    repetitions: tuple[GemmRepetition, ...]
+    elapsed_ns: tuple[int, ...]  # one timing per repetition, in order
     verified: bool | None = None
     #: Modelled draw (W) while the batch runs — the simulator's thermally
     #: clamped total (:func:`repro.sim.vectorized.effective_draw_w`).
@@ -156,10 +160,7 @@ class BatchedGemmResult:
     power_w: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.repetitions:
-            raise ConfigurationError(
-                "a batched-GEMM result needs at least one repetition"
-            )
+        check_elapsed_ns(self.elapsed_ns)
         if self.flop_count <= 0:
             raise ConfigurationError("FLOP count must be positive")
         if self.overhead_s < 0.0:
@@ -168,21 +169,24 @@ class BatchedGemmResult:
             raise ConfigurationError("power draw cannot be negative")
 
     @property
+    def repetitions(self) -> tuple[GemmRepetition, ...]:
+        """Per-repetition records, derived from ``elapsed_ns``."""
+        return repetition_view(self.elapsed_ns)
+
+    @property
     def best_gflops(self) -> float:
         """Peak achieved GFLOPS (whole batch) over the repetitions."""
-        return max(self.flop_count / r.elapsed_ns for r in self.repetitions)
+        return self.flop_count / self.best_elapsed_ns
 
     @property
     def mean_gflops(self) -> float:
         """Mean achieved GFLOPS over the repetitions."""
-        return statistics.fmean(
-            self.flop_count / r.elapsed_ns for r in self.repetitions
-        )
+        return statistics.fmean(self.flop_count / ns for ns in self.elapsed_ns)
 
     @property
     def best_elapsed_ns(self) -> int:
         """Fastest repetition."""
-        return min(r.elapsed_ns for r in self.repetitions)
+        return min(self.elapsed_ns)
 
     @property
     def overhead_fraction(self) -> float:
@@ -243,7 +247,7 @@ def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredCell:
             batch=spec.batch,
             flop_count=int(cost.flops),
             overhead_s=overhead,
-            repetitions=timed_repetitions(elapsed_ns),
+            elapsed_ns=elapsed_ns,
             verified=verified,
             power_w=power_w,
         )
@@ -286,7 +290,7 @@ def _result_to_dict(result: BatchedGemmResult) -> dict[str, Any]:
         "batch": result.batch,
         "flop_count": result.flop_count,
         "overhead_s": result.overhead_s,
-        "repetitions": repetitions_to_dicts(result.repetitions),
+        "repetitions": repetitions_to_dicts(result.elapsed_ns),
         "verified": result.verified,
         "power_w": result.power_w,
     }
@@ -301,7 +305,7 @@ def _result_from_dict(data: Mapping[str, Any]) -> BatchedGemmResult:
         batch=int(data["batch"]),
         flop_count=int(data["flop_count"]),
         overhead_s=float(data["overhead_s"]),
-        repetitions=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
         verified=data.get("verified"),
         power_w=float(power_w) if power_w is not None else None,
     )

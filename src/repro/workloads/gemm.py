@@ -29,7 +29,7 @@ from typing import Any, Iterator, Mapping
 from repro.calibration import paper
 from repro.calibration.gemm import build_gemm_operation
 from repro.core.gemm.registry import get_implementation, paper_implementation_keys
-from repro.core.results import GemmRepetition, GemmResult
+from repro.core.results import GemmResult
 from repro.errors import UnsupportedProblemError
 from repro.experiments.executor import run_gemm_spec
 from repro.experiments.specs import GemmSpec, SweepSpec
@@ -63,7 +63,7 @@ def gemm_result_to_dict(result: GemmResult) -> dict[str, Any]:
         "chip_name": result.chip_name,
         "n": result.n,
         "flop_count": result.flop_count,
-        "repetitions": repetitions_to_dicts(result.repetitions),
+        "repetitions": repetitions_to_dicts(result.elapsed_ns),
         "verified": result.verified,
     }
 
@@ -75,7 +75,7 @@ def gemm_result_from_dict(data: Mapping[str, Any]) -> GemmResult:
         chip_name=data["chip_name"],
         n=int(data["n"]),
         flop_count=int(data["flop_count"]),
-        repetitions=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
         verified=data.get("verified"),
     )
 
@@ -204,12 +204,9 @@ def lower_gemm_spec(machine, spec: GemmSpec) -> "LoweredSequence | None":
             chip_name=chip_name,
             n=n,
             flop_count=flop_count,
-            repetitions=tuple(
-                GemmRepetition(
-                    repetition=rep,
-                    elapsed_ns=int(end * NS_PER_S) - int(start * NS_PER_S),
-                )
-                for rep, (start, end) in enumerate(windows)
+            elapsed_ns=tuple(
+                int(end * NS_PER_S) - int(start * NS_PER_S)
+                for start, end in windows
             ),
             verified=None,
         )

@@ -19,12 +19,7 @@ from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
 from repro.core.gemm.registry import get_implementation, paper_implementation_keys
-from repro.core.results import (
-    GemmRepetition,
-    GemmResult,
-    PoweredGemmResult,
-    PowerMeasurement,
-)
+from repro.core.results import GemmResult, PoweredGemmResult, PowerMeasurement
 from repro.errors import ProtocolError, UnsupportedProblemError
 from repro.experiments.executor import run_powered_gemm_spec
 from repro.experiments.specs import PoweredGemmSpec, SweepSpec
@@ -175,9 +170,8 @@ def lower_powered_gemm_spec(
     def assemble(
         windows: "tuple[tuple[float, float], ...]",
     ) -> PoweredGemmResult:
-        repetitions = []
         measurements = []
-        for rep, (start, end) in enumerate(windows):
+        for start, end in windows:
             window = end - start
             elapsed_ms = float(f"{window * 1e3:.2f}")
             if elapsed_ms <= 0.0:
@@ -187,14 +181,9 @@ def lower_powered_gemm_spec(
                 )
             cpu_mw = float(f"{window * cpu_rail / window * 1e3:.0f}")
             gpu_mw = float(f"{window * gpu_rail / window * 1e3:.0f}")
-            measurement = PowerMeasurement(
-                cpu_mw=cpu_mw, gpu_mw=gpu_mw, elapsed_ms=elapsed_ms
-            )
-            measurements.append(measurement)
-            repetitions.append(
-                GemmRepetition(
-                    repetition=rep,
-                    elapsed_ns=max(1, int(measurement.elapsed_ms * 1e6)),
+            measurements.append(
+                PowerMeasurement(
+                    cpu_mw=cpu_mw, gpu_mw=gpu_mw, elapsed_ms=elapsed_ms
                 )
             )
         gemm = GemmResult(
@@ -202,7 +191,9 @@ def lower_powered_gemm_spec(
             chip_name=chip_name,
             n=n,
             flop_count=flop_count,
-            repetitions=tuple(repetitions),
+            elapsed_ns=tuple(
+                max(1, int(m.elapsed_ms * 1e6)) for m in measurements
+            ),
         )
         return PoweredGemmResult(gemm=gemm, measurements=tuple(measurements))
 

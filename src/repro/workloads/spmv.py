@@ -29,7 +29,11 @@ from repro.calibration.stream import (
     stream_calibration,
     stream_power_draws,
 )
-from repro.core.results import GemmRepetition, timed_repetitions
+from repro.core.results import (
+    GemmRepetition,
+    check_elapsed_ns,
+    repetition_view,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
 from repro.sim.engine import EngineKind
@@ -112,7 +116,7 @@ class SpmvResult:
     flop_count: int
     bytes_moved: float
     theoretical_gbs: float
-    repetitions: tuple[GemmRepetition, ...]
+    elapsed_ns: tuple[int, ...]  # one timing per repetition, in order
     verified: bool | None = None
     #: Modelled draw (W) while the kernel runs — the simulator's thermally
     #: clamped total (:func:`repro.sim.vectorized.effective_draw_w`).
@@ -120,29 +124,31 @@ class SpmvResult:
     power_w: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.repetitions:
-            raise ConfigurationError("an SpMV result needs at least one repetition")
+        check_elapsed_ns(self.elapsed_ns)
         if self.nnz <= 0 or self.flop_count <= 0 or self.bytes_moved <= 0:
             raise ConfigurationError("SpMV work content must be positive")
         if self.power_w is not None and self.power_w < 0.0:
             raise ConfigurationError("power draw cannot be negative")
 
     @property
+    def repetitions(self) -> tuple[GemmRepetition, ...]:
+        """Per-repetition records, derived from ``elapsed_ns``."""
+        return repetition_view(self.elapsed_ns)
+
+    @property
     def best_gflops(self) -> float:
         """Peak achieved GFLOPS over the repetitions."""
-        return max(self.flop_count / r.elapsed_ns for r in self.repetitions)
+        return self.flop_count / min(self.elapsed_ns)
 
     @property
     def mean_gflops(self) -> float:
         """Mean achieved GFLOPS over the repetitions."""
-        return statistics.fmean(
-            self.flop_count / r.elapsed_ns for r in self.repetitions
-        )
+        return statistics.fmean(self.flop_count / ns for ns in self.elapsed_ns)
 
     @property
     def best_gbs(self) -> float:
         """Peak achieved CSR traffic bandwidth (GB/s) — bytes over best time."""
-        return max(self.bytes_moved / r.elapsed_ns for r in self.repetitions)
+        return self.bytes_moved / min(self.elapsed_ns)
 
     @property
     def fraction_of_peak(self) -> float:
@@ -249,7 +255,7 @@ def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
             flop_count=int(flops),
             bytes_moved=bytes_read + bytes_written,
             theoretical_gbs=chip.memory.bandwidth_gbs,
-            repetitions=timed_repetitions(elapsed_ns),
+            elapsed_ns=elapsed_ns,
             verified=verified,
             power_w=power_w,
         )
@@ -292,7 +298,7 @@ def _result_to_dict(result: SpmvResult) -> dict[str, Any]:
         "flop_count": result.flop_count,
         "bytes_moved": result.bytes_moved,
         "theoretical_gbs": result.theoretical_gbs,
-        "repetitions": repetitions_to_dicts(result.repetitions),
+        "repetitions": repetitions_to_dicts(result.elapsed_ns),
         "verified": result.verified,
         "power_w": result.power_w,
     }
@@ -308,7 +314,7 @@ def _result_from_dict(data: Mapping[str, Any]) -> SpmvResult:
         flop_count=int(data["flop_count"]),
         bytes_moved=float(data["bytes_moved"]),
         theoretical_gbs=float(data["theoretical_gbs"]),
-        repetitions=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
         verified=data.get("verified"),
         power_w=float(power_w) if power_w is not None else None,
     )

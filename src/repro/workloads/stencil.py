@@ -24,7 +24,11 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from repro.calibration.stream import stream_power_draws
-from repro.core.results import GemmRepetition, timed_repetitions
+from repro.core.results import (
+    GemmRepetition,
+    check_elapsed_ns,
+    repetition_view,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
 from repro.sim.engine import EngineKind
@@ -116,7 +120,7 @@ class StencilResult:
     flop_count: int
     bytes_moved: float
     theoretical_gbs: float
-    repetitions: tuple[GemmRepetition, ...]
+    elapsed_ns: tuple[int, ...]  # one timing per repetition, in order
     verified: bool | None = None
     #: Modelled draw (W) while the sweep runs — the simulator's thermally
     #: clamped total (:func:`repro.sim.vectorized.effective_draw_w`).
@@ -124,37 +128,37 @@ class StencilResult:
     power_w: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.repetitions:
-            raise ConfigurationError(
-                "a stencil result needs at least one repetition"
-            )
+        check_elapsed_ns(self.elapsed_ns)
         if self.flop_count <= 0 or self.bytes_moved <= 0:
             raise ConfigurationError("stencil work content must be positive")
         if self.power_w is not None and self.power_w < 0.0:
             raise ConfigurationError("power draw cannot be negative")
 
     @property
+    def repetitions(self) -> tuple[GemmRepetition, ...]:
+        """Per-repetition records, derived from ``elapsed_ns``."""
+        return repetition_view(self.elapsed_ns)
+
+    @property
     def best_gflops(self) -> float:
         """Peak achieved GFLOPS over the repetitions."""
-        return max(self.flop_count / r.elapsed_ns for r in self.repetitions)
+        return self.flop_count / min(self.elapsed_ns)
 
     @property
     def mean_gflops(self) -> float:
         """Mean achieved GFLOPS over the repetitions."""
-        return statistics.fmean(
-            self.flop_count / r.elapsed_ns for r in self.repetitions
-        )
+        return statistics.fmean(self.flop_count / ns for ns in self.elapsed_ns)
 
     @property
     def best_mcups(self) -> float:
         """Peak million cell-updates per second (the stencil literature metric)."""
         updates = (self.n - 2) * (self.n - 2) * self.iterations
-        return max(updates / r.elapsed_ns for r in self.repetitions) * 1e3
+        return updates / min(self.elapsed_ns) * 1e3
 
     @property
     def best_gbs(self) -> float:
         """Peak achieved grid traffic bandwidth (GB/s)."""
-        return max(self.bytes_moved / r.elapsed_ns for r in self.repetitions)
+        return self.bytes_moved / min(self.elapsed_ns)
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -235,7 +239,7 @@ def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredCell:
             flop_count=int(cost.flops),
             bytes_moved=cost.total_bytes,
             theoretical_gbs=chip.memory.bandwidth_gbs,
-            repetitions=timed_repetitions(elapsed_ns),
+            elapsed_ns=elapsed_ns,
             verified=verified,
             power_w=power_w,
         )
@@ -277,7 +281,7 @@ def _result_to_dict(result: StencilResult) -> dict[str, Any]:
         "flop_count": result.flop_count,
         "bytes_moved": result.bytes_moved,
         "theoretical_gbs": result.theoretical_gbs,
-        "repetitions": repetitions_to_dicts(result.repetitions),
+        "repetitions": repetitions_to_dicts(result.elapsed_ns),
         "verified": result.verified,
         "power_w": result.power_w,
     }
@@ -293,7 +297,7 @@ def _result_from_dict(data: Mapping[str, Any]) -> StencilResult:
         flop_count=int(data["flop_count"]),
         bytes_moved=float(data["bytes_moved"]),
         theoretical_gbs=float(data["theoretical_gbs"]),
-        repetitions=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
         verified=data.get("verified"),
         power_w=float(power_w) if power_w is not None else None,
     )

@@ -8,7 +8,7 @@ from repro.core.gemm.base import GemmProblem
 from repro.core.gemm.registry import get_implementation
 from repro.core.power.harness import PowerInstrumentedRun, measure_gemm_power
 from repro.core.power.metrics import efficiency_gflops_per_w, energy_to_solution_j
-from repro.core.results import GemmRepetition, GemmResult, PowerMeasurement
+from repro.core.results import GemmResult, PowerMeasurement
 from repro.soc.power import PowerComponent
 
 from tests.conftest import make_exact_machine, make_model_machine
@@ -76,8 +76,7 @@ class TestMetrics:
         flop_count = paper.gemm_flop_count(n)
         elapsed_ns = int(flop_count / gflops)
         return GemmResult(
-            "gpu-mps", "M1", n, flop_count,
-            (GemmRepetition(0, elapsed_ns),),
+            "gpu-mps", "M1", n, flop_count, elapsed_ns=(elapsed_ns,)
         )
 
     def test_efficiency(self):

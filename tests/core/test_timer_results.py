@@ -44,16 +44,12 @@ class TestTimer:
 
 class TestGemmResult:
     def _result(self, elapsed_list, n=64):
-        reps = tuple(
-            GemmRepetition(repetition=i, elapsed_ns=e)
-            for i, e in enumerate(elapsed_list)
-        )
         return GemmResult(
             impl_key="gpu-mps",
             chip_name="M1",
             n=n,
             flop_count=n * n * (2 * n - 1),
-            repetitions=reps,
+            elapsed_ns=tuple(elapsed_list),
         )
 
     def test_gflops_from_ns(self):
@@ -68,7 +64,7 @@ class TestGemmResult:
 
     def test_requires_repetitions(self):
         with pytest.raises(ConfigurationError):
-            GemmResult("x", "M1", 4, 100, repetitions=())
+            GemmResult("x", "M1", 4, 100, elapsed_ns=())
 
     def test_rejects_non_positive_elapsed(self):
         with pytest.raises(ConfigurationError):
@@ -116,8 +112,7 @@ class TestPowerResults:
             PowerMeasurement(cpu_mw=1.0, gpu_mw=0.0, elapsed_ms=0.0)
 
     def test_powered_result_efficiency(self):
-        reps = (GemmRepetition(0, 1_000_000),)
-        gemm = GemmResult("gpu-mps", "M1", 64, 64 * 64 * 127, reps)
+        gemm = GemmResult("gpu-mps", "M1", 64, 64 * 64 * 127, (1_000_000,))
         power = PowerMeasurement(cpu_mw=500.0, gpu_mw=5500.0, elapsed_ms=1.0)
         powered = PoweredGemmResult(gemm, (power,))
         assert powered.mean_combined_w == pytest.approx(6.0)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.results import (
-    GemmRepetition,
     GemmResult,
     PoweredGemmResult,
     PowerMeasurement,
@@ -31,11 +30,7 @@ def make_gemm_result() -> GemmResult:
         chip_name="M4",
         n=512,
         flop_count=512 * 512 * 1023,
-        repetitions=(
-            GemmRepetition(repetition=0, elapsed_ns=123_456_789),
-            GemmRepetition(repetition=1, elapsed_ns=120_000_017),
-            GemmRepetition(repetition=2, elapsed_ns=125_111_113),
-        ),
+        elapsed_ns=(123_456_789, 120_000_017, 125_111_113),
         verified=True,
     )
 

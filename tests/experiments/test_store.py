@@ -125,6 +125,17 @@ class TestRobustness:
             ResultEnvelope.load(tmp_path / "ghost.json")
         assert "ghost.json" in str(excinfo.value)
 
+    def test_swapped_repetition_indices_are_refused(self, tmp_path, envelopes):
+        # a column would silently renumber them on the next save
+        (path,) = save_envelopes(tmp_path, envelopes[:1])
+        data = json.loads(path.read_text())
+        reps = data["result"]["repetitions"]
+        reps[0]["repetition"], reps[1]["repetition"] = 1, 0
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="repetition indices") as exc:
+            ResultEnvelope.load(path)
+        assert str(path) in str(exc.value)
+
 
 class TestConcurrentReaders:
     """`load_envelopes` tolerates writers and prunes racing with the scan."""
