@@ -57,14 +57,14 @@ def verify_result(
         # FP16 inputs (ANE path): rounding inputs to half costs ~2^-11.
         tol = max(tol, 2.0 ** -9)
 
-    a64 = problem.a.astype(np.float64)
     b64 = problem.b.astype(np.float64)
     if policy is NumericsPolicy.SAMPLED:
+        # Promote only the sampled rows of A: the reference reads no others.
         rows = machine.numerics.sampled_row_indices(n)
-        reference = a64[rows, :] @ b64
+        reference = problem.a[rows, :].astype(np.float64) @ b64
         produced = problem.out[rows, :].astype(np.float64)
     else:
-        reference = a64 @ b64
+        reference = problem.a.astype(np.float64) @ b64
         produced = problem.out.astype(np.float64)
 
     scale = np.maximum(np.abs(reference), 1.0)

@@ -65,7 +65,7 @@ class ExperimentRunner:
             repeats=repeats,
             verify=verify,
         )
-        return run_gemm_spec(self.machine, spec, implementation=impl)
+        return run_gemm_spec(self.machine, spec)
 
     def run_gemm_sweep(
         self,
@@ -106,7 +106,7 @@ class ExperimentRunner:
             n=n,
             repeats=repeats,
         )
-        return run_powered_gemm_spec(self.machine, spec, implementation=impl)
+        return run_powered_gemm_spec(self.machine, spec)
 
     # ------------------------------------------------------------------
     # STREAM (Figure 1)

@@ -11,7 +11,7 @@ the cells of a batch execute:
   ``vectorized_body`` are lowered onto shared chip templates and evaluated
   in bulk NumPy array operations (:mod:`repro.sim.vectorized`) instead of
   per-operation Python loops, with automatic per-cell fallback to the
-  scalar executor for cells that do not lower;
+  scalar executor for workloads registered without a lowering;
 * ``sharded`` — vectorized inside worker processes, for grids too large
   for one core: the parent pulls the batch — any iterable of specs — in
   contiguous shards, ships each shard's cache misses to a worker process
@@ -317,8 +317,8 @@ class VectorizedBackend(ExecutionBackend):
                 _report_cell_failure(fail, index, exc, spec)
                 continue
             if lowered is None:
-                # no vectorized body, or the body declined this cell
-                # (full-numerics GEMM, off-policy protocols) — scalar fallback
+                # a workload registered without a vectorized body (no
+                # built-in workload declines a cell) — scalar fallback
                 fallback.append((index, spec, key, workload))
             elif isinstance(lowered, LoweredSequence):
                 sequence_entries.append((index, spec, key))
@@ -347,8 +347,9 @@ class VectorizedBackend(ExecutionBackend):
         if lowered_sequences:
             bulk(sequence_entries, lowered_sequences, evaluate_sequences)
         # Scalar-fallback cells run last, delivered one by one — they are
-        # the slow ones (real kernels), so per-cell completion keeps
-        # manifest checkpoints and progress reporting incremental.
+        # the slow ones (one Python round trip per operation), so per-cell
+        # completion keeps manifest checkpoints and progress reporting
+        # incremental.
         for index, spec, key, workload in fallback:
             try:
                 result = workload.execute(session.machine_for(spec), spec)

@@ -4,22 +4,17 @@ This is the engine room shared by :class:`~repro.experiments.session.Session`
 (which hands every spec a *fresh* machine, making execution a pure function
 of the spec) and the legacy :class:`~repro.core.harness.ExperimentRunner`
 facade (which keeps its historical shared-machine semantics).  The bodies
-are the section-4 protocol: five chrono-timed repetitions per GEMM cell,
-``n^2 (2n - 1)`` operation counting, the piggybacked powermetrics protocol
-for the power study, and the STREAM thread sweep / 20-repetition GPU runs.
+are the section-4 protocols — five chrono-timed repetitions per GEMM cell,
+the piggybacked powermetrics protocol for the power study, and the STREAM
+thread sweep / 20-repetition GPU runs — each evaluated from its workload's
+lowering (:mod:`repro.workloads`), the one definition of a cell's timing
+that the vectorized backend evaluates in bulk too.  Numerics are a
+memoized check inside the lowering, never part of the timed path.
 """
 
 from __future__ import annotations
 
-from repro.calibration import paper
-from repro.core.gemm.base import GemmImplementation, GemmProblem
-from repro.core.gemm.registry import get_implementation
-from repro.core.gemm.verify import verify_result
-from repro.core.power.harness import measure_gemm_power
 from repro.core.results import GemmResult, PoweredGemmResult, StreamResult
-from repro.core.stream.runner import run_stream
-from repro.core.timer import measure_ns
-from repro.errors import UnsupportedProblemError
 from repro.experiments.specs import (
     ExperimentSpec,
     GemmSpec,
@@ -27,7 +22,7 @@ from repro.experiments.specs import (
     StreamSpec,
 )
 from repro.sim.machine import Machine
-from repro.sim.policy import NumericsPolicy
+from repro.sim.vectorized import run_lowered_sequence
 
 __all__ = [
     "execute_spec",
@@ -37,106 +32,31 @@ __all__ = [
 ]
 
 
-def _resolve(
-    spec_key: str, implementation: GemmImplementation | None
-) -> GemmImplementation:
-    return implementation if implementation is not None else get_implementation(
-        spec_key
-    )
+def run_gemm_spec(machine: Machine, spec: GemmSpec) -> GemmResult:
+    """Execute one Figure-2 cell on ``machine``."""
+    from repro.workloads.gemm import lower_gemm_spec
 
-
-def run_gemm_spec(
-    machine: Machine,
-    spec: GemmSpec,
-    *,
-    implementation: GemmImplementation | None = None,
-) -> GemmResult:
-    """Execute one Figure-2 cell on ``machine``.
-
-    ``implementation`` overrides the registry lookup of ``spec.impl_key`` —
-    the compatibility path for pre-instantiated implementation objects
-    (e.g. ``AccelerateGemm(variant="blas")``).
-    """
-    impl = _resolve(spec.impl_key, implementation)
-    if not impl.supports(machine, spec.n):
-        raise UnsupportedProblemError(
-            f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
-        )
-    fill = machine.numerics.policy is not NumericsPolicy.MODEL_ONLY
-    problem = GemmProblem.generate(spec.n, seed=spec.seed, fill_random=fill)
-    context = impl.prepare(machine, problem)
-
-    elapsed_ns = tuple(
-        measure_ns(machine, lambda: impl.execute(machine, problem, context))
-        for _ in range(spec.repeats)
-    )
-
-    verified: bool | None = None
-    policy = machine.numerics.effective_policy(spec.n)
-    want_verify = (
-        spec.verify
-        if spec.verify is not None
-        else policy is not NumericsPolicy.MODEL_ONLY
-    )
-    if want_verify:
-        verified = verify_result(
-            machine,
-            problem,
-            reduced_precision=(impl.key == "ane-fp16"),
-        )
-    return GemmResult(
-        impl_key=impl.key,
-        chip_name=machine.chip.name,
-        n=spec.n,
-        flop_count=paper.gemm_flop_count(spec.n),
-        elapsed_ns=elapsed_ns,
-        verified=verified,
-    )
+    return run_lowered_sequence(machine, lower_gemm_spec(machine, spec))
 
 
 def run_powered_gemm_spec(
-    machine: Machine,
-    spec: PoweredGemmSpec,
-    *,
-    implementation: GemmImplementation | None = None,
+    machine: Machine, spec: PoweredGemmSpec
 ) -> PoweredGemmResult:
     """Execute one Figure-3/4 cell: timing with the power protocol piggybacked.
 
     "The power measurement occurs during the run in which CPU/GPU
     performance is measured ... it too sees five repetitions."
     """
-    impl = _resolve(spec.impl_key, implementation)
-    if not impl.supports(machine, spec.n):
-        raise UnsupportedProblemError(
-            f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
-        )
-    fill = machine.numerics.policy is not NumericsPolicy.MODEL_ONLY
-    problem = GemmProblem.generate(spec.n, seed=spec.seed, fill_random=fill)
-    context = impl.prepare(machine, problem)
+    from repro.workloads.powered_gemm import lower_powered_gemm_spec
 
-    measurements = tuple(
-        measure_gemm_power(machine, impl, problem, context)
-        for _ in range(spec.repeats)
-    )
-    # The multiplication window is the measurement window itself; the
-    # protocol's warm-up is excluded from the compute timing.
-    gemm = GemmResult(
-        impl_key=impl.key,
-        chip_name=machine.chip.name,
-        n=spec.n,
-        flop_count=paper.gemm_flop_count(spec.n),
-        elapsed_ns=tuple(
-            max(1, int(m.elapsed_ms * 1e6)) for m in measurements
-        ),
-    )
-    return PoweredGemmResult(gemm=gemm, measurements=measurements)
+    return run_lowered_sequence(machine, lower_powered_gemm_spec(machine, spec))
 
 
 def run_stream_spec(machine: Machine, spec: StreamSpec) -> StreamResult:
     """Execute one Figure-1 bar: the STREAM study on one target processor."""
-    return run_stream(
-        machine, spec.target, n_elements=spec.n_elements, repeats=spec.repeats
-    )
+    from repro.workloads.stream import lower_stream_spec
+
+    return run_lowered_sequence(machine, lower_stream_spec(machine, spec))
 
 
 def execute_spec(machine: Machine, spec: ExperimentSpec):

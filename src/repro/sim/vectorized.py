@@ -27,12 +27,13 @@ The contract has three parts:
   and the chrono-style nanosecond truncation.  Every step is the same
   IEEE-754 double operation the scalar path performs, so results are
   byte-identical, not merely close.
-* **Fallback** — a workload may declare no ``vectorized_body`` at all, or
-  its body may return ``None`` for cells it cannot lower (full-numerics
-  GEMM cells that must verify on real arrays, for example); either way the
-  cell simply executes on the scalar engine, and the batch-level entry
-  point in :class:`~repro.experiments.backends.VectorizedBackend` mixes
-  the paths per cell.
+* **Fallback** — every built-in workload lowers every cell, under every
+  numerics profile: numerics are a memoized check inside the lowering,
+  never part of the timed path.  A runtime-registered workload may declare
+  no ``vectorized_body`` at all; its cells simply execute on the scalar
+  engine, and the batch-level entry point in
+  :class:`~repro.experiments.backends.VectorizedBackend` mixes the paths
+  per cell.
 
 Cells come in two shapes.  A :class:`LoweredCell` is the homogeneous case —
 one roofline operation repeated R times, assembled from per-repetition

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "Workload",
     "best_elapsed_s",
+    "chip_memo",
     "iter_axes",
     "modelled_power_metrics",
     "repetitions_to_dicts",
@@ -90,6 +91,20 @@ def modelled_power_metrics() -> dict[str, Callable]:
         "joules": joules,
         "gflops_per_w": gflops_per_w,
     }
+
+
+def chip_memo(cache: dict, key: tuple, chip: Any, build: Callable[[], Any]) -> Any:
+    """``cache[key]``, built by ``build()`` once per chip *object*.
+
+    Lowering caches key on the chip name, but a custom machine may carry a
+    modified chip under a catalog name; each entry pins the ChipSpec it
+    was built from, so another chip object under that name rebuilds
+    instead of reading the first one's operations.
+    """
+    entry = cache.get(key)
+    if entry is None or entry[0] is not chip:
+        entry = cache[key] = (chip, build())
+    return entry[1]
 
 
 def variant_grid(
@@ -221,15 +236,16 @@ class Workload:
         extractor — the frame falls back to attribute access.
     vectorized_body:
         Optional lowering hook ``(machine_like, spec) ->``
-        :class:`~repro.sim.vectorized.LoweredCell` behind the ``vectorized``
-        execution backend.  ``machine_like`` is either a real
+        :class:`~repro.sim.vectorized.LoweredCell` (or
+        :class:`~repro.sim.vectorized.LoweredSequence`) behind the
+        ``vectorized`` execution backend.  ``machine_like`` is either a real
         :class:`~repro.sim.machine.Machine` or a
         :class:`~repro.sim.vectorized.VectorContext`; a workload that
         declares this hook should implement its scalar ``execute`` as
         ``run_lowered_cell(machine, vectorized_body(machine, spec))`` so
         the two paths share one lowering and stay byte-identical by
-        construction.  Workloads that leave it ``None`` (the STREAM thread
-        sweep, the real-implementation GEMM studies) execute on the scalar
+        construction.  Every built-in workload declares one and lowers
+        every cell; workloads that leave it ``None`` execute on the scalar
         engine even inside a vectorized batch — the fallback is per cell.
     """
 

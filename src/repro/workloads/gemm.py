@@ -7,19 +7,16 @@ branches — the result JSON codec, the sweep-axis semantics (chips x
 implementations x sizes with the section-4 exclusions) and the CLI
 rendering — and registers them under ``kind="gemm"``.
 
-GEMM's executor runs the *real* Table-2 implementation objects (Metal
-command buffers, Accelerate calls, verification against reference
-numerics), so it cannot be lowered in general — but under the
-``model-only`` numerics policy every implementation reduces to exactly one
-:func:`~repro.calibration.gemm.build_gemm_operation` per repetition on a
-fresh machine, and :func:`lower_gemm_spec` replays that protocol as a
+Timing never depends on the numbers, so every Table-2 implementation
+reduces to exactly one :func:`~repro.calibration.gemm.build_gemm_operation`
+per repetition, and :func:`lower_gemm_spec` — the one definition of a
+cell's timing, under every numerics profile — replays that protocol as a
 :class:`~repro.sim.vectorized.LoweredSequence` (chrono-truncated
 nanoseconds per repetition window, identical
-:class:`~repro.errors.UnsupportedProblemError` for excluded cells).  Cells
-that run numerics or verify (``FULL``/``SAMPLED`` policy, or an explicit
-``verify=True``) return ``None`` from the lowering and fall back to the
-scalar engine per cell inside a ``vectorized``/``sharded`` batch
-(DESIGN.md §7).
+:class:`~repro.errors.UnsupportedProblemError` for excluded cells).  The
+``verified`` flag comes from a separate check that runs the real Table-2
+kernel once on a scratch machine and is memoized on exactly what the
+kernel reads (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -28,18 +25,22 @@ from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
 from repro.calibration.gemm import build_gemm_operation
+from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.core.gemm.registry import get_implementation, paper_implementation_keys
+from repro.core.gemm.verify import verify_result
 from repro.core.results import GemmResult
 from repro.errors import UnsupportedProblemError
 from repro.experiments.executor import run_gemm_spec
 from repro.experiments.specs import GemmSpec, SweepSpec
 from repro.sim.engine import Operation
+from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.vectorized import LoweredOp, LoweredSequence
 from repro.units import NS_PER_S
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
+    chip_memo,
     iter_axes,
     repetitions_from_dicts,
     repetitions_to_dicts,
@@ -95,24 +96,23 @@ def cell_is_supported(chip: str, impl_key: str, n: int) -> bool:
         return True
 
 
-# -- model-only lowering ----------------------------------------------------
+# -- lowering ----------------------------------------------------------------
 #
 # Each Table-2 implementation's ``execute`` issues exactly one calibrated
 # operation per repetition (the Metal paths via a command buffer, the CPU
-# paths directly); under MODEL_ONLY numerics nothing else touches the
-# machine, so the whole cell reduces to ``repeats`` copies of that one
-# operation on a fresh clock.  The table below mirrors each implementation's
-# ``build_gemm_operation`` call site — label and element size included —
-# so the lowered sequence hashes the very same noise keys and advances the
-# very same roofline durations the scalar executor would.
+# paths directly), and its numerics never touch the clock, so the whole cell
+# reduces to ``repeats`` copies of that one operation.  The table below
+# mirrors each implementation's ``build_gemm_operation`` call site — label
+# and element size included — so the lowered sequence hashes the very same
+# noise keys and advances the very same roofline durations the Table-2
+# classes do (``tests/workloads/test_lowering_parity.py`` holds them equal).
 
 
-def _scalar_gemm_operation(chip, impl_key: str, n: int) -> Operation | None:
+def _scalar_gemm_operation(chip, impl_key: str, n: int) -> Operation:
     """The single operation one repetition of ``impl_key`` executes.
 
-    Returns ``None`` for implementation keys outside the Table-2 catalog
-    (runtime-registered extensions build their operations in code this
-    module cannot see), which routes the cell to the scalar fallback.
+    Every registry key has a row; :func:`get_implementation` rejects any
+    other key before this table is read.
     """
     if impl_key in ("cpu-single", "cpu-omp", "cpu-accelerate"):
         return build_gemm_operation(chip, impl_key, n)
@@ -134,62 +134,96 @@ def _scalar_gemm_operation(chip, impl_key: str, n: int) -> Operation | None:
             label=f"shader/gemm_fp64_emulated/n={n}",
             element_bytes=8,
         )
-    if impl_key == "gpu-mps":
-        # MPS calibrates on the geometric scale of the (m, n, k) product;
-        # spec-driven cells are square, so m = n = k = spec.n.
-        n_equiv = int(round((n * n * n) ** (1.0 / 3.0)))
-        return build_gemm_operation(
-            chip, impl_key, max(1, n_equiv), label=f"mps/sgemm/{n}x{n}x{n}"
-        )
-    return None
+    # gpu-mps calibrates on the geometric scale of the (m, n, k) product;
+    # spec-driven cells are square, so m = n = k = spec.n.
+    n_equiv = int(round((n * n * n) ** (1.0 / 3.0)))
+    return build_gemm_operation(
+        chip, impl_key, max(1, n_equiv), label=f"mps/sgemm/{n}x{n}x{n}"
+    )
 
 
-#: Seed-independent repetition ops per cell shape.  Sound because the
-#: lowering backends reject custom machine factories, so a chip name always
-#: resolves to the one catalog ChipSpec; seed-ensemble grids (many seeds,
-#: one shape) lower in O(1) per cell.
-_GEMM_OPS_CACHE: "dict[tuple[str, str, int, int], tuple[LoweredOp, ...] | None]" = {}
+#: Seed-independent repetition ops per cell shape (see :func:`chip_memo`);
+#: seed-ensemble grids (many seeds, one shape) lower in O(1) per cell.
+_GEMM_OPS_CACHE: "dict[tuple[str, str, int, int], tuple]" = {}
 
 
 def _lowered_gemm_ops(
     chip, impl_key: str, n: int, repeats: int
-) -> "tuple[LoweredOp, ...] | None":
-    key = (chip.name, impl_key, n, repeats)
-    try:
-        return _GEMM_OPS_CACHE[key]
-    except KeyError:
-        pass
-    operation = _scalar_gemm_operation(chip, impl_key, n)
-    ops = (
-        None
-        if operation is None
-        else (LoweredOp.from_operation(operation),) * repeats
+) -> "tuple[LoweredOp, ...]":
+    return chip_memo(
+        _GEMM_OPS_CACHE,
+        (chip.name, impl_key, n, repeats),
+        chip,
+        lambda: (
+            LoweredOp.from_operation(_scalar_gemm_operation(chip, impl_key, n)),
+        )
+        * repeats,
     )
-    _GEMM_OPS_CACHE[key] = ops
-    return ops
 
 
-def lower_gemm_spec(machine, spec: GemmSpec) -> "LoweredSequence | None":
-    """Lower one Figure-2 cell to its model-only operation sequence.
+#: Outcomes of :func:`_numerics_verified`, keyed on what the kernel reads.
+_VERIFIED: "dict[tuple, bool]" = {}
+
+
+def _numerics_verified(machine, impl: GemmImplementation, spec) -> bool:
+    """Run ``impl``'s real numerics once and verify the product.
+
+    The check takes no simulated time from the cell: it prepares and
+    executes the Table-2 kernel a single time on a scratch machine of the
+    same chip and numerics config, then calls
+    :func:`~repro.core.gemm.verify.verify_result`, which raises
+    :class:`~repro.errors.ValidationError` on a wrong product — or on any
+    request to verify under MODEL_ONLY, where no numerics run.
+
+    Only the outcome is memoized, on exactly what the kernel reads: the
+    implementation, ``n``, the seed (the input matrices) and the numerics
+    config (which rows are computed).  ``cpu-omp`` also partitions rows by
+    the chip's core count; no other kernel reads the chip.  Exceptions are
+    never cached.
+    """
+    key: tuple = (impl.key, spec.n, spec.seed, machine.numerics)
+    if impl.key == "cpu-omp":
+        key += (machine.chip.total_cores,)
+    if key not in _VERIFIED:
+        scratch = Machine(
+            machine.chip, machine.device, numerics=machine.numerics, noise_sigma=0.0
+        )
+        problem = GemmProblem.generate(
+            spec.n,
+            seed=spec.seed,
+            fill_random=machine.numerics.policy is not NumericsPolicy.MODEL_ONLY,
+        )
+        impl.execute(scratch, problem, impl.prepare(scratch, problem))
+        _VERIFIED[key] = verify_result(
+            scratch, problem, reduced_precision=(impl.key == "ane-fp16")
+        )
+    return _VERIFIED[key]
+
+
+def lower_gemm_spec(machine, spec: GemmSpec) -> LoweredSequence:
+    """Lower one Figure-2 cell to its operation sequence.
 
     ``machine`` is a :class:`~repro.sim.machine.Machine` or a
-    :class:`~repro.sim.vectorized.VectorContext`.  Returns ``None`` — the
-    scalar-fallback signal — whenever the cell's protocol needs real
-    machinery: numerics or verification on actual arrays (any policy but
-    MODEL_ONLY, or an explicit ``verify=True``) or an extension
-    implementation outside the Table-2 catalog.  Unsupported cells raise
-    the same :class:`UnsupportedProblemError` the scalar executor raises.
+    :class:`~repro.sim.vectorized.VectorContext`; the scalar executor and
+    the vectorized backend both evaluate this one lowering, whatever the
+    numerics profile.  Unsupported cells raise the same
+    :class:`UnsupportedProblemError` the Table-2 classes raise.  The cell
+    verifies when ``spec.verify`` says so, else whenever numerics run
+    (:func:`_numerics_verified`).
     """
-    if machine.numerics.policy is not NumericsPolicy.MODEL_ONLY or spec.verify:
-        return None
     impl = get_implementation(spec.impl_key)
     if not impl.supports(machine, spec.n):
         raise UnsupportedProblemError(
             f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
         )
+    want_verify = (
+        spec.verify
+        if spec.verify is not None
+        else machine.numerics.effective_policy(spec.n)
+        is not NumericsPolicy.MODEL_ONLY
+    )
+    verified = _numerics_verified(machine, impl, spec) if want_verify else None
     ops = _lowered_gemm_ops(machine.chip, impl.key, spec.n, spec.repeats)
-    if ops is None:
-        return None
 
     impl_key = impl.key
     chip_name = machine.chip.name
@@ -208,7 +242,7 @@ def lower_gemm_spec(machine, spec: GemmSpec) -> "LoweredSequence | None":
                 int(end * NS_PER_S) - int(start * NS_PER_S)
                 for start, end in windows
             ),
-            verified=None,
+            verified=verified,
         )
 
     return LoweredSequence(

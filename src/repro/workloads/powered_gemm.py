@@ -3,14 +3,13 @@
 Same shape as :mod:`repro.workloads.gemm` — spec class and executor body
 stay in :mod:`repro.experiments` — plus the standalone codec for the nested
 :class:`~repro.core.results.PowerMeasurement` records, which serialize under
-their own ``type="power"`` tag.  Under the ``model-only`` numerics policy
-the piggybacked powermetrics protocol reduces to a closed form — one
-warm-up sleep plus one calibrated operation per repetition, with both
-power rails averaged over exactly the operation's own window — so
-:func:`lower_powered_gemm_spec` replays it as a
+their own ``type="power"`` tag.  The piggybacked powermetrics protocol
+reduces to a closed form — one warm-up sleep plus one calibrated operation
+per repetition, with both power rails averaged over exactly the
+operation's own window — so :func:`lower_powered_gemm_spec` replays it as a
 :class:`~repro.sim.vectorized.LoweredSequence`, including the tool's
-``%.0f``/``%.2f`` render-then-parse rounding.  Cells under ``full`` or
-``sampled`` numerics fall back to the scalar engine per cell.
+``%.0f``/``%.2f`` render-then-parse rounding, under every numerics profile.
+The result carries no ``verified`` flag, so no numerics run at all.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ from repro.core.results import GemmResult, PoweredGemmResult, PowerMeasurement
 from repro.errors import ProtocolError, UnsupportedProblemError
 from repro.experiments.executor import run_powered_gemm_spec
 from repro.experiments.specs import PoweredGemmSpec, SweepSpec
-from repro.sim.policy import NumericsPolicy
 from repro.sim.vectorized import LoweredOp, LoweredSequence
 from repro.soc.power import PowerComponent
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
+    chip_memo,
     iter_axes,
     variant_grid,
 )
@@ -84,7 +83,7 @@ def _powered_from_dict(data: Mapping[str, Any]) -> PoweredGemmResult:
     )
 
 
-# -- model-only lowering ----------------------------------------------------
+# -- lowering ----------------------------------------------------------------
 #
 # One protocol pass per repetition on the cumulative machine: the tool's
 # start() and siginfo() never advance the clock, so each repetition is a
@@ -98,52 +97,40 @@ def _powered_from_dict(data: Mapping[str, Any]) -> PoweredGemmResult:
 
 
 #: Seed-independent repetition ops per cell shape (see gemm's cache notes).
-_POWERED_OPS_CACHE: "dict[tuple[str, str, int, int], tuple[LoweredOp, ...] | None]" = {}
+_POWERED_OPS_CACHE: "dict[tuple[str, str, int, int], tuple]" = {}
 
 
 def _lowered_powered_ops(
     chip, impl_key: str, n: int, repeats: int
-) -> "tuple[LoweredOp, ...] | None":
-    key = (chip.name, impl_key, n, repeats)
-    try:
-        return _POWERED_OPS_CACHE[key]
-    except KeyError:
-        pass
-    operation = _scalar_gemm_operation(chip, impl_key, n)
-    ops = (
-        None
-        if operation is None
-        else (
+) -> "tuple[LoweredOp, ...]":
+    return chip_memo(
+        _POWERED_OPS_CACHE,
+        (chip.name, impl_key, n, repeats),
+        chip,
+        lambda: (
             LoweredOp.from_operation(
-                operation, pre_advance_s=paper.POWERMETRICS_WARMUP_S
+                _scalar_gemm_operation(chip, impl_key, n),
+                pre_advance_s=paper.POWERMETRICS_WARMUP_S,
             ),
         )
-        * repeats
+        * repeats,
     )
-    _POWERED_OPS_CACHE[key] = ops
-    return ops
 
 
-def lower_powered_gemm_spec(
-    machine, spec: PoweredGemmSpec
-) -> "LoweredSequence | None":
-    """Lower one Figure-3/4 cell to its model-only protocol sequence.
+def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
+    """Lower one Figure-3/4 cell to its protocol sequence.
 
-    Returns ``None`` — the scalar-fallback signal — when the cell runs
-    real numerics (any policy but MODEL_ONLY) or uses an extension
-    implementation outside the Table-2 catalog.  Unsupported cells raise
-    the same :class:`UnsupportedProblemError` the scalar executor raises.
+    The one definition of the cell's timing and power, evaluated by the
+    scalar executor and the vectorized backend alike under every numerics
+    profile.  Unsupported cells raise the same
+    :class:`UnsupportedProblemError` the Table-2 classes raise.
     """
-    if machine.numerics.policy is not NumericsPolicy.MODEL_ONLY:
-        return None
     impl = get_implementation(spec.impl_key)
     if not impl.supports(machine, spec.n):
         raise UnsupportedProblemError(
             f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
         )
     ops = _lowered_powered_ops(machine.chip, impl.key, spec.n, spec.repeats)
-    if ops is None:
-        return None
 
     impl_key = impl.key
     chip_name = machine.chip.name

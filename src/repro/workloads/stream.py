@@ -8,14 +8,15 @@ rendering.  The spec class and executor body stay in
 
 One STREAM cell is a whole protocol — the CPU OpenMP thread sweep across
 four kernels, or the 20-repetition GPU dispatch loop — not a homogeneous
-repetition grid, so its ``vectorized_body`` lowers to a
+repetition grid, so it lowers to a
 :class:`~repro.sim.vectorized.LoweredSequence`: one op per (thread-count,
-repetition, kernel) dispatch, with the scalar executors' exact labels,
+repetition, kernel) dispatch, with the benchmark classes' exact labels,
 costs, calibrated efficiencies and noise keys (the GPU dispatches carry no
-explicit key, so the lowering spells out the scalar engine's
-``label#ordinal`` fallback).  The lowering covers MODEL_ONLY cells only;
-cells that must run real array numerics fall back to the scalar engine per
-cell (DESIGN.md §7).
+explicit key, so the lowering spells out a fresh machine's
+``label#ordinal`` op-counter keys).  That lowering is the only definition
+of a cell's timing, under every numerics profile; stream.c's closed-form
+validation of the array numerics is a separate memoized check
+(DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from repro.core.results import StreamKernelResult, StreamResult
 from repro.experiments.executor import run_stream_spec
 from repro.experiments.specs import StreamSpec, SweepSpec
 from repro.sim.engine import EngineKind
+from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.roofline import OpCost
 from repro.sim.vectorized import LoweredOp, LoweredSequence
 from repro.soc.power import PowerComponent
-from repro.workloads.base import Workload, variant_grid
+from repro.workloads.base import Workload, chip_memo, variant_grid
 from repro.workloads.registry import register_workload
 
 __all__ = [
@@ -96,10 +98,11 @@ def stream_result_from_dict(data: Mapping[str, Any]) -> StreamResult:
     )
 
 
-#: ``(chip name, target, n_elements, ntimes) -> (ops, labels)`` — the lowered
-#: op tuples are pure data shared by every seed of a sweep; ``labels`` pairs
+#: ``(chip name, target, n_elements, ntimes) -> (ops, labels)`` per chip
+#: object (see :func:`~repro.workloads.base.chip_memo`) — the lowered op
+#: tuples are pure data shared by every seed of a sweep; ``labels`` pairs
 #: each op with its ``(threads, kernel)`` identity for the assembler.
-_STREAM_OPS_CACHE: dict[tuple, tuple[tuple[LoweredOp, ...], tuple]] = {}
+_STREAM_OPS_CACHE: dict[tuple, tuple] = {}
 
 
 def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
@@ -162,8 +165,8 @@ def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
     """One op per (repetition, kernel) GPU dispatch, in command-buffer order.
 
     Mirrors ``StreamShader.dispatch`` exactly — including the op-counter
-    noise-key fallback the scalar engine synthesizes (one ``machine.execute``
-    per dispatch on a fresh machine, so ordinals run 1, 2, 3, ...).
+    noise keys the scalar engine synthesizes for it on a fresh machine (one
+    ``machine.execute`` per dispatch, so ordinals run 1, 2, 3, ...).
     """
     from repro.core.stream.kernels import KERNEL_ORDER
     from repro.metal.shaders.stream import stream_moved_bytes
@@ -209,15 +212,50 @@ def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
     return tuple(ops), tuple(labels)
 
 
-def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence | None:
-    """Lower one STREAM cell for the vectorized backend, or decline it.
+#: (target, n_elements, ntimes, numerics config) of every validated cell.
+_VALIDATED: "set[tuple]" = set()
 
-    Only MODEL_ONLY cells lower — FULL/SAMPLED cells run real array numerics
-    (and stream.c's closed-form validation) that have no bulk equivalent, so
-    they fall back to the scalar executor.  The op sequence replays the
-    scalar protocol dispatch for dispatch; ``assemble`` recomputes each
+
+def _validate_stream_numerics(machine, target: str, n: int, ntimes: int) -> None:
+    """Run stream.c's array numerics and closed-form check once per shape.
+
+    The benchmark classes do the work on a scratch machine of the cell's
+    chip, so the check takes no simulated time from the cell; it raises
+    :class:`~repro.errors.ValidationError` on a wrong result.  The array
+    values depend only on the target, the element count, the repetition
+    count and the numerics config, which is the memo key.  MODEL_ONLY runs
+    no numerics and validates nothing.
+    """
+    from repro.core.stream.cpu import CpuStreamBenchmark
+    from repro.core.stream.gpu import GpuStreamBenchmark
+
+    numerics = machine.numerics
+    key = (target, n, ntimes, numerics)
+    if numerics.policy is NumericsPolicy.MODEL_ONLY or key in _VALIDATED:
+        return
+    scratch = Machine(
+        machine.chip, machine.device, numerics=numerics, noise_sigma=0.0
+    )
+    if target == "cpu":
+        # The sweep runs numerics at one thread only: the arrays do not
+        # depend on the thread count.
+        CpuStreamBenchmark(scratch, n_elements=n, ntimes=ntimes).run(
+            1, run_numerics=True
+        )
+    else:
+        GpuStreamBenchmark(scratch, n_elements=n, ntimes=ntimes).run()
+    _VALIDATED.add(key)
+
+
+def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence:
+    """Lower one STREAM cell to its dispatch sequence.
+
+    The scalar executor and the vectorized backend both evaluate this one
+    lowering, whatever the numerics profile.  The op sequence replays the
+    benchmark protocol dispatch for dispatch; ``assemble`` recomputes each
     dispatch's achieved GB/s from its clock window and replays the sweep's
-    per-kernel maximum selection.
+    per-kernel maximum selection.  Cells that run numerics first pass
+    :func:`_validate_stream_numerics`.
     """
     from repro.core.stream.cpu import DEFAULT_CPU_ELEMENTS
     from repro.core.stream.gpu import DEFAULT_GPU_ELEMENTS
@@ -227,18 +265,17 @@ def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence | None:
     )
     from repro.metal.shaders.stream import stream_moved_bytes
 
-    if machine.numerics.policy is not NumericsPolicy.MODEL_ONLY:
-        return None
     chip = machine.chip
     if spec.target == "cpu":
         n = spec.n_elements or DEFAULT_CPU_ELEMENTS
         ntimes = spec.repeats or paper.STREAM_CPU_REPEATS
-        cache_key = (chip.name, "cpu", n, ntimes)
-        cached = _STREAM_OPS_CACHE.get(cache_key)
-        if cached is None:
-            cached = _lowered_cpu_stream_ops(chip, machine, n, ntimes)
-            _STREAM_OPS_CACHE[cache_key] = cached
-        ops, labels = cached
+        _validate_stream_numerics(machine, "cpu", n, ntimes)
+        ops, labels = chip_memo(
+            _STREAM_OPS_CACHE,
+            (chip.name, "cpu", n, ntimes),
+            chip,
+            lambda: _lowered_cpu_stream_ops(chip, machine, n, ntimes),
+        )
         chip_name = chip.name
         theoretical = chip.memory.bandwidth_gbs
         moved_by_kernel = {
@@ -283,12 +320,13 @@ def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence | None:
 
     n = spec.n_elements or DEFAULT_GPU_ELEMENTS
     ntimes = spec.repeats or paper.STREAM_GPU_REPEATS
-    cache_key = (chip.name, "gpu", n, ntimes)
-    cached = _STREAM_OPS_CACHE.get(cache_key)
-    if cached is None:
-        cached = _lowered_gpu_stream_ops(chip, machine, n, ntimes)
-        _STREAM_OPS_CACHE[cache_key] = cached
-    ops, labels = cached
+    _validate_stream_numerics(machine, "gpu", n, ntimes)
+    ops, labels = chip_memo(
+        _STREAM_OPS_CACHE,
+        (chip.name, "gpu", n, ntimes),
+        chip,
+        lambda: _lowered_gpu_stream_ops(chip, machine, n, ntimes),
+    )
     chip_name = chip.name
     theoretical = chip.memory.bandwidth_gbs
     moved_by_kernel = {

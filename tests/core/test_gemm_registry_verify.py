@@ -1,5 +1,7 @@
 """Registry (Table 2) and verification helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,26 @@ class TestVerify:
         problem.out[rows, :] = (problem.a[rows, :] @ problem.b)
         # Rows outside the sample stay zero yet verification passes.
         assert verify_result(machine, problem)
+
+    def test_sampled_mode_promotes_only_sampled_rows(self):
+        machine = Machine.for_chip(
+            "M1",
+            noise_sigma=0.0,
+            numerics=NumericsConfig.sampled(full_threshold=512),
+        )
+        n = 1024
+        problem = GemmProblem.generate(n)
+        rows = machine.numerics.sampled_row_indices(n)
+        problem.out[rows, :] = problem.a[rows, :] @ problem.b
+        tracemalloc.start()
+        try:
+            assert verify_result(machine, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # B is promoted to float64 whole (n^2 * 8 bytes); A only in the
+        # sampled rows, so a whole float64 copy of A would exceed the bound.
+        assert peak < 1.5 * n * n * 8
 
     def test_model_only_cannot_verify(self):
         machine = make_model_machine("M1")

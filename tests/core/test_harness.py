@@ -99,3 +99,20 @@ class TestStreamDelegation:
         runner = ExperimentRunner(make_model_machine("M1"))
         result = runner.run_stream("cpu", n_elements=1 << 14, repeats=2)
         assert result.chip_name == "M1"
+
+    def test_gpu_stream_after_other_work_equals_a_fresh_machine_run(self):
+        # GPU dispatch noise keys come from the cell's lowering, not from
+        # the shared machine's op counter, so earlier calls cannot shift
+        # them; only the later clock origin rounds the windows differently
+        from repro.experiments import Session, StreamSpec
+
+        runner = ExperimentRunner(make_study_machine("M2"))
+        runner.run_gemm("gpu-mps", 256)
+        after_gemm = runner.run_stream("gpu", n_elements=1 << 16, repeats=3)
+        spec = StreamSpec(chip="M2", target="gpu", n_elements=1 << 16, repeats=3)
+        fresh = Session().run(spec).result
+        assert after_gemm.kernels.keys() == fresh.kernels.keys()
+        for kernel, result in fresh.kernels.items():
+            assert after_gemm.kernels[kernel].bandwidths_gbs == pytest.approx(
+                result.bandwidths_gbs, rel=1e-12
+            )

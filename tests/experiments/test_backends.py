@@ -79,6 +79,26 @@ class TestCrossBackendDeterminism:
             specs, backend="serial"
         )
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_verify_under_model_only_fails_only_its_cell(self, backend):
+        # nothing to verify when numerics never run: the lowering raises,
+        # and every backend reports that per cell
+        good = GemmSpec(chip="M1", impl_key="gpu-mps", n=256, repeats=2)
+        bad = GemmSpec(
+            chip="M1", impl_key="gpu-mps", n=256, repeats=2, verify=True
+        )
+        session = model_session()
+        envelopes = session.run_batch(
+            [good, bad], backend=backend, max_workers=2, on_error="collect"
+        )
+        assert envelopes[1] is None
+        assert envelopes[0].to_json() == batch_json([good], backend="serial")[0]
+        [failure] = session.last_health.failures
+        assert (failure.spec_hash, failure.error) == (
+            bad.spec_hash(),
+            "ValidationError",
+        )
+
 
 def factory_session() -> Session:
     return Session(

@@ -1,11 +1,12 @@
 """The sharded backend and the batch-execution contract fixes.
 
 Covers the streaming execution path end to end: multi-shard byte-identity
-against the serial reference (including scalar-fallback mixes inside
-worker shards), a sweep streamed through the parent in one expansion
-pass, ordered delivery, cache semantics, worker-crash propagation that
-names the failing cell, the undelivered-cell guard in
-``Session.run_batch``, and the lazy envelopes shards stream back.
+against the serial reference (including sampled-numerics GEMM cells,
+whose verification check runs inside the worker), a sweep streamed
+through the parent in one expansion pass, ordered delivery, cache
+semantics, worker-crash propagation that names the failing cell, the
+undelivered-cell guard in ``Session.run_batch``, and the lazy envelopes
+shards stream back.
 """
 
 import pytest
@@ -57,9 +58,9 @@ class TestShardedByteIdentity:
         )
         assert [env.to_json() for env in got] == reference
 
-    def test_fallback_mix_inside_shards(self):
-        # sampled numerics: GEMM cells decline lowering and take the scalar
-        # fallback *inside the worker*, next to cells that vectorize
+    def test_sampled_gemm_inside_shards(self):
+        # sampled numerics: GEMM cells lower and run their memoized
+        # verification check *inside the worker*
         sweep = SweepSpec(
             kind="gemm",
             chips=("M1",),

@@ -11,8 +11,6 @@ from repro.soc.power import PowerComponent
 
 from tests.conftest import make_model_machine
 
-pytestmark = pytest.mark.slow
-
 chips = st.sampled_from(list(CHIP_NAMES))
 impls = st.sampled_from([k for k in KNOWN_IMPL_KEYS])
 sizes = st.sampled_from(list(paper.GEMM_SIZES))

@@ -13,8 +13,6 @@ from repro.core.harness import ExperimentRunner
 
 from tests.conftest import make_model_machine
 
-pytestmark = pytest.mark.slow
-
 
 def sweep(chip: str, impl: str) -> dict[int, float]:
     runner = ExperimentRunner(make_model_machine(chip))

@@ -13,8 +13,6 @@ from repro.core.stream.runner import run_stream
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsConfig
 
-pytestmark = pytest.mark.slow
-
 
 def machine_for(chip: str) -> Machine:
     # SAMPLED numerics with a low threshold: the full pipeline incl. real
