@@ -13,12 +13,12 @@ from repro.core.stream.cpu import CpuStreamBenchmark
 
 @pytest.mark.parametrize("chip", ["M1", "M4"])
 def test_thread_sweep_curve(benchmark, chip):
-    machine = model_machine(chip)
-    cores = machine.chip.total_cores
+    cores = model_machine(chip).chip.total_cores
 
     def run():
-        machine.reset_measurements()
-        bench = CpuStreamBenchmark(machine, n_elements=1 << 21, ntimes=3)
+        # A fresh machine per round: a reused one continues its noise
+        # counters, so its rounds would not repeat one measurement.
+        bench = CpuStreamBenchmark(model_machine(chip), n_elements=1 << 21, ntimes=3)
         return {
             threads: bench.run(threads)["triad"].max_gbs
             for threads in range(1, cores + 1)

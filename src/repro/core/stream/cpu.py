@@ -63,7 +63,7 @@ class CpuStreamBenchmark:
         self._validated_iterations = 0
 
     # -- one timed kernel execution --------------------------------------
-    def _execute_kernel(self, kernel: str, threads: int, repetition: int) -> float:
+    def _execute_kernel(self, kernel: str, threads: int) -> float:
         """Simulate one kernel pass; returns achieved GB/s."""
         machine = self.machine
         chip = machine.chip
@@ -91,9 +91,7 @@ class CpuStreamBenchmark:
             memory_efficiency=min(1.0, eff_gbs / theoretical),
             overhead_s=5e-6,
             power_draws_w=draws,
-            noise_key=(
-                f"stream/cpu/{chip.name}/{kernel}/T={threads}/rep={repetition}"
-            ),
+            noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
             noise_sigma=STREAM_NOISE_SIGMA,
         )
         done = machine.execute(op)
@@ -126,7 +124,7 @@ class CpuStreamBenchmark:
         )
 
         bandwidths: dict[str, list[float]] = {k: [] for k in KERNEL_ORDER}
-        for rep in range(self.ntimes):
+        for _rep in range(self.ntimes):
             for kernel in KERNEL_ORDER:
                 if arrays is not None:
                     # The OpenMP work-sharing construct: each thread's chunk
@@ -138,9 +136,7 @@ class CpuStreamBenchmark:
                             c=arrays.c[chunk.start : chunk.stop],
                         )
                         sub.run_kernel(kernel)
-                bandwidths[kernel].append(
-                    self._execute_kernel(kernel, actual_threads, rep)
-                )
+                bandwidths[kernel].append(self._execute_kernel(kernel, actual_threads))
         if arrays is not None:
             validate_arrays(arrays, self.ntimes)
             self._validated_iterations = self.ntimes

@@ -15,6 +15,7 @@ __all__ = [
     "UnknownDeviceError",
     "UnknownImplementationError",
     "CalibrationError",
+    "VersionMismatchError",
     "SimulationError",
     "TransientError",
     "WorkerCrashError",
@@ -59,6 +60,23 @@ class UnknownImplementationError(ConfigurationError):
 
 class CalibrationError(ConfigurationError):
     """Calibration data is missing or internally inconsistent."""
+
+
+class VersionMismatchError(ConfigurationError):
+    """Stored results were written by another ``repro`` version.
+
+    Envelope bytes are a pure function of (spec, session fingerprint) only
+    within one version: a version bump marks an intended change to them, so
+    a store from another version cannot be resumed or extended.
+    """
+
+    def __init__(self, path: str, written_by: str, running: str) -> None:
+        super().__init__(
+            f"{path} was written by repro {written_by}, but this is repro "
+            f"{running}, whose results differ; re-run into a fresh directory"
+        )
+        self.written_by = written_by
+        self.running = running
 
 
 class SimulationError(ReproError):

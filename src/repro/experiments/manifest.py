@@ -35,7 +35,7 @@ import os
 import pathlib
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VersionMismatchError
 from repro.experiments.envelope import ResultEnvelope
 from repro.experiments.specs import ExperimentSpec, SweepSpec, spec_from_dict
 from repro.experiments.store import (
@@ -383,10 +383,19 @@ class RunManifest:
     # Session compatibility
     # ------------------------------------------------------------------
     def check_session(self, session: "Session") -> None:
-        """Refuse to mix sessions: results are pure only per fingerprint."""
+        """Refuse to mix sessions: results are pure only per fingerprint.
+
+        A manifest written by another ``repro`` version raises
+        :class:`~repro.errors.VersionMismatchError`.
+        """
         theirs = session.fingerprint()
         if theirs == self.fingerprint:
             return
+        written_by = self.fingerprint.get("repro_version", "unknown")
+        if written_by != theirs["repro_version"]:
+            raise VersionMismatchError(
+                str(self.path), written_by, theirs["repro_version"]
+            )
         differing = sorted(
             key
             for key in set(theirs) | set(self.fingerprint)

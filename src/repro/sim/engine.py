@@ -61,10 +61,14 @@ class Operation:
     )
     noise_key: str | None = None
     noise_sigma: float | None = None
+    #: Scales an active noise draw (``repro.sim.noise``); 1.0 for most ops.
+    noise_gain: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ConfigurationError("operation label must be non-empty")
+        if self.noise_gain <= 0.0:
+            raise ConfigurationError("noise gain must be positive")
         for comp, watts in self.power_draws_w.items():
             if watts < 0.0:
                 raise ConfigurationError(f"negative power draw for {comp}")

@@ -5,7 +5,9 @@ trace, the thermal model and a deterministic noise source.  Executing an
 :class:`~repro.sim.engine.Operation` advances the clock by the roofline time
 (possibly stretched by thermal throttling and jitter) and records the
 component power draws over the active window — everything ``powermetrics``
-later integrates.
+later integrates.  A machine counts noise draws per key, so the k-th
+noisy execution of a key draws counter k (:mod:`repro.sim.noise`); an op
+without a key is keyed by its chip and label.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping
 from repro.errors import ConfigurationError
 from repro.sim.clock import VirtualClock
 from repro.sim.engine import CompletedOperation, EngineKind, Operation
-from repro.sim.noise import DeterministicNoise
+from repro.sim.noise import DeterministicNoise, resolve_sigma
 from repro.sim.policy import NumericsConfig
 from repro.sim.recorder import PowerInterval, PowerRecorder
 from repro.sim.roofline import roofline_time
@@ -126,7 +128,8 @@ class Machine:
         self.trace = ExecutionTrace()
         self.noise = DeterministicNoise(seed, noise_sigma)
         self.numerics = numerics or NumericsConfig.sampled()
-        self._op_counter = 0
+        #: Draws so far per noise key, i.e. each key's next counter.
+        self._noise_counters: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -209,9 +212,13 @@ class Machine:
         else:
             draws = dict(op.power_draws_w)
 
-        self._op_counter += 1
-        noise_key = op.noise_key or f"{op.label}#{self._op_counter}"
-        duration *= self.noise.factor(noise_key, op.noise_sigma)
+        if resolve_sigma(self.noise.default_sigma, op.noise_sigma):
+            noise_key = op.noise_key or f"{self.chip.name}/{op.label}"
+            counter = self._noise_counters.get(noise_key, 0)
+            self._noise_counters[noise_key] = counter + 1
+            duration *= self.noise.factor(
+                noise_key, op.noise_sigma, counter=counter, gain=op.noise_gain
+            )
 
         start = self.clock.now_s()
         end = self.clock.advance(duration)

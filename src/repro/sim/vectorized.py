@@ -3,8 +3,8 @@
 The scalar engine advances one :class:`~repro.sim.engine.Operation` at a
 time — a 1k-cell sweep with five repetitions pays ~5k interpreter round
 trips through :class:`~repro.sim.machine.Machine`, plus machine
-construction, dataclass churn and per-key noise seeding for every one of
-them.  Because every experiment cell is a pure function of its spec (the
+construction, dataclass churn and a one-element noise draw for every
+one of them.  Because every experiment cell is a pure function of its spec (the
 jitter is content-addressed, machines are fresh per cell), the whole grid
 can instead be *lowered* into flat arrays and evaluated in a handful of
 NumPy operations.
@@ -14,16 +14,20 @@ The contract has three parts:
 * **Lowering** — a workload's ``vectorized_body`` hook (see
   :class:`~repro.workloads.base.Workload`) maps ``(machine-like, spec)`` to
   a :class:`LoweredCell`: the roofline parameters of one repetition, the
-  per-repetition noise keys, and an ``assemble`` closure that turns the
+  per-repetition noise keys (one key repeated: the repetition is the noise
+  counter), and an ``assemble`` closure that turns the
   resulting nanosecond timings back into the workload's result record.  The
   scalar executor runs the *same* lowering through
   :func:`run_lowered_cell` — one :class:`Operation` per repetition on a
   real machine — so the two paths cannot drift.
 * **Evaluation** — :func:`evaluate_cells` stacks the lowered cells into
   arrays and replicates the scalar engine's arithmetic elementwise:
-  roofline time, thermal clamp/stretch, bulk noise factors
-  (:func:`repro.sim.noise.lognormal_factors` — one sha256 + PCG64 stream
-  per key, identical floats), the virtual clock's cumulative float adds,
+  roofline time, thermal clamp/stretch, bulk noise factors (each cell's
+  keys through :func:`repro.sim.noise.noise_entropies` — one hash per
+  distinct key, the k-th draw of a key at counter k, as a fresh machine
+  counts — then :func:`repro.sim.noise.lognormal_factors`, the scalar
+  path's own draw; ops whose sigma resolves to 0 are neither hashed nor
+  drawn), the virtual clock's cumulative float adds,
   and the chrono-style nanosecond truncation.  Every step is the same
   IEEE-754 double operation the scalar path performs, so results are
   byte-identical, not merely close.
@@ -103,8 +107,10 @@ class LoweredCell:
 
     Every repetition of a cell shares the same roofline operation — cost,
     peaks, efficiencies, overhead, power draws — and differs only in its
-    content-addressed noise key, which is exactly what makes the grid
-    vectorizable.  ``assemble`` closes over the spec-derived metadata
+    noise draw, which is exactly what makes the grid vectorizable.  The
+    built-in lowerings repeat one content-addressed key, ``(key,) *
+    repeats``, so repetition k draws counter k of that key.
+    ``assemble`` closes over the spec-derived metadata
     (chip name, verification outcome, work content) and rebuilds the
     workload's result record from the per-repetition elapsed nanoseconds.
     """
@@ -131,11 +137,11 @@ class LoweredCell:
             raise ConfigurationError("a lowered cell needs at least one repetition")
         if not all(self.noise_keys):
             # an empty key is falsy, so the scalar engine would silently
-            # substitute its op-counter fallback while the vectorized
+            # substitute its chip/label fallback while the vectorized
             # engine hashed "" — reject it rather than diverge
             raise ConfigurationError(
                 "lowered-cell noise keys must be non-empty "
-                "(content-addressed, never op-counter fallbacks)"
+                "(content-addressed, never keyless fallbacks)"
             )
         for comp, watts in self.power_draws_w.items():
             if watts < 0.0:
@@ -168,9 +174,11 @@ class LoweredOp:
 
     The sequence-shaped sibling of :class:`LoweredCell`'s repetition grid:
     each op carries its own cost, efficiencies, draws and a *precomputed*
-    content-addressed noise key (including any ``label#ordinal`` op-counter
-    fallbacks the scalar engine would have synthesized — a lowering must
-    spell those out statically so the hash inputs match).  ``pre_advance_s``
+    content-addressed noise key (including any ``chip/label`` fallback the
+    scalar engine would have synthesized for a keyless op — a lowering must
+    spell those out statically so the hash inputs match); repeated keys
+    draw successive counters, as on a machine.  ``noise_gain`` scales the
+    op's active draws.  ``pre_advance_s``
     models a ``machine.sleep`` the scalar executor performs before issuing
     the op (the powermetrics warm-up), which shifts the clock without
     consuming noise or recording power.
@@ -188,14 +196,17 @@ class LoweredOp:
     noise_key: str
     noise_sigma: float | None
     pre_advance_s: float = 0.0
+    noise_gain: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ConfigurationError("operation label must be non-empty")
+        if self.noise_gain <= 0.0:
+            raise ConfigurationError("noise gain must be positive")
         if not self.noise_key:
             raise ConfigurationError(
                 "lowered-op noise keys must be non-empty (content-addressed, "
-                "with op-counter fallbacks precomputed by the lowering)"
+                "with keyless fallbacks precomputed by the lowering)"
             )
         if self.pre_advance_s < 0.0:
             raise ConfigurationError("pre-advance must be non-negative")
@@ -217,6 +228,7 @@ class LoweredOp:
             power_draws_w=self.power_draws_w,
             noise_key=self.noise_key,
             noise_sigma=self.noise_sigma,
+            noise_gain=self.noise_gain,
         )
 
     @classmethod
@@ -229,7 +241,7 @@ class LoweredOp:
         executor's own operation builders (e.g. the calibrated
         :func:`~repro.calibration.gemm.build_gemm_operation`) so both paths
         share one construction site.  The operation must carry an explicit
-        noise key; ops the scalar engine would have keyed by its op counter
+        noise key; ops the scalar engine would have keyed by chip and label
         need that fallback spelled out by the lowering instead.
         """
         if not op.noise_key:
@@ -249,6 +261,7 @@ class LoweredOp:
             noise_key=op.noise_key,
             noise_sigma=op.noise_sigma,
             pre_advance_s=pre_advance_s,
+            noise_gain=op.noise_gain,
         )
 
 
@@ -460,21 +473,27 @@ def evaluate_cells(
         stretch[i] = factor
     base = base * stretch
 
-    # Bulk noise: flat (cell, repetition) grid through the shared draw
-    # implementation — one sha256 + one PCG64 stream per key.
+    # Bulk noise: each cell applies the draw rule to its own keys (one hash
+    # per distinct key); a cell whose sigma resolves to 0 keeps factors of
+    # exactly 1.0 and is neither hashed nor drawn.
     repeats = np.fromiter((c.repeats for c in cells), np.int64, n)
     max_reps = int(repeats.max())
-    entropies: list[int] = []
+    noisy: list[int] = []
     sigmas: list[float] = []
-    for cell in cells:
+    states: list[np.ndarray] = []
+    for i, cell in enumerate(cells):
         sigma = resolve_sigma(default_sigma, cell.noise_sigma)
-        entropies.extend(noise_entropies(cell.seed, cell.noise_keys))
-        sigmas.extend([sigma] * len(cell.noise_keys))
-    flat_factors = lognormal_factors(entropies, sigmas)
-
+        if sigma:
+            noisy.append(i)
+            sigmas.append(sigma)
+            states.append(noise_entropies(cell.seed, cell.noise_keys))
     factors = np.ones((n, max_reps))
-    mask = np.arange(max_reps)[None, :] < repeats[:, None]
-    factors[mask] = flat_factors
+    if noisy:
+        mask = np.zeros((n, max_reps), dtype=bool)
+        mask[noisy] = np.arange(max_reps)[None, :] < repeats[noisy, None]
+        factors[mask] = lognormal_factors(
+            np.concatenate(states), np.repeat(sigmas, repeats[noisy])
+        )
     durations = base[:, None] * factors
 
     # Virtual clock: cumulative float adds in repetition order, then the
@@ -561,19 +580,33 @@ def evaluate_sequences(
             k += 1
     base = base * stretch
 
-    # Bulk noise: every op key is content-addressed under its sequence's
-    # seed (op-counter fallbacks were precomputed by the lowering).
-    entropies: list[int] = []
+    # Bulk noise: each sequence applies the draw rule to the keys of its
+    # active ops (keyless fallbacks were precomputed by the lowering); an op
+    # whose sigma resolves to 0 keeps a factor of exactly 1.0 and is neither
+    # hashed nor drawn.
+    positions: list[int] = []
     sigmas: list[float] = []
+    gains: list[float] = []
+    states: list[np.ndarray] = []
+    offset = 0
     for sequence in sequences:
-        ops = sequence.ops
-        entropies.extend(
-            noise_entropies(sequence.seed, [op.noise_key for op in ops])
+        keys: list[str] = []
+        for j, op in enumerate(sequence.ops):
+            sigma = resolve_sigma(default_sigma, op.noise_sigma)
+            if sigma:
+                keys.append(op.noise_key)
+                positions.append(offset + j)
+                sigmas.append(sigma)
+                gains.append(op.noise_gain)
+        if keys:
+            states.append(noise_entropies(sequence.seed, keys))
+        offset += len(sequence.ops)
+    factors = np.ones(total)
+    if positions:
+        factors[positions] = lognormal_factors(
+            np.concatenate(states), sigmas, gains
         )
-        sigmas.extend(
-            resolve_sigma(default_sigma, op.noise_sigma) for op in ops
-        )
-    flat_durations = base * lognormal_factors(entropies, sigmas)
+    flat_durations = base * factors
 
     counts = np.fromiter((len(s.ops) for s in sequences), np.int64, n)
     max_ops = int(counts.max())

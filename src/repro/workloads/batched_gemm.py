@@ -262,11 +262,10 @@ def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredCell:
         memory_efficiency=_MEMORY_EFFICIENCY[impl.engine],
         overhead_s=overhead,
         power_draws_w=draws,
-        noise_keys=tuple(
-            f"batched-gemm/{chip.name}/{spec.impl_key}"
-            f"/n={spec.n}/b={spec.batch}/rep={rep}"
-            for rep in range(spec.repeats)
-        ),
+        noise_keys=(
+            f"batched-gemm/{chip.name}/{spec.impl_key}/n={spec.n}/b={spec.batch}",
+        )
+        * spec.repeats,
         noise_sigma=_NOISE_SIGMA,
         seed=spec.seed,
         thermal=machine.thermal,

@@ -208,22 +208,6 @@ def _numerics_verified(spec: SpmvSpec) -> bool:
     return bool(np.allclose(y, dense @ x, rtol=1e-10, atol=1e-12))
 
 
-_REP_SUFFIXES: list[str] = []
-
-
-def _noise_keys(prefix: str, repeats: int) -> tuple[str, ...]:
-    """``(prefix + "/rep=0", ...)`` with the suffix strings built once.
-
-    Million-cell grids pay one string concat per repetition here; caching
-    the ``/rep=N`` tails keeps the f-string formatting out of the per-op
-    path while producing byte-identical keys.
-    """
-    while len(_REP_SUFFIXES) < repeats:
-        _REP_SUFFIXES.append(f"/rep={len(_REP_SUFFIXES)}")
-    suffixes = _REP_SUFFIXES
-    return tuple(prefix + suffixes[rep] for rep in range(repeats))
-
-
 def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
     """Lower one SpMV cell to its repetition grid (the shared cost model).
 
@@ -272,10 +256,10 @@ def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
         memory_efficiency=memory_efficiency,
         overhead_s=overhead,
         power_draws_w=draws,
-        noise_keys=_noise_keys(
+        noise_keys=(
             f"spmv/{chip.name}/{spec.target}/n={spec.n}/k={spec.nnz_per_row}",
-            spec.repeats,
-        ),
+        )
+        * spec.repeats,
         noise_sigma=STREAM_NOISE_SIGMA,
         seed=spec.seed,
         thermal=machine.thermal,

@@ -254,11 +254,10 @@ def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredCell:
         memory_efficiency=_MEMORY_EFFICIENCY[spec.impl_key],
         overhead_s=_OVERHEAD_S,
         power_draws_w=draws,
-        noise_keys=tuple(
-            f"stencil/{chip.name}/{spec.impl_key}/n={spec.n}"
-            f"/it={spec.iterations}/rep={rep}"
-            for rep in range(spec.repeats)
-        ),
+        noise_keys=(
+            f"stencil/{chip.name}/{spec.impl_key}/n={spec.n}/it={spec.iterations}",
+        )
+        * spec.repeats,
         noise_sigma=_NOISE_SIGMA,
         seed=spec.seed,
         thermal=machine.thermal,

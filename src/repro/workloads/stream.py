@@ -12,8 +12,8 @@ repetition grid, so it lowers to a
 :class:`~repro.sim.vectorized.LoweredSequence`: one op per (thread-count,
 repetition, kernel) dispatch, with the benchmark classes' exact labels,
 costs, calibrated efficiencies and noise keys (the GPU dispatches carry no
-explicit key, so the lowering spells out a fresh machine's
-``label#ordinal`` op-counter keys).  That lowering is the only definition
+explicit key, so the lowering spells out the machine's ``chip/label``
+fallback key).  That lowering is the only definition
 of a cell's timing, under every numerics profile; stream.c's closed-form
 validation of the array numerics is a separate memoized check
 (DESIGN.md §7).
@@ -110,7 +110,8 @@ def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
 
     Mirrors ``CpuStreamBenchmark._execute_kernel`` exactly: the sweep runs
     ``OMP_NUM_THREADS`` from 1 to the physical core count, and every dispatch
-    carries an explicit content-addressed noise key.
+    carries an explicit content-addressed noise key per (kernel, threads),
+    whose repetitions draw successive counters.
     """
     from repro.core.stream.kernels import (
         KERNEL_ORDER,
@@ -131,7 +132,7 @@ def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
             comp: watts * ramp if comp is PowerComponent.CPU else watts
             for comp, watts in base_draws.items()
         }
-        for rep in range(ntimes):
+        for _rep in range(ntimes):
             for kernel in KERNEL_ORDER:
                 bytes_moved = float(kernel_bytes_per_element(kernel, 8) * n)
                 eff_gbs = cpu_stream_bandwidth_gbs(chip, kernel, threads)
@@ -150,10 +151,7 @@ def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
                         memory_efficiency=min(1.0, eff_gbs / theoretical),
                         overhead_s=5e-6,
                         power_draws_w=draws,
-                        noise_key=(
-                            f"stream/cpu/{chip.name}/{kernel}"
-                            f"/T={threads}/rep={rep}"
-                        ),
+                        noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
                         noise_sigma=STREAM_NOISE_SIGMA,
                     )
                 )
@@ -164,9 +162,9 @@ def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
 def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
     """One op per (repetition, kernel) GPU dispatch, in command-buffer order.
 
-    Mirrors ``StreamShader.dispatch`` exactly — including the op-counter
-    noise keys the scalar engine synthesizes for it on a fresh machine (one
-    ``machine.execute`` per dispatch, so ordinals run 1, 2, 3, ...).
+    Mirrors ``StreamShader.dispatch`` exactly — including the ``chip/label``
+    noise key the scalar engine synthesizes for its keyless dispatches, whose
+    repetitions draw successive counters.
     """
     from repro.core.stream.kernels import KERNEL_ORDER
     from repro.metal.shaders.stream import stream_moved_bytes
@@ -177,10 +175,8 @@ def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
     draws = stream_power_draws(chip, "gpu")
     ops: list[LoweredOp] = []
     labels: list[tuple[int, str]] = []
-    ordinal = 0
     for _rep in range(ntimes):
         for kernel in KERNEL_ORDER:
-            ordinal += 1
             eff_gbs = gpu_stream_bandwidth_gbs(chip, kernel, 4 * n)
             moved = float(stream_moved_bytes(kernel, n))
             reads, writes = {"copy": (1, 1), "scale": (1, 1),
@@ -204,7 +200,7 @@ def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
                     memory_efficiency=min(1.0, eff_gbs / theoretical),
                     overhead_s=10e-6,
                     power_draws_w=draws,
-                    noise_key=f"stream/gpu/{kernel}/n={n}#{ordinal}",
+                    noise_key=f"{chip.name}/stream/gpu/{kernel}/n={n}",
                     noise_sigma=STREAM_NOISE_SIGMA,
                 )
             )

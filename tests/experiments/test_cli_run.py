@@ -284,6 +284,23 @@ class TestRunResume:
         assert main(["run", "--resume", str(tmp_path), "--quiet"]) == 2
         assert "no run manifest" in capsys.readouterr().err
 
+    def test_resume_refuses_a_manifest_from_another_version(self, tmp_path, capsys):
+        from repro import __version__
+        from repro.errors import VersionMismatchError
+
+        store = self._interrupted_store(tmp_path / "store")
+        path = store / "manifest.json"
+        data = json.loads(path.read_text())
+        data["session"]["repro_version"] = "1.0.0"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--resume", str(store), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "repro 1.0.0" in err and f"repro {__version__}" in err
+        assert "re-run into a fresh directory" in err
+        with pytest.raises(VersionMismatchError) as info:
+            RunManifest.load(store).make_session()
+        assert (info.value.written_by, info.value.running) == ("1.0.0", __version__)
+
     def test_resume_rejects_out_redirection(self, tmp_path, capsys):
         store = self._interrupted_store(tmp_path / "store")
         code = main(

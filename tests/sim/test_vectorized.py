@@ -7,17 +7,24 @@ shared chip templates really are shared, and malformed lowerings fail with
 the scalar engine's error messages.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import EngineKind
 from repro.sim.machine import Machine, machine_template
+from repro.sim.noise import lognormal_factors, noise_entropies, resolve_sigma
 from repro.sim.policy import NumericsConfig
-from repro.sim.roofline import OpCost
+from repro.sim.roofline import OpCost, roofline_time
 from repro.sim.vectorized import (
     LoweredCell,
+    LoweredOp,
+    LoweredSequence,
     evaluate_cells,
+    evaluate_sequences,
     run_lowered_cell,
+    run_lowered_sequence,
     vector_context,
 )
 from repro.workloads import get_workload
@@ -159,7 +166,7 @@ class TestValidationParity:
             toy_cell(noise_keys=())
 
     def test_empty_noise_key_rejected(self):
-        """An empty key would hit the scalar engine's op-counter fallback
+        """An empty key would hit the scalar engine's chip/label fallback
         while the vectorized engine hashed "" — reject, never diverge."""
         with pytest.raises(ConfigurationError, match="non-empty"):
             toy_cell(noise_keys=("ok", ""))
@@ -196,3 +203,78 @@ class TestValidationParity:
         assert op.noise_key == "b"
         assert op.cost is cell.cost
         assert op.compute_efficiency == cell.compute_efficiency
+
+
+class TestNoiseReplayContract:
+    """perfbench's traced replay re-draws a cell's noise through the public
+    API, one ``noise_entropies`` call per cell and one sigma per entropy."""
+
+    def test_replay_call_reproduces_the_engine_factors(self):
+        cell = dataclasses.replace(
+            toy_cell(noise_keys=("toy/M1",) * 6), assemble=lambda ns: ns
+        )
+        sigma = resolve_sigma(0.015, cell.noise_sigma)
+        factors = lognormal_factors(
+            noise_entropies(cell.seed, cell.noise_keys), [sigma] * cell.repeats
+        )
+        machine = Machine.for_chip("M1", seed=cell.seed)
+        assert list(factors) == [
+            machine.noise.factor(key, sigma, counter=k)
+            for k, key in enumerate(cell.noise_keys)
+        ]
+        base = roofline_time(
+            cell.cost,
+            peak_flops=cell.peak_flops,
+            peak_bytes_per_s=cell.peak_bytes_per_s,
+            compute_efficiency=cell.compute_efficiency,
+            memory_efficiency=cell.memory_efficiency,
+            overhead_s=cell.overhead_s,
+        ).total_s
+        start, expected = 0.0, []
+        for factor in factors:
+            end = start + base * factor
+            expected.append(max(1, round((end - start) * 1e9)))
+            start = end
+        assert evaluate_cells([cell], default_sigma=0.015)[0] == tuple(expected)
+        assert run_lowered_cell(machine, cell) == tuple(expected)
+
+    def test_zero_sigma_ops_take_no_counter_on_either_engine(self):
+        """A sequence mixing silent and noisy draws of one key: the bulk
+        engine skips the silent ops exactly as a machine's counter does."""
+        ops = tuple(
+            LoweredOp(
+                engine=EngineKind.CPU_SIMD,
+                label="toy",
+                cost=OpCost(flops=1e9),
+                peak_flops=1e12,
+                peak_bytes_per_s=1e11,
+                compute_efficiency=0.5,
+                memory_efficiency=0.5,
+                overhead_s=1e-6,
+                power_draws_w={},
+                noise_key=key,
+                noise_sigma=sigma,
+                noise_gain=gain,
+            )
+            for key, sigma, gain in (
+                ("k", 0.0, 1.0),
+                ("k", None, 1.0),
+                ("j", 0.02, 1.5),
+                ("k", 0.0, 1.0),
+                ("k", 0.01, 1.0),
+                ("j", None, 1.5),
+            )
+        )
+        sequence = LoweredSequence(
+            seed=3,
+            thermal=machine_template("M1", True).thermal,
+            ops=ops,
+            assemble=lambda windows: windows,
+        )
+        windows = evaluate_sequences([sequence], default_sigma=0.015)[0]
+        machine = Machine.for_chip("M1", seed=3)
+        assert windows == run_lowered_sequence(machine, sequence)
+        factors = [(end - start) / 0.002001 for start, end in windows]
+        assert factors[0] == pytest.approx(1.0, rel=1e-12)  # silent ops
+        assert factors[3] == pytest.approx(1.0, rel=1e-12)
+        assert len({round(f, 9) for f in factors}) == 5
