@@ -19,7 +19,7 @@ from repro.errors import CalibrationError
 from repro.sim.efficiency import EfficiencyCurve, LogisticCurve, PeakDecayCurve
 from repro.sim.engine import EngineKind, Operation
 from repro.sim.roofline import OpCost
-from repro.soc.catalog import base_chip_name
+from repro.soc.catalog import base_chip_name, chip_memo
 from repro.soc.chip import ChipSpec
 from repro.soc.power import PowerComponent
 
@@ -438,8 +438,16 @@ def _power_ramp(impl_key: str) -> EfficiencyCurve:
     return LogisticCurve(peak=1.0, x_half=640.0, steepness=1.2)
 
 
+#: ``(chip name, impl key) -> GemmCalibration`` per chip object (see
+#: :func:`~repro.soc.catalog.chip_memo`).
+_GEMM_CALIBRATIONS: dict[tuple, tuple] = {}
+
+
 def gemm_calibration(chip: ChipSpec, impl_key: str) -> GemmCalibration:
     """Resolved calibration for a chip/implementation pair.
+
+    Resolved once per chip object and implementation, then shared (the
+    record is frozen).
 
     Raises
     ------
@@ -451,6 +459,15 @@ def gemm_calibration(chip: ChipSpec, impl_key: str) -> GemmCalibration:
             f"unknown GEMM implementation key {impl_key!r}; "
             f"known: {', '.join(KNOWN_IMPL_KEYS)}"
         )
+    return chip_memo(
+        _GEMM_CALIBRATIONS,
+        (chip.name, impl_key),
+        chip,
+        lambda: _resolve_gemm_calibration(chip, impl_key),
+    )
+
+
+def _resolve_gemm_calibration(chip: ChipSpec, impl_key: str) -> GemmCalibration:
     engine = _ENGINE_FOR_IMPL[impl_key]
     target_eff = _target_efficiency(chip, impl_key)
     curve = _build_curve(impl_key, target_eff)

@@ -26,6 +26,7 @@ Knob grammar::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from types import MappingProxyType
@@ -108,8 +109,14 @@ def _split_knob(knob: str) -> tuple[str, str]:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def validate_knob(knob: str) -> None:
-    """Check a knob name against the grammar; raise :class:`CalibrationError`."""
+    """Check a knob name against the grammar; raise :class:`CalibrationError`.
+
+    Memoized per name: a calibration search re-derives chips with the same
+    few knobs thousands of times.  Exceptions are never cached, so a
+    malformed knob raises on every call.
+    """
     category, qualifier = _split_knob(knob)
     if category == "stream.gbs":
         if qualifier not in ("cpu", "gpu"):

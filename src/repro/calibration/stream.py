@@ -11,11 +11,12 @@ array footprint (small buffers cannot saturate the fabric).
 from __future__ import annotations
 
 import dataclasses
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.calibration import overrides as _overrides
 from repro.errors import CalibrationError
-from repro.soc.catalog import base_chip_name
+from repro.soc.catalog import base_chip_name, chip_memo
 from repro.soc.chip import ChipSpec
 from repro.soc.power import PowerComponent
 
@@ -129,12 +130,27 @@ def _apply_bandwidth_knob(
     return {k: v * scale for k, v in table.items()}
 
 
+#: ``(chip name,) -> StreamCalibration`` per chip object (see
+#: :func:`~repro.soc.catalog.chip_memo`).
+_STREAM_CALIBRATIONS: dict[tuple, tuple] = {}
+
+
 def stream_calibration(chip: ChipSpec) -> StreamCalibration:
     """Per-kernel targets for a chip (generic fractions off-catalog).
 
     Derived chips (calibration overlays) resolve their base's anchored
-    tables, then apply any ``stream.gbs.*`` knobs.
+    tables, then apply any ``stream.gbs.*`` knobs.  The table is resolved
+    once per chip object and shared, so its mappings are read-only.
     """
+    return chip_memo(
+        _STREAM_CALIBRATIONS,
+        (chip.name,),
+        chip,
+        lambda: _resolve_stream_calibration(chip),
+    )
+
+
+def _resolve_stream_calibration(chip: ChipSpec) -> StreamCalibration:
     base_key = base_chip_name(chip.name)
     if base_key in _CPU_TARGETS_GBS:
         cpu_targets = dict(_CPU_TARGETS_GBS[base_key])
@@ -149,8 +165,12 @@ def stream_calibration(chip: ChipSpec) -> StreamCalibration:
         }
     return StreamCalibration(
         chip_name=chip.name,
-        cpu_targets_gbs=_apply_bandwidth_knob(chip.name, "cpu", cpu_targets),
-        gpu_targets_gbs=_apply_bandwidth_knob(chip.name, "gpu", gpu_targets),
+        cpu_targets_gbs=MappingProxyType(
+            _apply_bandwidth_knob(chip.name, "cpu", cpu_targets)
+        ),
+        gpu_targets_gbs=MappingProxyType(
+            _apply_bandwidth_knob(chip.name, "gpu", gpu_targets)
+        ),
     )
 
 

@@ -42,19 +42,28 @@ The contract has three parts:
 Cells come in two shapes.  A :class:`LoweredCell` is the homogeneous case —
 one roofline operation repeated R times, assembled from per-repetition
 elapsed nanoseconds.  A :class:`LoweredSequence` is the general case — an
-ordered tuple of *distinct* :class:`LoweredOp` operations (optionally
+ordered tuple of heterogeneous :class:`LoweredOp` operations (optionally
 separated by fixed clock advances, as in the powermetrics warm-up sleep),
 assembled from each operation's ``(start_s, end_s)`` clock window, which is
 what protocol-shaped workloads (the STREAM thread sweep, the GEMM
 implementation studies, the powered-GEMM measurement protocol) need to
 replay their scalar executors exactly.  :func:`evaluate_sequences` is the
 bulk evaluator; :func:`run_lowered_sequence` is its scalar reference.
+
+A lowering builds one :class:`LoweredOp` per *distinct* dispatch and
+repeats that object at every position it occupies — ``(op,) * repeats``
+for a GEMM cell, one op per (thread-count, kernel) repeated ``ntimes`` for
+a CPU STREAM sweep.  :func:`evaluate_sequences` computes everything that
+depends only on the op once per distinct object (per sequence thermal
+model) and gathers it back to positions; noise keys and counters still
+advance per position, so sharing an object never changes a byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -277,10 +286,12 @@ class LoweredSequence:
     executor-side arithmetic (nanosecond truncation, bandwidth division,
     powermetrics formatting) on top of them.
 
-    ``ops`` may be shared between sequences that differ only in ``seed``:
-    lowering a seed-ensemble grid can build the tuple once per distinct
-    cell shape and reuse it, which is what makes million-cell grids cheap
-    to lower.
+    ``ops`` may be shared between sequences that differ only in ``seed``
+    (or in ``thermal``): lowering a seed-ensemble grid can build the tuple
+    once per distinct cell shape and reuse it, which is what makes
+    million-cell grids cheap to lower.  Within a tuple, every repetition of
+    one dispatch should be the same op object; the bulk evaluator then
+    computes it once.
     """
 
     seed: int
@@ -418,6 +429,50 @@ def _validated_arrays(cells: Sequence[LoweredCell]) -> dict[str, np.ndarray]:
     return arr
 
 
+def _roofline_s(arr: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-row roofline time: the elementwise arithmetic of roofline_time()."""
+    compute_s = np.zeros(len(arr["flops"]))
+    np.divide(
+        arr["flops"],
+        arr["peak_flops"] * arr["ceff"],
+        out=compute_s,
+        where=arr["flops"] > 0.0,
+    )
+    memory_s = np.zeros(len(arr["total_bytes"]))
+    np.divide(
+        arr["total_bytes"],
+        arr["peak_bytes"] * arr["meff"],
+        out=memory_s,
+        where=arr["total_bytes"] > 0.0,
+    )
+    return np.maximum(compute_s, memory_s) + arr["overhead"]
+
+
+def _stretch_factor(
+    memo: dict[tuple[int, float], float],
+    thermal: ThermalModel,
+    draws: Mapping[PowerComponent, float],
+) -> float:
+    """The thermal time stretch of one op under one model, memoized.
+
+    The very same :class:`ThermalModel` methods the scalar engine calls
+    (``**`` stays CPython's pow), keyed on (model, requested draw): the
+    methods are pure, and grids reuse a handful of draw patterns.
+    Multiplying by exactly 1.0 is an IEEE identity, so applying the stretch
+    unconditionally matches the scalar branch.
+    """
+    requested = sum(draws.values())
+    key = (id(thermal), requested)
+    factor = memo.get(key)
+    if factor is None:
+        factor = memo[key] = (
+            thermal.throttle_time_factor(requested)
+            if thermal.clamp_factor(requested) < 1.0
+            else 1.0
+        )
+    return factor
+
+
 def evaluate_cells(
     cells: Sequence[LoweredCell], *, default_sigma: float = 0.015
 ) -> list[Any]:
@@ -431,47 +486,18 @@ def evaluate_cells(
     if not cells:
         return []
     n = len(cells)
-    arr = _validated_arrays(cells)
+    base = _roofline_s(_validated_arrays(cells))
 
-    # Roofline: the same elementwise double arithmetic as roofline_time().
-    compute_s = np.zeros(n)
-    has_flops = arr["flops"] > 0.0
-    np.divide(
-        arr["flops"],
-        arr["peak_flops"] * arr["ceff"],
-        out=compute_s,
-        where=has_flops,
-    )
-    memory_s = np.zeros(n)
-    has_bytes = arr["total_bytes"] > 0.0
-    np.divide(
-        arr["total_bytes"],
-        arr["peak_bytes"] * arr["meff"],
-        out=memory_s,
-        where=has_bytes,
-    )
-    base = np.maximum(compute_s, memory_s) + arr["overhead"]
-
-    # Thermal clamp: the very same ThermalModel methods (``**`` stays
-    # CPython's pow, as in the scalar engine), memoized per (model,
-    # requested draw) — the methods are pure, and grids reuse a handful of
-    # draw patterns.  Multiplying by exactly 1.0 is an IEEE identity, so
-    # applying the stretch unconditionally matches the scalar branch.
-    stretch = np.ones(n)
+    # Thermal clamp, per (model, requested draw).
     thermal_memo: dict[tuple[int, float], float] = {}
-    for i, cell in enumerate(cells):
-        requested = sum(cell.power_draws_w.values())
-        memo_key = (id(cell.thermal), requested)
-        factor = thermal_memo.get(memo_key)
-        if factor is None:
-            factor = (
-                cell.thermal.throttle_time_factor(requested)
-                if cell.thermal.clamp_factor(requested) < 1.0
-                else 1.0
-            )
-            thermal_memo[memo_key] = factor
-        stretch[i] = factor
-    base = base * stretch
+    base = base * np.fromiter(
+        (
+            _stretch_factor(thermal_memo, cell.thermal, cell.power_draws_w)
+            for cell in cells
+        ),
+        np.float64,
+        n,
+    )
 
     # Bulk noise: each cell applies the draw rule to its own keys (one hash
     # per distinct key); a cell whose sigma resolves to 0 keeps factors of
@@ -522,8 +548,16 @@ def evaluate_sequences(
 ) -> list[Any]:
     """Evaluate sequence-shaped cells in bulk, byte-identical to scalar.
 
-    The sequence counterpart of :func:`evaluate_cells`: all ops of all
-    sequences are validated and roofline-evaluated as one flat batch, each
+    The sequence counterpart of :func:`evaluate_cells`.  One pass maps each
+    op object, by identity, to a slot of a table kept in first-appearance
+    order — one slot per distinct (op, sequence thermal model) pair, so an
+    ops tuple shared by sequences with different thermal models still
+    stretches under each model.  Validation, the roofline, the thermal
+    stretch and the pre-advances run once per slot and are gathered back
+    to positions; a lowering that repeats one op object for every
+    repetition of a dispatch pays for it once.  The noise pass walks
+    positions, so keys and counters are those of the scalar machine, and
+    runs only when some slot's sigma resolves to a non-zero value.  Each
     sequence's virtual clock is replayed column-wise over the padded
     (sequence, op) grid — honouring per-op pre-advances with the same
     op-ordered float additions the scalar clock performs — and every
@@ -533,90 +567,75 @@ def evaluate_sequences(
     if not sequences:
         return []
     n = len(sequences)
-    flat_ops: list[LoweredOp] = []
-    for sequence in sequences:
-        flat_ops.extend(sequence.ops)
-    total = len(flat_ops)
-    arr = _validated_arrays(flat_ops)
-
-    # Roofline: identical to evaluate_cells, over the flat op batch.
-    compute_s = np.zeros(total)
-    has_flops = arr["flops"] > 0.0
-    np.divide(
-        arr["flops"],
-        arr["peak_flops"] * arr["ceff"],
-        out=compute_s,
-        where=has_flops,
-    )
-    memory_s = np.zeros(total)
-    has_bytes = arr["total_bytes"] > 0.0
-    np.divide(
-        arr["total_bytes"],
-        arr["peak_bytes"] * arr["meff"],
-        out=memory_s,
-        where=has_bytes,
-    )
-    base = np.maximum(compute_s, memory_s) + arr["overhead"]
-
-    # Thermal stretch, memoized per (model, requested draw) as above.
-    stretch = np.ones(total)
-    thermal_memo: dict[tuple[int, float], float] = {}
-    k = 0
+    table: list[LoweredOp] = []
+    table_thermals: list[ThermalModel] = []
+    slot_maps: dict[int, dict[int, int]] = {}  # id(model) -> id(op) -> slot
+    rows: list[list[int]] = []
     for sequence in sequences:
         thermal = sequence.thermal
-        thermal_id = id(thermal)
-        for op in sequence.ops:
-            requested = sum(op.power_draws_w.values())
-            memo_key = (thermal_id, requested)
-            factor = thermal_memo.get(memo_key)
-            if factor is None:
-                factor = (
-                    thermal.throttle_time_factor(requested)
-                    if thermal.clamp_factor(requested) < 1.0
-                    else 1.0
-                )
-                thermal_memo[memo_key] = factor
-            stretch[k] = factor
-            k += 1
-    base = base * stretch
+        slot_of = slot_maps.setdefault(id(thermal), {})
+        ids = list(map(id, sequence.ops))
+        # the sequence's distinct ops, in first-appearance order
+        for key, op in dict(zip(ids, sequence.ops)).items():
+            if key not in slot_of:
+                slot_of[key] = len(table)
+                table.append(op)
+                table_thermals.append(thermal)
+        rows.append(list(map(slot_of.__getitem__, ids)))
+    counts = np.fromiter(map(len, rows), np.int64, n)
+    total = int(counts.sum())
+    slots = np.fromiter(itertools.chain.from_iterable(rows), np.intp, total)
+
+    # Roofline and thermal stretch, per slot, as in evaluate_cells.
+    base = _roofline_s(_validated_arrays(table))
+    thermal_memo: dict[tuple[int, float], float] = {}
+    base = base * np.fromiter(
+        (
+            _stretch_factor(thermal_memo, thermal, op.power_draws_w)
+            for op, thermal in zip(table, table_thermals)
+        ),
+        np.float64,
+        len(table),
+    )
+    flat_durations = base[slots]
 
     # Bulk noise: each sequence applies the draw rule to the keys of its
     # active ops (keyless fallbacks were precomputed by the lowering); an op
     # whose sigma resolves to 0 keeps a factor of exactly 1.0 and is neither
     # hashed nor drawn.
-    positions: list[int] = []
-    sigmas: list[float] = []
-    gains: list[float] = []
-    states: list[np.ndarray] = []
-    offset = 0
-    for sequence in sequences:
-        keys: list[str] = []
-        for j, op in enumerate(sequence.ops):
-            sigma = resolve_sigma(default_sigma, op.noise_sigma)
-            if sigma:
-                keys.append(op.noise_key)
-                positions.append(offset + j)
-                sigmas.append(sigma)
-                gains.append(op.noise_gain)
-        if keys:
-            states.append(noise_entropies(sequence.seed, keys))
-        offset += len(sequence.ops)
-    factors = np.ones(total)
-    if positions:
+    slot_sigmas = [resolve_sigma(default_sigma, op.noise_sigma) for op in table]
+    if any(slot_sigmas):
+        positions: list[int] = []
+        sigmas: list[float] = []
+        gains: list[float] = []
+        states: list[np.ndarray] = []
+        offset = 0
+        for sequence, row in zip(sequences, rows):
+            keys: list[str] = []
+            for j, slot in enumerate(row):
+                sigma = slot_sigmas[slot]
+                if sigma:
+                    keys.append(table[slot].noise_key)
+                    positions.append(offset + j)
+                    sigmas.append(sigma)
+                    gains.append(table[slot].noise_gain)
+            if keys:
+                states.append(noise_entropies(sequence.seed, keys))
+            offset += len(row)
+        factors = np.ones(total)
         factors[positions] = lognormal_factors(
             np.concatenate(states), sigmas, gains
         )
-    flat_durations = base * factors
+        flat_durations = flat_durations * factors
 
-    counts = np.fromiter((len(s.ops) for s in sequences), np.int64, n)
     max_ops = int(counts.max())
     mask = np.arange(max_ops)[None, :] < counts[:, None]
     durations = np.zeros((n, max_ops))
     durations[mask] = flat_durations
     pre = np.zeros((n, max_ops))
     pre[mask] = np.fromiter(
-        (op.pre_advance_s for op in flat_ops), np.float64, total
-    )
+        (op.pre_advance_s for op in table), np.float64, len(table)
+    )[slots]
 
     # Virtual clock: per-op cumulative float adds, column-wise.  A zero
     # pre-advance adds exactly 0.0 — the IEEE identity on the non-negative
@@ -636,8 +655,7 @@ def evaluate_sequences(
     end_rows = ends.tolist()
     return [
         sequence.assemble(
-            tuple(zip(start_rows[i][: len(sequence.ops)],
-                      end_rows[i][: len(sequence.ops)]))
+            tuple(zip(start_rows[i][:count], end_rows[i][:count]))
         )
-        for i, sequence in enumerate(sequences)
+        for i, (sequence, count) in enumerate(zip(sequences, counts.tolist()))
     ]

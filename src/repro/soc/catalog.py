@@ -11,7 +11,7 @@ the *maximum* base-model core counts, as in the paper's experimental setup
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError, UnknownChipError
 from repro.soc.chip import (
@@ -36,6 +36,7 @@ __all__ = [
     "register_derived_chip",
     "derived_chip_base",
     "base_chip_name",
+    "chip_memo",
 ]
 
 _AMX_V1 = frozenset({Precision.FP16, Precision.FP32, Precision.FP64})
@@ -195,6 +196,23 @@ def base_chip_name(name: str) -> str:
     """
     base = derived_chip_base(name)
     return base if base is not None else name
+
+
+def chip_memo(cache: dict, key: tuple, chip: Any, build: Callable[[], Any]) -> Any:
+    """``cache[key]``, built by ``build()`` once per chip *object*.
+
+    The calibration tables and the lowering caches key on the chip name,
+    which is sound for catalog and derived chips: a derived chip's name is a
+    content hash of its overlay.  But a custom machine may carry a modified
+    :class:`ChipSpec` under a catalog name, so each entry pins the chip it
+    was built from, and another chip object under that name rebuilds
+    instead of reading the first one's entry.  A ``build`` that raises
+    stores nothing.
+    """
+    entry = cache.get(key)
+    if entry is None or entry[0] is not chip:
+        entry = cache[key] = (chip, build())
+    return entry[1]
 
 
 def get_chip(name: str) -> ChipSpec:

@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "Workload",
     "best_elapsed_s",
-    "chip_memo",
     "iter_axes",
     "modelled_power_metrics",
     "repetitions_to_dicts",
@@ -91,20 +90,6 @@ def modelled_power_metrics() -> dict[str, Callable]:
         "joules": joules,
         "gflops_per_w": gflops_per_w,
     }
-
-
-def chip_memo(cache: dict, key: tuple, chip: Any, build: Callable[[], Any]) -> Any:
-    """``cache[key]``, built by ``build()`` once per chip *object*.
-
-    Lowering caches key on the chip name, but a custom machine may carry a
-    modified chip under a catalog name; each entry pins the ChipSpec it
-    was built from, so another chip object under that name rebuilds
-    instead of reading the first one's operations.
-    """
-    entry = cache.get(key)
-    if entry is None or entry[0] is not chip:
-        entry = cache[key] = (chip, build())
-    return entry[1]
 
 
 def variant_grid(

@@ -36,11 +36,11 @@ from repro.sim.engine import Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.vectorized import LoweredOp, LoweredSequence
+from repro.soc.catalog import chip_memo
 from repro.units import NS_PER_S
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    chip_memo,
     iter_axes,
     repetitions_from_dicts,
     repetitions_to_dicts,
@@ -142,8 +142,9 @@ def _scalar_gemm_operation(chip, impl_key: str, n: int) -> Operation:
     )
 
 
-#: Seed-independent repetition ops per cell shape (see :func:`chip_memo`);
-#: seed-ensemble grids (many seeds, one shape) lower in O(1) per cell.
+#: Seed-independent repetition ops per cell shape (see
+#: :func:`~repro.soc.catalog.chip_memo`); seed-ensemble grids (many seeds,
+#: one shape) lower in O(1) per cell.
 _GEMM_OPS_CACHE: "dict[tuple[str, str, int, int], tuple]" = {}
 
 

@@ -23,11 +23,11 @@ from repro.errors import ProtocolError, UnsupportedProblemError
 from repro.experiments.executor import run_powered_gemm_spec
 from repro.experiments.specs import PoweredGemmSpec, SweepSpec
 from repro.sim.vectorized import LoweredOp, LoweredSequence
+from repro.soc.catalog import chip_memo
 from repro.soc.power import PowerComponent
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
-    chip_memo,
     iter_axes,
     variant_grid,
 )

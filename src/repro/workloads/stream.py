@@ -9,14 +9,17 @@ rendering.  The spec class and executor body stay in
 One STREAM cell is a whole protocol — the CPU OpenMP thread sweep across
 four kernels, or the 20-repetition GPU dispatch loop — not a homogeneous
 repetition grid, so it lowers to a
-:class:`~repro.sim.vectorized.LoweredSequence`: one op per (thread-count,
-repetition, kernel) dispatch, with the benchmark classes' exact labels,
-costs, calibrated efficiencies and noise keys (the GPU dispatches carry no
-explicit key, so the lowering spells out the machine's ``chip/label``
-fallback key).  That lowering is the only definition
-of a cell's timing, under every numerics profile; stream.c's closed-form
-validation of the array numerics is a separate memoized check
-(DESIGN.md §7).
+:class:`~repro.sim.vectorized.LoweredSequence`: one position per
+(thread-count, repetition, kernel) dispatch, with the benchmark classes'
+exact labels, costs, calibrated efficiencies and noise keys (the GPU
+dispatches carry no explicit key, so the lowering spells out the machine's
+``chip/label`` fallback key).  The lowering builds one
+:class:`~repro.sim.vectorized.LoweredOp` per distinct dispatch — per
+(thread-count, kernel) on the CPU, per kernel on the GPU — and repeats that
+object ``ntimes``, so a CPU cell holds 32–40 distinct ops behind its
+320–400 positions.  That lowering is the only definition of a cell's
+timing, under every numerics profile; stream.c's closed-form validation of
+the array numerics is a separate memoized check (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.roofline import OpCost
 from repro.sim.vectorized import LoweredOp, LoweredSequence
+from repro.soc.catalog import chip_memo
 from repro.soc.power import PowerComponent
-from repro.workloads.base import Workload, chip_memo, variant_grid
+from repro.workloads.base import Workload, variant_grid
 from repro.workloads.registry import register_workload
 
 __all__ = [
@@ -99,19 +103,21 @@ def stream_result_from_dict(data: Mapping[str, Any]) -> StreamResult:
 
 
 #: ``(chip name, target, n_elements, ntimes) -> (ops, labels)`` per chip
-#: object (see :func:`~repro.workloads.base.chip_memo`) — the lowered op
+#: object (see :func:`~repro.soc.catalog.chip_memo`) — the lowered op
 #: tuples are pure data shared by every seed of a sweep; ``labels`` pairs
 #: each op with its ``(threads, kernel)`` identity for the assembler.
 _STREAM_OPS_CACHE: dict[tuple, tuple] = {}
 
 
 def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
-    """One op per (thread-count, repetition, kernel) of the CPU sweep.
+    """The CPU sweep's dispatches: one op per (thread-count, kernel), repeated.
 
     Mirrors ``CpuStreamBenchmark._execute_kernel`` exactly: the sweep runs
-    ``OMP_NUM_THREADS`` from 1 to the physical core count, and every dispatch
+    ``OMP_NUM_THREADS`` from 1 to the physical core count, ``ntimes``
+    repetitions of the four kernels at each count, and every dispatch
     carries an explicit content-addressed noise key per (kernel, threads),
-    whose repetitions draw successive counters.
+    whose repetitions draw successive counters.  The repetitions of one
+    (thread-count, kernel) are the same op object.
     """
     from repro.core.stream.kernels import (
         KERNEL_ORDER,
@@ -132,39 +138,41 @@ def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
             comp: watts * ramp if comp is PowerComponent.CPU else watts
             for comp, watts in base_draws.items()
         }
-        for _rep in range(ntimes):
-            for kernel in KERNEL_ORDER:
-                bytes_moved = float(kernel_bytes_per_element(kernel, 8) * n)
-                eff_gbs = cpu_stream_bandwidth_gbs(chip, kernel, threads)
-                ops.append(
-                    LoweredOp(
-                        engine=EngineKind.CPU_SIMD,
-                        label=f"stream/cpu/{kernel}/T={threads}",
-                        cost=OpCost(
-                            flops=float(kernel_flops_per_element(kernel) * n),
-                            bytes_read=bytes_moved / 2.0,
-                            bytes_written=bytes_moved / 2.0,
-                        ),
-                        peak_flops=peak_flops,
-                        peak_bytes_per_s=peak_bytes,
-                        compute_efficiency=1.0,
-                        memory_efficiency=min(1.0, eff_gbs / theoretical),
-                        overhead_s=5e-6,
-                        power_draws_w=draws,
-                        noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
-                        noise_sigma=STREAM_NOISE_SIGMA,
-                    )
+        dispatches = []
+        for kernel in KERNEL_ORDER:
+            bytes_moved = float(kernel_bytes_per_element(kernel, 8) * n)
+            eff_gbs = cpu_stream_bandwidth_gbs(chip, kernel, threads)
+            dispatches.append(
+                LoweredOp(
+                    engine=EngineKind.CPU_SIMD,
+                    label=f"stream/cpu/{kernel}/T={threads}",
+                    cost=OpCost(
+                        flops=float(kernel_flops_per_element(kernel) * n),
+                        bytes_read=bytes_moved / 2.0,
+                        bytes_written=bytes_moved / 2.0,
+                    ),
+                    peak_flops=peak_flops,
+                    peak_bytes_per_s=peak_bytes,
+                    compute_efficiency=1.0,
+                    memory_efficiency=min(1.0, eff_gbs / theoretical),
+                    overhead_s=5e-6,
+                    power_draws_w=draws,
+                    noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
+                    noise_sigma=STREAM_NOISE_SIGMA,
                 )
-                labels.append((threads, kernel))
+            )
+        ops += dispatches * ntimes
+        labels += [(threads, kernel) for kernel in KERNEL_ORDER] * ntimes
     return tuple(ops), tuple(labels)
 
 
 def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
-    """One op per (repetition, kernel) GPU dispatch, in command-buffer order.
+    """The GPU dispatches: one op per kernel, repeated in command-buffer order.
 
     Mirrors ``StreamShader.dispatch`` exactly — including the ``chip/label``
     noise key the scalar engine synthesizes for its keyless dispatches, whose
-    repetitions draw successive counters.
+    repetitions draw successive counters.  The repetitions of one kernel are
+    the same op object.
     """
     from repro.core.stream.kernels import KERNEL_ORDER
     from repro.metal.shaders.stream import stream_moved_bytes
@@ -173,39 +181,37 @@ def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
     peak_bytes = machine_like.memory_bandwidth_bytes_per_s()
     theoretical = chip.memory.bandwidth_gbs
     draws = stream_power_draws(chip, "gpu")
-    ops: list[LoweredOp] = []
-    labels: list[tuple[int, str]] = []
-    for _rep in range(ntimes):
-        for kernel in KERNEL_ORDER:
-            eff_gbs = gpu_stream_bandwidth_gbs(chip, kernel, 4 * n)
-            moved = float(stream_moved_bytes(kernel, n))
-            reads, writes = {"copy": (1, 1), "scale": (1, 1),
-                             "add": (2, 1), "triad": (2, 1)}[kernel]
-            flops = (
-                float(n) if kernel in ("scale", "add")
-                else 2.0 * n if kernel == "triad" else 0.0
+    dispatches: list[LoweredOp] = []
+    for kernel in KERNEL_ORDER:
+        eff_gbs = gpu_stream_bandwidth_gbs(chip, kernel, 4 * n)
+        moved = float(stream_moved_bytes(kernel, n))
+        reads, writes = {"copy": (1, 1), "scale": (1, 1),
+                         "add": (2, 1), "triad": (2, 1)}[kernel]
+        flops = (
+            float(n) if kernel in ("scale", "add")
+            else 2.0 * n if kernel == "triad" else 0.0
+        )
+        dispatches.append(
+            LoweredOp(
+                engine=EngineKind.GPU,
+                label=f"stream/gpu/{kernel}/n={n}",
+                cost=OpCost(
+                    flops=flops,
+                    bytes_read=moved * reads / (reads + writes),
+                    bytes_written=moved * writes / (reads + writes),
+                ),
+                peak_flops=peak_flops,
+                peak_bytes_per_s=peak_bytes,
+                compute_efficiency=1.0,
+                memory_efficiency=min(1.0, eff_gbs / theoretical),
+                overhead_s=10e-6,
+                power_draws_w=draws,
+                noise_key=f"{chip.name}/stream/gpu/{kernel}/n={n}",
+                noise_sigma=STREAM_NOISE_SIGMA,
             )
-            ops.append(
-                LoweredOp(
-                    engine=EngineKind.GPU,
-                    label=f"stream/gpu/{kernel}/n={n}",
-                    cost=OpCost(
-                        flops=flops,
-                        bytes_read=moved * reads / (reads + writes),
-                        bytes_written=moved * writes / (reads + writes),
-                    ),
-                    peak_flops=peak_flops,
-                    peak_bytes_per_s=peak_bytes,
-                    compute_efficiency=1.0,
-                    memory_efficiency=min(1.0, eff_gbs / theoretical),
-                    overhead_s=10e-6,
-                    power_draws_w=draws,
-                    noise_key=f"{chip.name}/stream/gpu/{kernel}/n={n}",
-                    noise_sigma=STREAM_NOISE_SIGMA,
-                )
-            )
-            labels.append((0, kernel))
-    return tuple(ops), tuple(labels)
+        )
+    labels = tuple((0, kernel) for kernel in KERNEL_ORDER)
+    return tuple(dispatches) * ntimes, labels * ntimes
 
 
 #: (target, n_elements, ntimes, numerics config) of every validated cell.

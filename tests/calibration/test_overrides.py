@@ -54,6 +54,14 @@ class TestKnobGrammar:
         with pytest.raises(CalibrationError):
             validate_knob(knob)
 
+    def test_malformed_knob_raises_on_every_call(self):
+        """The grammar check is memoized, but its exceptions are not."""
+        for _ in range(2):
+            with pytest.raises(CalibrationError, match="malformed"):
+                validate_knob("gemm.bogus.gpu-mps")
+            with pytest.raises(CalibrationError, match="malformed"):
+                derive_calibrated_chip("M1", {"gemm.bogus.gpu-mps": 1.0})
+
     def test_categories_are_read_only(self):
         with pytest.raises(TypeError):
             KNOB_CATEGORIES["new"] = True  # type: ignore[index]

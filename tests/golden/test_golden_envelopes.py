@@ -2,7 +2,7 @@
 
 The cross-backend suites compare backends within one checkout, so a change
 that moves every backend's bytes together passes them.  These tests pin the
-bytes themselves, in two slices:
+bytes themselves, in three slices:
 
 * ``envelopes.jsonl`` — six cells of every builtin workload run on a fresh
   model-only session;
@@ -10,14 +10,19 @@ bytes themselves, in two slices:
   STREAM) under the default ``sampled`` numerics profile: every GEMM
   implementation at a fully-verified size, the two paper headline
   implementations above ``full_threshold`` (the sampled-rows branch), and
-  both STREAM targets.
+  both STREAM targets;
+* ``calibration.jsonl`` — two calibration fits, the paper fit and a short
+  synthetic self-fit: each fit's ``CalibrationResult`` JSON, then every
+  envelope of its final scoring frame at full precision (the result JSON
+  rounds to six digits).
 
 Each file starts with a header line recording the ``repro.__version__``
 and ``ENVELOPE_SCHEMA_VERSION`` it was generated under; every further line
-is one envelope's compact JSON, which must match byte for byte while both
+is one compact JSON record, which must match byte for byte while both
 recorded values are current.  No backend is named, so running the suite
 under ``REPRO_BACKEND=serial``, ``vectorized`` and ``sharded`` checks each
-backend against the same files.
+backend against the first two files (calibration runs on its own default
+backend).
 
 An intended byte change bumps one of the two versions first, then
 regenerates the files with::
@@ -35,6 +40,12 @@ import pathlib
 import pytest
 
 from repro import __version__
+from repro.calibrate import (
+    MeasuredTrace,
+    default_spec,
+    run_calibration,
+    synthesize_trace,
+)
 from repro.core.gemm.registry import implementation_keys
 from repro.experiments import (
     ENVELOPE_SCHEMA_VERSION,
@@ -48,6 +59,7 @@ from repro.workloads import workload_kinds
 
 GOLDEN = pathlib.Path(__file__).with_name("envelopes.jsonl")
 SAMPLED_GOLDEN = pathlib.Path(__file__).with_name("sampled_envelopes.jsonl")
+CALIBRATION_GOLDEN = pathlib.Path(__file__).with_name("calibration.jsonl")
 
 #: The builtin workloads, in registration order.
 KINDS = ("gemm", "powered-gemm", "stream", "spmv", "stencil", "batched-gemm")
@@ -94,10 +106,36 @@ def sampled_specs() -> list:
     return specs
 
 
-#: golden file -> (session numerics profile, grid builder)
+def envelope_lines(numerics: str, specs: list) -> list[str]:
+    """One compact envelope JSON line per cell, in grid order."""
+    session = Session(numerics=numerics, seed=SEED)
+    return [env.to_json(indent=None) for env in session.run_batch(specs)]
+
+
+def calibration_fits() -> list:
+    """The pinned fits: the paper fit, then a short synthetic self-fit."""
+    return [
+        run_calibration(MeasuredTrace.from_paper()),
+        run_calibration(
+            synthesize_trace(), default_spec(coarse_points=7, refine_rounds=3)
+        ),
+    ]
+
+
+def calibration_lines() -> list[str]:
+    """Per fit: its result JSON, then each final-frame envelope."""
+    lines: list[str] = []
+    for fit in calibration_fits():
+        lines.append(fit.to_json().rstrip("\n"))
+        lines += [row.envelope.to_json(indent=None) for row in fit.frame]
+    return lines
+
+
+#: golden file -> the generator of its lines (header excluded)
 SLICES = {
-    GOLDEN: ("model-only", golden_specs),
-    SAMPLED_GOLDEN: ("sampled", sampled_specs),
+    GOLDEN: lambda: envelope_lines("model-only", golden_specs()),
+    SAMPLED_GOLDEN: lambda: envelope_lines("sampled", sampled_specs()),
+    CALIBRATION_GOLDEN: calibration_lines,
 }
 
 
@@ -112,15 +150,19 @@ def recorded_versions(path: pathlib.Path) -> dict:
 
 
 def golden_lines(path: pathlib.Path = GOLDEN) -> list[str]:
-    """One compact envelope JSON line per cell of a slice, in grid order."""
-    numerics, specs = SLICES[path]
-    session = Session(numerics=numerics, seed=SEED)
-    return [env.to_json(indent=None) for env in session.run_batch(specs())]
+    """The lines a slice generates now (header excluded)."""
+    return SLICES[path]()
 
 
 def golden_file_lines(path: pathlib.Path = GOLDEN) -> list[str]:
-    """The committed envelope lines of one slice (header skipped)."""
+    """The committed lines of one slice (header skipped)."""
     return path.read_text().splitlines()[1:]
+
+
+def line_id(line: str) -> str:
+    """What a golden line records: an envelope's spec hash, else its kind."""
+    record = json.loads(line)
+    return record["meta"]["spec_hash"] if "meta" in record else record["kind"]
 
 
 def write_slice(path: pathlib.Path, target: "pathlib.Path | None" = None) -> None:
@@ -165,6 +207,21 @@ def test_sampled_slice_pins_sampled_verification():
     ] == [True] * 4
 
 
+def test_calibration_slice_pins_both_fits():
+    records = [json.loads(line) for line in golden_file_lines(CALIBRATION_GOLDEN)]
+    results = [i for i, record in enumerate(records) if "meta" not in record]
+    assert [records[i]["trace_source"] for i in results] == ["paper", "synthetic"]
+    assert results[0] == 0
+    envelopes = [record for record in records if "meta" in record]
+    assert {env["spec"]["kind"] for env in envelopes} == {
+        "gemm",
+        "powered-gemm",
+        "stream",
+    }
+    # every final scoring cell runs on a fitted (derived) chip
+    assert all("+CAL" in env["spec"]["chip"] for env in envelopes)
+
+
 @pytest.mark.parametrize("path", list(SLICES), ids=lambda path: path.name)
 def test_envelopes_match_golden_bytes(path):
     recorded = recorded_versions(path)
@@ -176,10 +233,9 @@ def test_envelopes_match_golden_bytes(path):
     actual = golden_lines(path)
     for want, got in zip(expected, actual):
         if got != want:
-            spec_hash = json.loads(want)["meta"]["spec_hash"]
             pytest.fail(
-                f"envelope {spec_hash} differs from its golden line while "
-                f"repro {__version__} and envelope schema "
+                f"{path.name} record {line_id(want)} differs from its golden "
+                f"line while repro {__version__} and envelope schema "
                 f"{ENVELOPE_SCHEMA_VERSION} match the recorded versions; an "
                 f"intended byte change bumps one of them\n"
                 f"golden: {want}\nactual: {got}"
