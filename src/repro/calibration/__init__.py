@@ -16,9 +16,11 @@ from repro.calibration.gemm import (
     anchored_traffic_read_factor,
     build_gemm_operation,
     gemm_calibration,
+    gemm_dispatch_operation,
     gemm_flops,
     gemm_power_draws,
     max_anchorable_peak_gflops,
+    mps_sgemm_operation,
 )
 from repro.calibration.overrides import (
     CalibrationOverlay,
@@ -31,7 +33,9 @@ from repro.calibration.overrides import (
 from repro.calibration.stream import (
     StreamCalibration,
     cpu_stream_bandwidth_gbs,
+    cpu_stream_operations,
     gpu_stream_bandwidth_gbs,
+    gpu_stream_operations,
     stream_calibration,
     stream_power_draws,
 )
@@ -54,9 +58,13 @@ __all__ = [
     "gemm_flops",
     "gemm_power_draws",
     "build_gemm_operation",
+    "gemm_dispatch_operation",
+    "mps_sgemm_operation",
     "StreamCalibration",
     "stream_calibration",
     "cpu_stream_bandwidth_gbs",
     "gpu_stream_bandwidth_gbs",
     "stream_power_draws",
+    "cpu_stream_operations",
+    "gpu_stream_operations",
 ]

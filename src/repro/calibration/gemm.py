@@ -6,6 +6,11 @@ saturated power draws reproduce Figures 3-4.  For chips outside the catalog
 (user-defined :class:`~repro.soc.chip.ChipSpec`) a generic per-implementation
 profile keeps the library usable — custom chips get plausible, not calibrated,
 results.
+
+:func:`gemm_dispatch_operation` is the one place a Table-2 repetition's
+dispatch is built (:func:`mps_sgemm_operation` for MPS's general
+``m x n x k`` products): the implementation classes, the Metal shaders,
+MPS and the workload lowerings all execute the operations it returns.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ __all__ = [
     "gemm_flops",
     "gemm_power_draws",
     "build_gemm_operation",
+    "gemm_dispatch_operation",
+    "mps_sgemm_operation",
     "GEMM_NOISE_GAIN",
     "KNOWN_IMPL_KEYS",
     "anchored_peak_gflops",
@@ -518,15 +525,14 @@ def build_gemm_operation(
     *,
     label: str | None = None,
     element_bytes: int = 4,
-    peak_flops_override: float | None = None,
 ) -> Operation:
-    """The simulated operation behind one GEMM execution.
+    """The simulated operation behind one n x n GEMM on ``impl_key``'s engine.
 
     ``element_bytes`` lets the FP16 (ANE) and emulated-FP64 paths account for
-    their different traffic; ``peak_flops_override`` supports engines outside
-    the chip spec (not used by the study implementations).  Every repetition
-    reuses one noise key, so a machine draws a fresh counter per repetition,
-    and the op carries :data:`GEMM_NOISE_GAIN`.
+    their different traffic.  Every repetition reuses one noise key, so a
+    machine draws a fresh counter per repetition, and the op carries
+    :data:`GEMM_NOISE_GAIN`.  A Table-2 repetition's own dispatch, label
+    and element size included, is :func:`gemm_dispatch_operation`.
     """
     cal = gemm_calibration(chip, impl_key)
     if not cal.supports(n):
@@ -539,16 +545,11 @@ def build_gemm_operation(
         bytes_read=cal.traffic_read_factor * input_bytes,
         bytes_written=float(element_bytes * n * n),
     )
-    peak = (
-        peak_flops_override
-        if peak_flops_override is not None
-        else _engine_peak_flops(chip, impl_key)
-    )
     return Operation(
         engine=cal.engine,
         label=label or f"gemm/{impl_key}/n={n}",
         cost=cost,
-        peak_flops=peak,
+        peak_flops=_engine_peak_flops(chip, impl_key),
         peak_bytes_per_s=chip.memory.bandwidth_bytes_per_s(),
         compute_efficiency=cal.efficiency(n),
         memory_efficiency=cal.memory_efficiency,
@@ -557,4 +558,50 @@ def build_gemm_operation(
         noise_key=f"gemm/{chip.name}/{impl_key}/n={n}",
         noise_sigma=cal.noise_sigma,
         noise_gain=GEMM_NOISE_GAIN,
+    )
+
+
+#: Per implementation dispatched as one square GEMM: the dispatch's label
+#: (``{n}`` is the size) and element size.  The CPU paths and Core ML keep
+#: the default label; the shaders are named after their Metal function.
+_DISPATCHES: dict[str, tuple[str, int]] = {
+    "cpu-single": ("gemm/cpu-single/n={n}", 4),
+    "cpu-omp": ("gemm/cpu-omp/n={n}", 4),
+    "cpu-accelerate": ("gemm/cpu-accelerate/n={n}", 4),
+    "ane-fp16": ("gemm/ane-fp16/n={n}", 2),
+    "gpu-naive": ("shader/gemm_naive/n={n}", 4),
+    "gpu-cutlass": ("shader/gemm_tiled/n={n}", 4),
+    "gpu-fp64-emulated": ("shader/gemm_fp64_emulated/n={n}", 8),
+}
+
+
+def gemm_dispatch_operation(chip: ChipSpec, impl_key: str, n: int) -> Operation:
+    """The one operation a repetition of ``impl_key`` dispatches at size ``n``.
+
+    ``gpu-mps`` is an MPS product with ``m = n = k``
+    (:func:`mps_sgemm_operation`).
+    """
+    if impl_key == "gpu-mps":
+        return mps_sgemm_operation(chip, n, n, n)
+    try:
+        label, element_bytes = _DISPATCHES[impl_key]
+    except KeyError:
+        raise CalibrationError(
+            f"unknown GEMM implementation key {impl_key!r}; "
+            f"known: {', '.join(KNOWN_IMPL_KEYS)}"
+        ) from None
+    return build_gemm_operation(
+        chip, impl_key, n, label=label.format(n=n), element_bytes=element_bytes
+    )
+
+
+def mps_sgemm_operation(chip: ChipSpec, m: int, n: int, k: int) -> Operation:
+    """``MPSMatrixMultiplication``'s dispatch for an ``m x k`` by ``k x n`` product.
+
+    The ``gpu-mps`` calibration is parameterised on square sizes, so a
+    non-square product runs at the geometric scale of its dimensions.
+    """
+    n_equiv = int(round((m * n * k) ** (1.0 / 3.0)))
+    return build_gemm_operation(
+        chip, "gpu-mps", max(1, n_equiv), label=f"mps/sgemm/{m}x{n}x{k}"
     )

@@ -6,6 +6,11 @@ bandwidth from both the CPU and the GPU, with the documented M2 CPU anomaly
 model additionally provides the OpenMP thread-scaling curve the paper sweeps
 (1..physical cores, keeping the maximum), and the GPU model a ramp over the
 array footprint (small buffers cannot saturate the fabric).
+
+It is also the one place a STREAM dispatch is built:
+:func:`cpu_stream_operations` and :func:`gpu_stream_operations` return the
+simulator operations that the benchmark classes, the Metal shaders and the
+workload lowerings all execute.
 """
 
 from __future__ import annotations
@@ -16,21 +21,46 @@ from typing import Mapping
 
 from repro.calibration import overrides as _overrides
 from repro.errors import CalibrationError
+from repro.sim.engine import EngineKind, Operation
+from repro.sim.roofline import OpCost
 from repro.soc.catalog import base_chip_name, chip_memo
 from repro.soc.chip import ChipSpec
 from repro.soc.power import PowerComponent
 
 __all__ = [
+    "STREAM_ACCOUNTING",
+    "STREAM_ELEMENT_BYTES",
     "STREAM_KERNELS",
     "StreamCalibration",
     "stream_calibration",
     "cpu_stream_bandwidth_gbs",
     "gpu_stream_bandwidth_gbs",
     "stream_power_draws",
+    "cpu_stream_operations",
+    "gpu_stream_operations",
 ]
 
+#: stream.c's accounting per kernel, per element: (arrays read, arrays
+#: written, FLOPs).  Copy and Scale move two arrays, Add and Triad three.
+STREAM_ACCOUNTING: Mapping[str, tuple[int, int, int]] = MappingProxyType(
+    {
+        "copy": (1, 1, 0),
+        "scale": (1, 1, 1),
+        "add": (2, 1, 1),
+        "triad": (2, 1, 2),
+    }
+)
+
 #: Kernel names in the canonical STREAM order.
-STREAM_KERNELS: tuple[str, ...] = ("copy", "scale", "add", "triad")
+STREAM_KERNELS: tuple[str, ...] = tuple(STREAM_ACCOUNTING)
+
+#: Array element size per target: FP64 in stream.c, FP32 in the MSL port.
+STREAM_ELEMENT_BYTES: Mapping[str, int] = MappingProxyType({"cpu": 8, "gpu": 4})
+
+#: Fixed dispatch overheads (seconds): an OpenMP parallel region, a Metal
+#: command buffer.
+_CPU_STREAM_OVERHEAD_S = 5e-6
+_GPU_STREAM_OVERHEAD_S = 10e-6
 
 #: Saturated CPU bandwidth targets in GB/s (Figure 1).  The M2 Copy/Scale
 #: values encode the paper's unexplained CPU-link anomaly.
@@ -215,3 +245,88 @@ def stream_power_draws(chip: ChipSpec, target: str) -> dict[PowerComponent, floa
             PowerComponent.DRAM: _STREAM_DRAM_W,
         }
     raise CalibrationError(f"STREAM target must be 'cpu' or 'gpu', got {target!r}")
+
+
+def _stream_cost(kernel: str, n_elements: int, element_bytes: int) -> OpCost:
+    """The work of one kernel pass over ``n_elements`` (STREAM's accounting)."""
+    reads, writes, flops = STREAM_ACCOUNTING[kernel]
+    arrays = reads + writes
+    moved = float(arrays * n_elements * element_bytes)
+    return OpCost(
+        flops=float(flops * n_elements),
+        bytes_read=moved * reads / arrays,
+        bytes_written=moved * writes / arrays,
+    )
+
+
+def cpu_stream_operations(
+    machine, threads: int, n_elements: int
+) -> tuple[Operation, ...]:
+    """The four CPU kernel dispatches at one ``OMP_NUM_THREADS`` setting.
+
+    ``machine`` is a :class:`~repro.sim.machine.Machine` or a
+    :class:`~repro.sim.vectorized.VectorContext`.  The CPU draw ramps
+    mildly with the active threads on top of a base fraction; the four
+    ops share that one draws mapping.  Each (kernel, threads) dispatch has
+    its own noise key, so its repetitions draw successive counters.
+    """
+    chip = machine.chip
+    cores = chip.total_cores
+    ramp = 0.35 + 0.65 * min(threads, cores) / cores
+    draws = {
+        comp: watts * ramp if comp is PowerComponent.CPU else watts
+        for comp, watts in stream_power_draws(chip, "cpu").items()
+    }
+    peak_flops = machine.peak_flops(EngineKind.CPU_SIMD)
+    peak_bytes = machine.memory_bandwidth_bytes_per_s()
+    theoretical = chip.memory.bandwidth_gbs
+    return tuple(
+        Operation(
+            engine=EngineKind.CPU_SIMD,
+            label=f"stream/cpu/{kernel}/T={threads}",
+            cost=_stream_cost(kernel, n_elements, STREAM_ELEMENT_BYTES["cpu"]),
+            peak_flops=peak_flops,
+            peak_bytes_per_s=peak_bytes,
+            memory_efficiency=min(
+                1.0, cpu_stream_bandwidth_gbs(chip, kernel, threads) / theoretical
+            ),
+            overhead_s=_CPU_STREAM_OVERHEAD_S,
+            power_draws_w=draws,
+            noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
+            noise_sigma=STREAM_NOISE_SIGMA,
+        )
+        for kernel in STREAM_KERNELS
+    )
+
+
+def gpu_stream_operations(machine, n_elements: int) -> tuple[Operation, ...]:
+    """The four GPU kernel dispatches over ``n_elements``-long FP32 arrays.
+
+    The calibrated link efficiency ramps with the array footprint; the four
+    ops share one draws mapping, and each carries its content-addressed
+    noise key ``{chip}/stream/gpu/{kernel}/n={n}``.
+    """
+    chip = machine.chip
+    draws = stream_power_draws(chip, "gpu")
+    peak_flops = machine.peak_flops(EngineKind.GPU)
+    peak_bytes = machine.memory_bandwidth_bytes_per_s()
+    theoretical = chip.memory.bandwidth_gbs
+    element_bytes = STREAM_ELEMENT_BYTES["gpu"]
+    array_bytes = element_bytes * n_elements
+    return tuple(
+        Operation(
+            engine=EngineKind.GPU,
+            label=f"stream/gpu/{kernel}/n={n_elements}",
+            cost=_stream_cost(kernel, n_elements, element_bytes),
+            peak_flops=peak_flops,
+            peak_bytes_per_s=peak_bytes,
+            memory_efficiency=min(
+                1.0, gpu_stream_bandwidth_gbs(chip, kernel, array_bytes) / theoretical
+            ),
+            overhead_s=_GPU_STREAM_OVERHEAD_S,
+            power_draws_w=draws,
+            noise_key=f"{chip.name}/stream/gpu/{kernel}/n={n_elements}",
+            noise_sigma=STREAM_NOISE_SIGMA,
+        )
+        for kernel in STREAM_KERNELS
+    )

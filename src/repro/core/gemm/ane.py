@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
@@ -74,6 +74,4 @@ class AneFp16Gemm(GemmImplementation):
             )
             problem.out[rows, :] = acc
 
-        machine.execute(
-            build_gemm_operation(machine.chip, self.key, n, element_bytes=2)
-        )
+        machine.execute(gemm_dispatch_operation(machine.chip, self.key, n))

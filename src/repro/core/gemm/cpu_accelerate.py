@@ -20,7 +20,7 @@ from repro.accelerate import (
     cblas_sgemm,
     vDSP_mmul,
 )
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.errors import ConfigurationError
 from repro.sim.machine import Machine
@@ -75,4 +75,4 @@ class AccelerateGemm(GemmImplementation):
                 np.float32, copy=False
             )
 
-        machine.execute(build_gemm_operation(machine.chip, self.key, n))
+        machine.execute(gemm_dispatch_operation(machine.chip, self.key, n))

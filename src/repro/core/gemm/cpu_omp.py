@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.omp import OpenMPRuntime, Schedule
 from repro.sim.machine import Machine
@@ -80,4 +80,4 @@ class OpenMPTiledGemm(GemmImplementation):
                 np.float32, copy=False
             )
 
-        machine.execute(build_gemm_operation(machine.chip, self.key, n))
+        machine.execute(gemm_dispatch_operation(machine.chip, self.key, n))

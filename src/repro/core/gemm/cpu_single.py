@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
@@ -61,4 +61,4 @@ class SingleThreadedGemm(GemmImplementation):
             for i in rows:
                 problem.out[i, :] = problem.a[i, :] @ problem.b
 
-        machine.execute(build_gemm_operation(machine.chip, self.key, n))
+        machine.execute(gemm_dispatch_operation(machine.chip, self.key, n))

@@ -7,35 +7,24 @@ the maximum reachable CPU bandwidth" (section 3.1).  Arrays are FP64, as in
 the original.
 
 Numerics note: bandwidth *timing* is simulated per (thread-count, repetition)
-from the calibrated link model, while the array numerics execute once per
-repetition (they do not depend on the thread count) and are validated with
-stream.c's closed-form check.  MODEL_ONLY machines skip numerics entirely.
+by the dispatches :func:`~repro.calibration.stream.cpu_stream_operations`
+builds from the calibrated link model, while the array numerics execute
+once per repetition (they do not depend on the thread count) and are
+validated with stream.c's closed-form check.  MODEL_ONLY machines skip
+numerics entirely.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.calibration.stream import (
-    STREAM_NOISE_SIGMA,
-    cpu_stream_bandwidth_gbs,
-    stream_power_draws,
-)
+from repro.calibration.stream import STREAM_ELEMENT_BYTES, cpu_stream_operations
 from repro.core.results import StreamKernelResult, StreamResult
-from repro.core.stream.kernels import (
-    KERNEL_ORDER,
-    StreamArrays,
-    kernel_bytes_per_element,
-    kernel_flops_per_element,
-    validate_arrays,
-)
+from repro.core.stream.kernels import KERNEL_ORDER, StreamArrays, validate_arrays
 from repro.errors import ConfigurationError
 from repro.omp import OpenMPEnvironment, OpenMPRuntime, parallel_chunks
-from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.roofline import OpCost
-from repro.soc.power import PowerComponent
 
 __all__ = ["CpuStreamBenchmark", "DEFAULT_CPU_ELEMENTS"]
 
@@ -47,7 +36,7 @@ DEFAULT_CPU_ELEMENTS = 1 << 23
 class CpuStreamBenchmark:
     """One chip's CPU STREAM study with the OMP_NUM_THREADS sweep."""
 
-    element_bytes = 8  # FP64, as stream.c
+    element_bytes = STREAM_ELEMENT_BYTES["cpu"]  # FP64, as stream.c
 
     def __init__(
         self,
@@ -61,41 +50,6 @@ class CpuStreamBenchmark:
         self.n_elements = int(n_elements)
         self.ntimes = int(ntimes)
         self._validated_iterations = 0
-
-    # -- one timed kernel execution --------------------------------------
-    def _execute_kernel(self, kernel: str, threads: int) -> float:
-        """Simulate one kernel pass; returns achieved GB/s."""
-        machine = self.machine
-        chip = machine.chip
-        bytes_moved = float(
-            kernel_bytes_per_element(kernel, self.element_bytes) * self.n_elements
-        )
-        eff_gbs = cpu_stream_bandwidth_gbs(chip, kernel, threads)
-        theoretical = chip.memory.bandwidth_gbs
-        # Power scales mildly with active threads on top of a base fraction.
-        ramp = 0.35 + 0.65 * min(threads, chip.total_cores) / chip.total_cores
-        draws = {
-            comp: watts * ramp if comp is PowerComponent.CPU else watts
-            for comp, watts in stream_power_draws(chip, "cpu").items()
-        }
-        op = Operation(
-            engine=EngineKind.CPU_SIMD,
-            label=f"stream/cpu/{kernel}/T={threads}",
-            cost=OpCost(
-                flops=float(kernel_flops_per_element(kernel) * self.n_elements),
-                bytes_read=bytes_moved / 2.0,
-                bytes_written=bytes_moved / 2.0,
-            ),
-            peak_flops=machine.peak_flops(EngineKind.CPU_SIMD),
-            peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
-            memory_efficiency=min(1.0, eff_gbs / theoretical),
-            overhead_s=5e-6,
-            power_draws_w=draws,
-            noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
-            noise_sigma=STREAM_NOISE_SIGMA,
-        )
-        done = machine.execute(op)
-        return bytes_moved / done.elapsed_s / 1e9
 
     # -- benchmark entry points -------------------------------------------
     def run(
@@ -123,9 +77,11 @@ class CpuStreamBenchmark:
             else None
         )
 
+        machine = self.machine
+        ops = cpu_stream_operations(machine, actual_threads, self.n_elements)
         bandwidths: dict[str, list[float]] = {k: [] for k in KERNEL_ORDER}
         for _rep in range(self.ntimes):
-            for kernel in KERNEL_ORDER:
+            for kernel, op in zip(KERNEL_ORDER, ops):
                 if arrays is not None:
                     # The OpenMP work-sharing construct: each thread's chunk
                     # of the array is processed; chunk order covers [0, n).
@@ -136,7 +92,8 @@ class CpuStreamBenchmark:
                             c=arrays.c[chunk.start : chunk.stop],
                         )
                         sub.run_kernel(kernel)
-                bandwidths[kernel].append(self._execute_kernel(kernel, actual_threads))
+                done = machine.execute(op)
+                bandwidths[kernel].append(op.cost.total_bytes / done.elapsed_s / 1e9)
         if arrays is not None:
             validate_arrays(arrays, self.ntimes)
             self._validated_iterations = self.ntimes

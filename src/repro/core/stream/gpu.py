@@ -14,11 +14,13 @@ import dataclasses
 
 import numpy as np
 
+from repro.calibration.stream import STREAM_ELEMENT_BYTES
 from repro.core.data import PageAlignedAllocation, aligned_alloc
 from repro.core.results import StreamKernelResult, StreamResult
 from repro.core.stream.kernels import (
     KERNEL_ORDER,
     StreamArrays,
+    kernel_bytes_per_element,
     validate_arrays,
 )
 from repro.errors import ConfigurationError
@@ -27,7 +29,6 @@ from repro.metal.command_buffer import MTLCommandQueue
 from repro.metal.device import MTLCreateSystemDefaultDevice, MTLDevice
 from repro.metal.pipeline import MTLComputePipelineState
 from repro.metal.resources import MTLResourceStorageMode, MTLSize
-from repro.metal.shaders.stream import stream_moved_bytes
 from repro.sim.machine import Machine
 
 __all__ = ["GpuStreamBenchmark", "DEFAULT_GPU_ELEMENTS"]
@@ -53,7 +54,7 @@ class _GpuStreamContext:
 class GpuStreamBenchmark:
     """One chip's GPU STREAM study."""
 
-    element_bytes = 4  # FP32 (the MSL port)
+    element_bytes = STREAM_ELEMENT_BYTES["gpu"]  # FP32 (the MSL port)
 
     def __init__(
         self,
@@ -123,7 +124,7 @@ class GpuStreamBenchmark:
         assert command_buffer.gpu_start_time is not None
         assert command_buffer.gpu_end_time is not None
         elapsed = command_buffer.gpu_end_time - command_buffer.gpu_start_time
-        moved = stream_moved_bytes(kernel, self.n_elements, self.element_bytes)
+        moved = kernel_bytes_per_element(kernel, self.element_bytes) * self.n_elements
         return moved / elapsed / 1e9
 
     # -- benchmark entry point ----------------------------------------------

@@ -1,7 +1,8 @@
 """STREAM kernel definitions and validation (McCalpin's stream.c semantics).
 
-The four kernels and their byte/FLOP accounting follow the original
-benchmark exactly::
+The four kernels and their byte/FLOP accounting
+(:data:`~repro.calibration.stream.STREAM_ACCOUNTING`, which the simulated
+dispatches are built from) follow the original benchmark exactly::
 
     copy :  c = a          2 arrays moved, 0 FLOPs per element
     scale:  b = s * c      2 arrays moved, 1 FLOP  per element
@@ -18,6 +19,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.calibration.stream import STREAM_ACCOUNTING, STREAM_KERNELS
 from repro.errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -30,30 +32,28 @@ __all__ = [
     "validate_arrays",
 ]
 
-KERNEL_ORDER: tuple[str, ...] = ("copy", "scale", "add", "triad")
+KERNEL_ORDER: tuple[str, ...] = STREAM_KERNELS
 
 #: stream.c's scalar.
 SCALAR = 3.0
 
-#: Arrays moved per element per kernel (reads + writes).
-_ARRAYS_MOVED: dict[str, int] = {"copy": 2, "scale": 2, "add": 3, "triad": 3}
-_FLOPS: dict[str, int] = {"copy": 0, "scale": 1, "add": 1, "triad": 2}
+
+def _accounting(kernel: str) -> tuple[int, int, int]:
+    try:
+        return STREAM_ACCOUNTING[kernel]
+    except KeyError:
+        raise ConfigurationError(f"unknown STREAM kernel {kernel!r}") from None
 
 
 def kernel_bytes_per_element(kernel: str, element_bytes: int) -> int:
-    """STREAM's byte accounting for one element."""
-    try:
-        return _ARRAYS_MOVED[kernel] * element_bytes
-    except KeyError:
-        raise ConfigurationError(f"unknown STREAM kernel {kernel!r}") from None
+    """STREAM's byte accounting for one element (arrays read + written)."""
+    reads, writes, _flops = _accounting(kernel)
+    return (reads + writes) * element_bytes
 
 
 def kernel_flops_per_element(kernel: str) -> int:
     """STREAM's FLOP accounting for one element of a kernel."""
-    try:
-        return _FLOPS[kernel]
-    except KeyError:
-        raise ConfigurationError(f"unknown STREAM kernel {kernel!r}") from None
+    return _accounting(kernel)[2]
 
 
 @dataclasses.dataclass

@@ -10,11 +10,9 @@ output is drop-in recognisable.
 from __future__ import annotations
 
 from repro.core.results import StreamResult
-from repro.core.stream.kernels import kernel_bytes_per_element
+from repro.core.stream.kernels import KERNEL_ORDER, kernel_bytes_per_element
 
 __all__ = ["render_stream_report"]
-
-_LABELS = {"copy": "Copy", "scale": "Scale", "add": "Add", "triad": "Triad"}
 
 
 def render_stream_report(result: StreamResult) -> str:
@@ -28,7 +26,7 @@ def render_stream_report(result: StreamResult) -> str:
         f"{'Function':12s}{'Best Rate MB/s':>16s}{'Avg time':>12s}"
         f"{'Min time':>12s}{'Max time':>12s}",
     ]
-    for kernel in ("copy", "scale", "add", "triad"):
+    for kernel in KERNEL_ORDER:
         if kernel not in result.kernels:
             continue
         entry = result.kernels[kernel]
@@ -38,7 +36,7 @@ def render_stream_report(result: StreamResult) -> str:
         times = [bytes_moved / (bw * 1e9) for bw in entry.bandwidths_gbs]
         best_mb_s = entry.max_gbs * 1e3  # decimal MB/s, as stream.c
         lines.append(
-            f"{_LABELS[kernel] + ':':12s}{best_mb_s:16.1f}"
+            f"{kernel.capitalize() + ':':12s}{best_mb_s:16.1f}"
             f"{sum(times) / len(times):12.6f}{min(times):12.6f}"
             f"{max(times):12.6f}"
         )

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from repro.calibration import paper
 from repro.core.results import StreamResult
-from repro.core.stream.cpu import DEFAULT_CPU_ELEMENTS, CpuStreamBenchmark
-from repro.core.stream.gpu import DEFAULT_GPU_ELEMENTS, GpuStreamBenchmark
-from repro.errors import ConfigurationError
 from repro.sim.machine import Machine
 
 __all__ = ["run_stream", "figure1_row"]
@@ -22,23 +18,22 @@ def run_stream(
     """Run the paper's STREAM study on one processor of one chip.
 
     CPU runs sweep the OpenMP thread count and keep the per-kernel maximum
-    (10 repetitions per setting); GPU runs take 20 repetitions.
+    (10 repetitions per setting); GPU runs take 20 repetitions.  ``None``
+    takes those paper defaults; the cell is a
+    :class:`~repro.experiments.specs.StreamSpec`, so any other invalid
+    value raises :class:`~repro.errors.ConfigurationError`, and it runs
+    the STREAM workload's lowering on ``machine``, as sessions do.
     """
-    if target == "cpu":
-        bench = CpuStreamBenchmark(
-            machine,
-            n_elements=n_elements or DEFAULT_CPU_ELEMENTS,
-            ntimes=repeats or paper.STREAM_CPU_REPEATS,
-        )
-        return bench.run_sweep()
-    if target == "gpu":
-        gpu_bench = GpuStreamBenchmark(
-            machine,
-            n_elements=n_elements or DEFAULT_GPU_ELEMENTS,
-            ntimes=repeats or paper.STREAM_GPU_REPEATS,
-        )
-        return gpu_bench.run()
-    raise ConfigurationError(f"STREAM target must be 'cpu' or 'gpu', got {target!r}")
+    from repro.experiments.executor import run_stream_spec
+    from repro.experiments.specs import StreamSpec
+
+    spec = StreamSpec(
+        chip=machine.chip.name,
+        target=target,
+        n_elements=n_elements,
+        repeats=repeats,
+    )
+    return run_stream_spec(machine, spec)
 
 
 def figure1_row(

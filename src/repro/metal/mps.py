@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import mps_sgemm_operation
 from repro.metal.buffer import MTLBuffer
 from repro.metal.command_buffer import MTLCommandBuffer
 from repro.metal.errors import MPSError
@@ -189,16 +189,6 @@ class MPSMatrixMultiplication:
                     else:
                         c[...] = alpha * product + beta * c
 
-            # Timing calibration is parameterised on square sizes; use the
-            # geometric scale of the problem for non-square products.
-            n_equiv = int(round((m * n * k) ** (1.0 / 3.0)))
-            machine.execute(
-                build_gemm_operation(
-                    machine.chip,
-                    "gpu-mps",
-                    max(1, n_equiv),
-                    label=f"mps/sgemm/{m}x{n}x{k}",
-                )
-            )
+            machine.execute(mps_sgemm_operation(machine.chip, m, n, k))
 
         command_buffer._enqueue(run)

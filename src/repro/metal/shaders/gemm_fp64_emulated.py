@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.metal.shaders import ShaderContext, register_shader
 from repro.metal.shaders._gemm_common import validate_gemm_grid
 from repro.sim.policy import NumericsPolicy
@@ -96,15 +96,7 @@ class EmulatedFp64GemmShader:
                 c_hi[...] = hi
                 c_lo[...] = lo
 
-        machine.execute(
-            build_gemm_operation(
-                machine.chip,
-                self.impl_key,
-                n,
-                label=f"shader/{self.name}/n={n}",
-                element_bytes=8,
-            )
-        )
+        machine.execute(gemm_dispatch_operation(machine.chip, self.impl_key, n))
 
 
 register_shader(EmulatedFp64GemmShader())

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.metal.shaders import ShaderContext, register_shader
 from repro.metal.shaders._gemm_common import (
     run_gemm_numerics,
@@ -49,11 +49,7 @@ class NaiveGemmShader:
         )
 
         machine = ctx.device.machine
-        machine.execute(
-            build_gemm_operation(
-                machine.chip, self.impl_key, n, label=f"shader/{self.name}/n={n}"
-            )
-        )
+        machine.execute(gemm_dispatch_operation(machine.chip, self.impl_key, n))
 
 
 register_shader(NaiveGemmShader())

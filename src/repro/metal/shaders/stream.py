@@ -3,8 +3,10 @@
 Ports of the CUDA/HIP GPU STREAM kernels the paper adapted (section 3.1):
 one thread per element, float32 arrays ``a``, ``b``, ``c`` bound at indices
 0-2, the element count at constant index 0 and the Triad/Scale scalar at
-constant index 1.  Timing is memory-bound through the calibrated GPU link
-efficiency for the kernel and array footprint.
+constant index 1.  Timing is the kernel's dispatch from
+:func:`~repro.calibration.stream.gpu_stream_operations`: memory-bound
+through the calibrated GPU link efficiency for the kernel and array
+footprint.
 """
 
 from __future__ import annotations
@@ -13,36 +15,12 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration.stream import (
-    STREAM_NOISE_SIGMA,
-    gpu_stream_bandwidth_gbs,
-    stream_power_draws,
-)
+from repro.calibration.stream import STREAM_KERNELS, gpu_stream_operations
 from repro.metal.errors import DispatchError
 from repro.metal.shaders import ShaderContext, register_shader
-from repro.sim.engine import EngineKind, Operation
 from repro.sim.policy import NumericsPolicy
-from repro.sim.roofline import OpCost
 
-__all__ = [
-    "StreamShader",
-    "STREAM_SHADER_NAMES",
-    "stream_moved_bytes",
-]
-
-#: (reads, writes) array counts per kernel — the STREAM accounting rule.
-_KERNEL_ARRAYS: dict[str, tuple[int, int]] = {
-    "copy": (1, 1),
-    "scale": (1, 1),
-    "add": (2, 1),
-    "triad": (2, 1),
-}
-
-
-def stream_moved_bytes(kernel: str, n_elements: int, element_bytes: int = 4) -> int:
-    """Bytes counted by STREAM for one kernel execution."""
-    reads, writes = _KERNEL_ARRAYS[kernel]
-    return (reads + writes) * n_elements * element_bytes
+__all__ = ["StreamShader", "STREAM_SHADER_NAMES"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,33 +67,10 @@ class StreamShader:
                 raise DispatchError(f"unknown STREAM kernel {self.kernel}")
 
         # -- timing/power ---------------------------------------------------
-        chip = machine.chip
-        array_bytes = 4 * n
-        eff_gbs = gpu_stream_bandwidth_gbs(chip, self.kernel, array_bytes)
-        theoretical = chip.memory.bandwidth_gbs
-        moved = float(stream_moved_bytes(self.kernel, n))
-        reads, writes = _KERNEL_ARRAYS[self.kernel]
-        op = Operation(
-            engine=EngineKind.GPU,
-            label=f"stream/gpu/{self.kernel}/n={n}",
-            cost=OpCost(
-                flops=float(n) if self.kernel in ("scale", "add") else 2.0 * n
-                if self.kernel == "triad"
-                else 0.0,
-                bytes_read=moved * reads / (reads + writes),
-                bytes_written=moved * writes / (reads + writes),
-            ),
-            peak_flops=machine.peak_flops(EngineKind.GPU),
-            peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
-            memory_efficiency=min(1.0, eff_gbs / theoretical),
-            overhead_s=10e-6,
-            power_draws_w=stream_power_draws(chip, "gpu"),
-            noise_sigma=STREAM_NOISE_SIGMA,
-        )
+        op = gpu_stream_operations(machine, n)[STREAM_KERNELS.index(self.kernel)]
         machine.execute(op)
 
 
 STREAM_SHADER_NAMES: tuple[str, ...] = tuple(
-    register_shader(StreamShader(kernel)).name
-    for kernel in ("copy", "scale", "add", "triad")
+    register_shader(StreamShader(kernel)).name for kernel in STREAM_KERNELS
 )

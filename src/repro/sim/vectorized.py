@@ -42,21 +42,24 @@ The contract has three parts:
 Cells come in two shapes.  A :class:`LoweredCell` is the homogeneous case —
 one roofline operation repeated R times, assembled from per-repetition
 elapsed nanoseconds.  A :class:`LoweredSequence` is the general case — an
-ordered tuple of heterogeneous :class:`LoweredOp` operations (optionally
-separated by fixed clock advances, as in the powermetrics warm-up sleep),
-assembled from each operation's ``(start_s, end_s)`` clock window, which is
-what protocol-shaped workloads (the STREAM thread sweep, the GEMM
-implementation studies, the powered-GEMM measurement protocol) need to
-replay their scalar executors exactly.  :func:`evaluate_sequences` is the
-bulk evaluator; :func:`run_lowered_sequence` is its scalar reference.
+ordered tuple of heterogeneous :class:`~repro.sim.engine.Operation`
+objects (optionally each preceded by one fixed clock advance, the
+powermetrics warm-up sleep), assembled from each operation's
+``(start_s, end_s)`` clock window, which is what protocol-shaped
+workloads (the STREAM thread sweep, the GEMM implementation studies, the
+powered-GEMM measurement protocol) need.  Their ops come from the dispatch
+builders in :mod:`repro.calibration` that the benchmark classes execute
+too, so a sequence holds the very operations a scalar executor runs.
+:func:`evaluate_sequences` is the bulk evaluator;
+:func:`run_lowered_sequence` is its scalar reference.
 
-A lowering builds one :class:`LoweredOp` per *distinct* dispatch and
-repeats that object at every position it occupies — ``(op,) * repeats``
-for a GEMM cell, one op per (thread-count, kernel) repeated ``ntimes`` for
-a CPU STREAM sweep.  :func:`evaluate_sequences` computes everything that
-depends only on the op once per distinct object (per sequence thermal
-model) and gathers it back to positions; noise keys and counters still
-advance per position, so sharing an object never changes a byte.
+A lowering builds one operation per *distinct* dispatch and repeats that
+object at every position it occupies — ``(op,) * repeats`` for a GEMM
+cell, one op per (thread-count, kernel) repeated ``ntimes`` for a CPU
+STREAM sweep.  :func:`evaluate_sequences` computes everything that depends
+only on the op once per distinct object (per sequence thermal model) and
+gathers it back to positions; noise keys and counters still advance per
+position, so sharing an object never changes a byte.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ from repro.sim.roofline import OpCost
 
 __all__ = [
     "LoweredCell",
-    "LoweredOp",
     "LoweredSequence",
     "VectorContext",
     "vector_context",
@@ -178,113 +180,26 @@ class LoweredCell:
 
 
 @dataclasses.dataclass(frozen=True)
-class LoweredOp:
-    """One scalar-engine operation lowered to its roofline parameters.
-
-    The sequence-shaped sibling of :class:`LoweredCell`'s repetition grid:
-    each op carries its own cost, efficiencies, draws and a *precomputed*
-    content-addressed noise key (including any ``chip/label`` fallback the
-    scalar engine would have synthesized for a keyless op — a lowering must
-    spell those out statically so the hash inputs match); repeated keys
-    draw successive counters, as on a machine.  ``noise_gain`` scales the
-    op's active draws.  ``pre_advance_s``
-    models a ``machine.sleep`` the scalar executor performs before issuing
-    the op (the powermetrics warm-up), which shifts the clock without
-    consuming noise or recording power.
-    """
-
-    engine: EngineKind
-    label: str
-    cost: OpCost
-    peak_flops: float
-    peak_bytes_per_s: float
-    compute_efficiency: float
-    memory_efficiency: float
-    overhead_s: float
-    power_draws_w: Mapping[PowerComponent, float]
-    noise_key: str
-    noise_sigma: float | None
-    pre_advance_s: float = 0.0
-    noise_gain: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ConfigurationError("operation label must be non-empty")
-        if self.noise_gain <= 0.0:
-            raise ConfigurationError("noise gain must be positive")
-        if not self.noise_key:
-            raise ConfigurationError(
-                "lowered-op noise keys must be non-empty (content-addressed, "
-                "with keyless fallbacks precomputed by the lowering)"
-            )
-        if self.pre_advance_s < 0.0:
-            raise ConfigurationError("pre-advance must be non-negative")
-        for comp, watts in self.power_draws_w.items():
-            if watts < 0.0:
-                raise ConfigurationError(f"negative power draw for {comp}")
-
-    def operation(self) -> Operation:
-        """The scalar-engine operation this op lowers."""
-        return Operation(
-            engine=self.engine,
-            label=self.label,
-            cost=self.cost,
-            peak_flops=self.peak_flops,
-            peak_bytes_per_s=self.peak_bytes_per_s,
-            compute_efficiency=self.compute_efficiency,
-            memory_efficiency=self.memory_efficiency,
-            overhead_s=self.overhead_s,
-            power_draws_w=self.power_draws_w,
-            noise_key=self.noise_key,
-            noise_sigma=self.noise_sigma,
-            noise_gain=self.noise_gain,
-        )
-
-    @classmethod
-    def from_operation(
-        cls, op: Operation, *, pre_advance_s: float = 0.0
-    ) -> "LoweredOp":
-        """Lower one already-built scalar :class:`Operation`.
-
-        The inverse of :meth:`operation` — used by lowerings that reuse an
-        executor's own operation builders (e.g. the calibrated
-        :func:`~repro.calibration.gemm.build_gemm_operation`) so both paths
-        share one construction site.  The operation must carry an explicit
-        noise key; ops the scalar engine would have keyed by chip and label
-        need that fallback spelled out by the lowering instead.
-        """
-        if not op.noise_key:
-            raise ConfigurationError(
-                "cannot lower an operation without an explicit noise key"
-            )
-        return cls(
-            engine=op.engine,
-            label=op.label,
-            cost=op.cost,
-            peak_flops=op.peak_flops,
-            peak_bytes_per_s=op.peak_bytes_per_s,
-            compute_efficiency=op.compute_efficiency,
-            memory_efficiency=op.memory_efficiency,
-            overhead_s=op.overhead_s,
-            power_draws_w=op.power_draws_w,
-            noise_key=op.noise_key,
-            noise_sigma=op.noise_sigma,
-            pre_advance_s=pre_advance_s,
-            noise_gain=op.noise_gain,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
 class LoweredSequence:
     """One experiment cell lowered to an ordered operation sequence.
 
     Protocol-shaped cells (a STREAM thread sweep, a GEMM repetition study,
     the powered-GEMM measurement loop) execute *heterogeneous* operations
-    on one cumulative machine clock.  ``assemble`` receives each op's
-    ``(start_s, end_s)`` window — the exact floats the scalar clock would
-    produce — and rebuilds the workload's result record, replaying any
-    executor-side arithmetic (nanosecond truncation, bandwidth division,
-    powermetrics formatting) on top of them.
+    on one cumulative machine clock.  ``ops`` are the very
+    :class:`~repro.sim.engine.Operation` objects the scalar executors run,
+    from the shared builders in :mod:`repro.calibration`.  ``assemble``
+    receives each op's ``(start_s, end_s)`` window — the exact floats the
+    scalar clock would produce — and rebuilds the workload's result record,
+    replaying any executor-side arithmetic (nanosecond truncation,
+    bandwidth division, powermetrics formatting) on top of them.
+
+    ``pre_advance_s`` models a ``machine.sleep`` the scalar executor
+    performs before issuing *each* op (the powermetrics warm-up): it shifts
+    the clock without consuming noise or recording power.
+
+    Every op must carry an explicit noise key: the scalar engine would key
+    a keyless op by chip and label, which the bulk engine never hashes, so
+    such a sequence is rejected rather than left to diverge.
 
     ``ops`` may be shared between sequences that differ only in ``seed``
     (or in ``thermal``): lowering a seed-ensemble grid can build the tuple
@@ -296,13 +211,21 @@ class LoweredSequence:
 
     seed: int
     thermal: ThermalModel
-    ops: tuple[LoweredOp, ...]
+    ops: tuple[Operation, ...]
     assemble: Callable[[tuple[tuple[float, float], ...]], Any]
+    pre_advance_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.ops:
             raise ConfigurationError(
                 "a lowered sequence needs at least one operation"
+            )
+        if self.pre_advance_s < 0.0:
+            raise ConfigurationError("pre-advance must be non-negative")
+        if not all(op.noise_key for op in self.ops):
+            raise ConfigurationError(
+                "lowered-sequence ops need explicit noise keys "
+                "(content-addressed, never the chip/label fallback)"
             )
 
 
@@ -373,15 +296,17 @@ def run_lowered_cell(machine: Machine, cell: LoweredCell) -> Any:
 def run_lowered_sequence(machine: Machine, sequence: LoweredSequence) -> Any:
     """Execute one lowered sequence on the scalar engine (the reference path).
 
-    The mirror of :func:`run_lowered_cell` for sequence-shaped cells: each
-    op's pre-advance becomes a real ``machine.sleep``, each op a real
-    ``machine.execute``, and ``assemble`` sees the genuine clock windows.
+    The counterpart of :func:`run_lowered_cell` for sequence-shaped cells:
+    the pre-advance becomes a real ``machine.sleep`` before each op, each
+    op a real ``machine.execute``, and ``assemble`` sees the genuine clock
+    windows.
     """
     windows = []
+    pre_advance_s = sequence.pre_advance_s
     for op in sequence.ops:
-        if op.pre_advance_s:
-            machine.sleep(op.pre_advance_s)
-        completed = machine.execute(op.operation())
+        if pre_advance_s:
+            machine.sleep(pre_advance_s)
+        completed = machine.execute(op)
         windows.append((completed.start_s, completed.end_s))
     return sequence.assemble(tuple(windows))
 
@@ -559,15 +484,15 @@ def evaluate_sequences(
     positions, so keys and counters are those of the scalar machine, and
     runs only when some slot's sigma resolves to a non-zero value.  Each
     sequence's virtual clock is replayed column-wise over the padded
-    (sequence, op) grid — honouring per-op pre-advances with the same
-    op-ordered float additions the scalar clock performs — and every
+    (sequence, op) grid — honouring each sequence's pre-advance with the
+    same op-ordered float additions the scalar clock performs — and every
     sequence's ``assemble`` receives its ops' exact clock windows.
     Returns one assembled result record per sequence, in input order.
     """
     if not sequences:
         return []
     n = len(sequences)
-    table: list[LoweredOp] = []
+    table: list[Operation] = []
     table_thermals: list[ThermalModel] = []
     slot_maps: dict[int, dict[int, int]] = {}  # id(model) -> id(op) -> slot
     rows: list[list[int]] = []
@@ -600,8 +525,8 @@ def evaluate_sequences(
     flat_durations = base[slots]
 
     # Bulk noise: each sequence applies the draw rule to the keys of its
-    # active ops (keyless fallbacks were precomputed by the lowering); an op
-    # whose sigma resolves to 0 keeps a factor of exactly 1.0 and is neither
+    # active ops (every op is keyed, see LoweredSequence); an op whose sigma
+    # resolves to 0 keeps a factor of exactly 1.0 and is neither
     # hashed nor drawn.
     slot_sigmas = [resolve_sigma(default_sigma, op.noise_sigma) for op in table]
     if any(slot_sigmas):
@@ -632,10 +557,7 @@ def evaluate_sequences(
     mask = np.arange(max_ops)[None, :] < counts[:, None]
     durations = np.zeros((n, max_ops))
     durations[mask] = flat_durations
-    pre = np.zeros((n, max_ops))
-    pre[mask] = np.fromiter(
-        (op.pre_advance_s for op in table), np.float64, len(table)
-    )[slots]
+    pre = np.fromiter((s.pre_advance_s for s in sequences), np.float64, n)
 
     # Virtual clock: per-op cumulative float adds, column-wise.  A zero
     # pre-advance adds exactly 0.0 — the IEEE identity on the non-negative
@@ -645,7 +567,7 @@ def evaluate_sequences(
     ends = np.empty((n, max_ops))
     clock = np.zeros(n)
     for i in range(max_ops):
-        begin = clock + pre[:, i]
+        begin = clock + pre
         finish = begin + durations[:, i]
         starts[:, i] = begin
         ends[:, i] = finish

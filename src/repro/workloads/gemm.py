@@ -8,9 +8,10 @@ implementations x sizes with the section-4 exclusions) and the CLI
 rendering — and registers them under ``kind="gemm"``.
 
 Timing never depends on the numbers, so every Table-2 implementation
-reduces to exactly one :func:`~repro.calibration.gemm.build_gemm_operation`
-per repetition, and :func:`lower_gemm_spec` — the one definition of a
-cell's timing, under every numerics profile — replays that protocol as a
+executes exactly one
+:func:`~repro.calibration.gemm.gemm_dispatch_operation` per repetition,
+and :func:`lower_gemm_spec` — the one definition of a cell's timing, under
+every numerics profile — repeats that same operation in a
 :class:`~repro.sim.vectorized.LoweredSequence` (chrono-truncated
 nanoseconds per repetition window, identical
 :class:`~repro.errors.UnsupportedProblemError` for excluded cells).  The
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
-from repro.calibration.gemm import build_gemm_operation
+from repro.calibration.gemm import gemm_dispatch_operation
 from repro.core.gemm.base import GemmImplementation, GemmProblem
 from repro.core.gemm.registry import get_implementation, paper_implementation_keys
 from repro.core.gemm.verify import verify_result
@@ -35,7 +36,7 @@ from repro.experiments.specs import GemmSpec, SweepSpec
 from repro.sim.engine import Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.vectorized import LoweredOp, LoweredSequence
+from repro.sim.vectorized import LoweredSequence
 from repro.soc.catalog import chip_memo
 from repro.units import NS_PER_S
 from repro.workloads.base import (
@@ -52,6 +53,7 @@ __all__ = [
     "GEMM_WORKLOAD",
     "gemm_result_to_dict",
     "gemm_result_from_dict",
+    "gemm_repetition_ops",
     "lower_gemm_spec",
 ]
 
@@ -98,67 +100,27 @@ def cell_is_supported(chip: str, impl_key: str, n: int) -> bool:
 
 # -- lowering ----------------------------------------------------------------
 #
-# Each Table-2 implementation's ``execute`` issues exactly one calibrated
-# operation per repetition (the Metal paths via a command buffer, the CPU
-# paths directly), and its numerics never touch the clock, so the whole cell
-# reduces to ``repeats`` copies of that one operation.  The table below
-# mirrors each implementation's ``build_gemm_operation`` call site — label
-# and element size included — so the lowered sequence hashes the very same
-# noise keys and advances the very same roofline durations the Table-2
-# classes do (``tests/workloads/test_lowering_parity.py`` holds them equal).
-
-
-def _scalar_gemm_operation(chip, impl_key: str, n: int) -> Operation:
-    """The single operation one repetition of ``impl_key`` executes.
-
-    Every registry key has a row; :func:`get_implementation` rejects any
-    other key before this table is read.
-    """
-    if impl_key in ("cpu-single", "cpu-omp", "cpu-accelerate"):
-        return build_gemm_operation(chip, impl_key, n)
-    if impl_key == "ane-fp16":
-        return build_gemm_operation(chip, impl_key, n, element_bytes=2)
-    if impl_key == "gpu-naive":
-        return build_gemm_operation(
-            chip, impl_key, n, label=f"shader/gemm_naive/n={n}"
-        )
-    if impl_key == "gpu-cutlass":
-        return build_gemm_operation(
-            chip, impl_key, n, label=f"shader/gemm_tiled/n={n}"
-        )
-    if impl_key == "gpu-fp64-emulated":
-        return build_gemm_operation(
-            chip,
-            impl_key,
-            n,
-            label=f"shader/gemm_fp64_emulated/n={n}",
-            element_bytes=8,
-        )
-    # gpu-mps calibrates on the geometric scale of the (m, n, k) product;
-    # spec-driven cells are square, so m = n = k = spec.n.
-    n_equiv = int(round((n * n * n) ** (1.0 / 3.0)))
-    return build_gemm_operation(
-        chip, impl_key, max(1, n_equiv), label=f"mps/sgemm/{n}x{n}x{n}"
-    )
-
+# Each Table-2 implementation's ``execute`` issues exactly one
+# ``gemm_dispatch_operation`` per repetition (the Metal paths via a command
+# buffer, the CPU paths directly), and its numerics never touch the clock,
+# so the whole cell reduces to ``repeats`` copies of that one operation.
 
 #: Seed-independent repetition ops per cell shape (see
 #: :func:`~repro.soc.catalog.chip_memo`); seed-ensemble grids (many seeds,
-#: one shape) lower in O(1) per cell.
+#: one shape) lower in O(1) per cell, and powered-GEMM cells of the same
+#: shape share the tuple.
 _GEMM_OPS_CACHE: "dict[tuple[str, str, int, int], tuple]" = {}
 
 
-def _lowered_gemm_ops(
+def gemm_repetition_ops(
     chip, impl_key: str, n: int, repeats: int
-) -> "tuple[LoweredOp, ...]":
+) -> "tuple[Operation, ...]":
+    """``repeats`` positions of the one operation a repetition dispatches."""
     return chip_memo(
         _GEMM_OPS_CACHE,
         (chip.name, impl_key, n, repeats),
         chip,
-        lambda: (
-            LoweredOp.from_operation(_scalar_gemm_operation(chip, impl_key, n)),
-        )
-        * repeats,
+        lambda: (gemm_dispatch_operation(chip, impl_key, n),) * repeats,
     )
 
 
@@ -224,7 +186,7 @@ def lower_gemm_spec(machine, spec: GemmSpec) -> LoweredSequence:
         is not NumericsPolicy.MODEL_ONLY
     )
     verified = _numerics_verified(machine, impl, spec) if want_verify else None
-    ops = _lowered_gemm_ops(machine.chip, impl.key, spec.n, spec.repeats)
+    ops = gemm_repetition_ops(machine.chip, impl.key, spec.n, spec.repeats)
 
     impl_key = impl.key
     chip_name = machine.chip.name

@@ -7,7 +7,8 @@ their own ``type="power"`` tag.  The piggybacked powermetrics protocol
 reduces to a closed form — one warm-up sleep plus one calibrated operation
 per repetition, with both power rails averaged over exactly the
 operation's own window — so :func:`lower_powered_gemm_spec` replays it as a
-:class:`~repro.sim.vectorized.LoweredSequence`, including the tool's
+:class:`~repro.sim.vectorized.LoweredSequence` holding plain GEMM's own
+repetition ops behind a per-op warm-up, including the tool's
 ``%.0f``/``%.2f`` render-then-parse rounding, under every numerics profile.
 The result carries no ``verified`` flag, so no numerics run at all.
 """
@@ -22,8 +23,7 @@ from repro.core.results import GemmResult, PoweredGemmResult, PowerMeasurement
 from repro.errors import ProtocolError, UnsupportedProblemError
 from repro.experiments.executor import run_powered_gemm_spec
 from repro.experiments.specs import PoweredGemmSpec, SweepSpec
-from repro.sim.vectorized import LoweredOp, LoweredSequence
-from repro.soc.catalog import chip_memo
+from repro.sim.vectorized import LoweredSequence
 from repro.soc.power import PowerComponent
 from repro.workloads.base import (
     Workload,
@@ -32,8 +32,8 @@ from repro.workloads.base import (
     variant_grid,
 )
 from repro.workloads.gemm import (
-    _scalar_gemm_operation,
     cell_is_supported,
+    gemm_repetition_ops,
     gemm_result_from_dict,
     gemm_result_to_dict,
 )
@@ -96,27 +96,6 @@ def _powered_from_dict(data: Mapping[str, Any]) -> PoweredGemmResult:
 # floats round through the tool's ``%.0f``/``%.2f`` text identically.
 
 
-#: Seed-independent repetition ops per cell shape (see gemm's cache notes).
-_POWERED_OPS_CACHE: "dict[tuple[str, str, int, int], tuple]" = {}
-
-
-def _lowered_powered_ops(
-    chip, impl_key: str, n: int, repeats: int
-) -> "tuple[LoweredOp, ...]":
-    return chip_memo(
-        _POWERED_OPS_CACHE,
-        (chip.name, impl_key, n, repeats),
-        chip,
-        lambda: (
-            LoweredOp.from_operation(
-                _scalar_gemm_operation(chip, impl_key, n),
-                pre_advance_s=paper.POWERMETRICS_WARMUP_S,
-            ),
-        )
-        * repeats,
-    )
-
-
 def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
     """Lower one Figure-3/4 cell to its protocol sequence.
 
@@ -130,7 +109,7 @@ def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
         raise UnsupportedProblemError(
             f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
         )
-    ops = _lowered_powered_ops(machine.chip, impl.key, spec.n, spec.repeats)
+    ops = gemm_repetition_ops(machine.chip, impl.key, spec.n, spec.repeats)
 
     impl_key = impl.key
     chip_name = machine.chip.name
@@ -185,7 +164,11 @@ def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
         return PoweredGemmResult(gemm=gemm, measurements=tuple(measurements))
 
     return LoweredSequence(
-        seed=spec.seed, thermal=machine.thermal, ops=ops, assemble=assemble
+        seed=spec.seed,
+        thermal=machine.thermal,
+        ops=ops,
+        assemble=assemble,
+        pre_advance_s=paper.POWERMETRICS_WARMUP_S,
     )
 
 

@@ -10,13 +10,12 @@ One STREAM cell is a whole protocol — the CPU OpenMP thread sweep across
 four kernels, or the 20-repetition GPU dispatch loop — not a homogeneous
 repetition grid, so it lowers to a
 :class:`~repro.sim.vectorized.LoweredSequence`: one position per
-(thread-count, repetition, kernel) dispatch, with the benchmark classes'
-exact labels, costs, calibrated efficiencies and noise keys (the GPU
-dispatches carry no explicit key, so the lowering spells out the machine's
-``chip/label`` fallback key).  The lowering builds one
-:class:`~repro.sim.vectorized.LoweredOp` per distinct dispatch — per
-(thread-count, kernel) on the CPU, per kernel on the GPU — and repeats that
-object ``ntimes``, so a CPU cell holds 32–40 distinct ops behind its
+(thread-count, repetition, kernel) dispatch, holding the operations that
+:func:`~repro.calibration.stream.cpu_stream_operations` and
+:func:`~repro.calibration.stream.gpu_stream_operations` build for the
+benchmark classes and the Metal shaders too.  Each distinct dispatch — per
+(thread-count, kernel) on the CPU, per kernel on the GPU — is one object
+repeated ``ntimes``, so a CPU cell holds 32–40 distinct ops behind its
 320–400 positions.  That lowering is the only definition of a cell's
 timing, under every numerics profile; stream.c's closed-form validation of
 the array numerics is a separate memoized check (DESIGN.md §7).
@@ -28,21 +27,18 @@ from typing import Any, Iterator, Mapping
 
 from repro.calibration import paper
 from repro.calibration.stream import (
-    STREAM_NOISE_SIGMA,
-    cpu_stream_bandwidth_gbs,
-    gpu_stream_bandwidth_gbs,
-    stream_power_draws,
+    STREAM_ELEMENT_BYTES,
+    STREAM_KERNELS,
+    cpu_stream_operations,
+    gpu_stream_operations,
 )
 from repro.core.results import StreamKernelResult, StreamResult
 from repro.experiments.executor import run_stream_spec
 from repro.experiments.specs import StreamSpec, SweepSpec
-from repro.sim.engine import EngineKind
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredOp, LoweredSequence
+from repro.sim.vectorized import LoweredSequence
 from repro.soc.catalog import chip_memo
-from repro.soc.power import PowerComponent
 from repro.workloads.base import Workload, variant_grid
 from repro.workloads.registry import register_workload
 
@@ -76,12 +72,10 @@ def stream_result_to_dict(result: StreamResult) -> dict[str, Any]:
 
 def stream_result_from_dict(data: Mapping[str, Any]) -> StreamResult:
     """Rebuild a :class:`StreamResult` from :func:`stream_result_to_dict` output."""
-    from repro.core.stream.kernels import KERNEL_ORDER
-
     # JSON serialization sorts mapping keys; restore the canonical kernel
     # order (copy, scale, add, triad) so re-rendered figures match live runs.
     raw = data["kernels"]
-    names = [k for k in KERNEL_ORDER if k in raw]
+    names = [k for k in STREAM_KERNELS if k in raw]
     names += [k for k in raw if k not in names]
     return StreamResult(
         chip_name=data["chip_name"],
@@ -103,115 +97,28 @@ def stream_result_from_dict(data: Mapping[str, Any]) -> StreamResult:
 
 
 #: ``(chip name, target, n_elements, ntimes) -> (ops, labels)`` per chip
-#: object (see :func:`~repro.soc.catalog.chip_memo`) — the lowered op
-#: tuples are pure data shared by every seed of a sweep; ``labels`` pairs
-#: each op with its ``(threads, kernel)`` identity for the assembler.
+#: object (see :func:`~repro.soc.catalog.chip_memo`) — the op tuples are
+#: pure data shared by every seed of a sweep; ``labels`` pairs each
+#: position with its ``(threads, kernel)`` identity for the assembler.
 _STREAM_OPS_CACHE: dict[tuple, tuple] = {}
 
 
-def _lowered_cpu_stream_ops(chip, machine_like, n: int, ntimes: int):
-    """The CPU sweep's dispatches: one op per (thread-count, kernel), repeated.
-
-    Mirrors ``CpuStreamBenchmark._execute_kernel`` exactly: the sweep runs
-    ``OMP_NUM_THREADS`` from 1 to the physical core count, ``ntimes``
-    repetitions of the four kernels at each count, and every dispatch
-    carries an explicit content-addressed noise key per (kernel, threads),
-    whose repetitions draw successive counters.  The repetitions of one
-    (thread-count, kernel) are the same op object.
-    """
-    from repro.core.stream.kernels import (
-        KERNEL_ORDER,
-        kernel_bytes_per_element,
-        kernel_flops_per_element,
-    )
-
-    cores = chip.total_cores
-    peak_flops = machine_like.peak_flops(EngineKind.CPU_SIMD)
-    peak_bytes = machine_like.memory_bandwidth_bytes_per_s()
-    theoretical = chip.memory.bandwidth_gbs
-    base_draws = stream_power_draws(chip, "cpu")
-    ops: list[LoweredOp] = []
+def _cpu_sweep_ops(machine_like, n: int, ntimes: int):
+    """The OMP_NUM_THREADS sweep in dispatch order: 1 to the physical core
+    count, ``ntimes`` repetitions of the four kernels at each count."""
+    ops: list = []
     labels: list[tuple[int, str]] = []
-    for threads in range(1, cores + 1):
-        ramp = 0.35 + 0.65 * min(threads, cores) / cores
-        draws = {
-            comp: watts * ramp if comp is PowerComponent.CPU else watts
-            for comp, watts in base_draws.items()
-        }
-        dispatches = []
-        for kernel in KERNEL_ORDER:
-            bytes_moved = float(kernel_bytes_per_element(kernel, 8) * n)
-            eff_gbs = cpu_stream_bandwidth_gbs(chip, kernel, threads)
-            dispatches.append(
-                LoweredOp(
-                    engine=EngineKind.CPU_SIMD,
-                    label=f"stream/cpu/{kernel}/T={threads}",
-                    cost=OpCost(
-                        flops=float(kernel_flops_per_element(kernel) * n),
-                        bytes_read=bytes_moved / 2.0,
-                        bytes_written=bytes_moved / 2.0,
-                    ),
-                    peak_flops=peak_flops,
-                    peak_bytes_per_s=peak_bytes,
-                    compute_efficiency=1.0,
-                    memory_efficiency=min(1.0, eff_gbs / theoretical),
-                    overhead_s=5e-6,
-                    power_draws_w=draws,
-                    noise_key=f"stream/cpu/{chip.name}/{kernel}/T={threads}",
-                    noise_sigma=STREAM_NOISE_SIGMA,
-                )
-            )
-        ops += dispatches * ntimes
-        labels += [(threads, kernel) for kernel in KERNEL_ORDER] * ntimes
+    for threads in range(1, machine_like.chip.total_cores + 1):
+        ops += cpu_stream_operations(machine_like, threads, n) * ntimes
+        labels += [(threads, kernel) for kernel in STREAM_KERNELS] * ntimes
     return tuple(ops), tuple(labels)
 
 
-def _lowered_gpu_stream_ops(chip, machine_like, n: int, ntimes: int):
-    """The GPU dispatches: one op per kernel, repeated in command-buffer order.
-
-    Mirrors ``StreamShader.dispatch`` exactly — including the ``chip/label``
-    noise key the scalar engine synthesizes for its keyless dispatches, whose
-    repetitions draw successive counters.  The repetitions of one kernel are
-    the same op object.
-    """
-    from repro.core.stream.kernels import KERNEL_ORDER
-    from repro.metal.shaders.stream import stream_moved_bytes
-
-    peak_flops = machine_like.peak_flops(EngineKind.GPU)
-    peak_bytes = machine_like.memory_bandwidth_bytes_per_s()
-    theoretical = chip.memory.bandwidth_gbs
-    draws = stream_power_draws(chip, "gpu")
-    dispatches: list[LoweredOp] = []
-    for kernel in KERNEL_ORDER:
-        eff_gbs = gpu_stream_bandwidth_gbs(chip, kernel, 4 * n)
-        moved = float(stream_moved_bytes(kernel, n))
-        reads, writes = {"copy": (1, 1), "scale": (1, 1),
-                         "add": (2, 1), "triad": (2, 1)}[kernel]
-        flops = (
-            float(n) if kernel in ("scale", "add")
-            else 2.0 * n if kernel == "triad" else 0.0
-        )
-        dispatches.append(
-            LoweredOp(
-                engine=EngineKind.GPU,
-                label=f"stream/gpu/{kernel}/n={n}",
-                cost=OpCost(
-                    flops=flops,
-                    bytes_read=moved * reads / (reads + writes),
-                    bytes_written=moved * writes / (reads + writes),
-                ),
-                peak_flops=peak_flops,
-                peak_bytes_per_s=peak_bytes,
-                compute_efficiency=1.0,
-                memory_efficiency=min(1.0, eff_gbs / theoretical),
-                overhead_s=10e-6,
-                power_draws_w=draws,
-                noise_key=f"{chip.name}/stream/gpu/{kernel}/n={n}",
-                noise_sigma=STREAM_NOISE_SIGMA,
-            )
-        )
-    labels = tuple((0, kernel) for kernel in KERNEL_ORDER)
-    return tuple(dispatches) * ntimes, labels * ntimes
+def _gpu_loop_ops(machine_like, n: int, ntimes: int):
+    """The GPU loop in command-buffer order: ``ntimes`` passes of four
+    (no thread count: the labels carry ``None``)."""
+    labels = tuple((None, kernel) for kernel in STREAM_KERNELS)
+    return gpu_stream_operations(machine_like, n) * ntimes, labels * ntimes
 
 
 #: (target, n_elements, ntimes, numerics config) of every validated cell.
@@ -255,111 +162,69 @@ def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence:
     The scalar executor and the vectorized backend both evaluate this one
     lowering, whatever the numerics profile.  The op sequence replays the
     benchmark protocol dispatch for dispatch; ``assemble`` recomputes each
-    dispatch's achieved GB/s from its clock window and replays the sweep's
-    per-kernel maximum selection.  Cells that run numerics first pass
-    :func:`_validate_stream_numerics`.
+    dispatch's achieved GB/s from its clock window and replays the CPU
+    sweep's per-kernel maximum selection.  Cells that run numerics first
+    pass :func:`_validate_stream_numerics`.
     """
     from repro.core.stream.cpu import DEFAULT_CPU_ELEMENTS
     from repro.core.stream.gpu import DEFAULT_GPU_ELEMENTS
-    from repro.core.stream.kernels import (
-        KERNEL_ORDER,
-        kernel_bytes_per_element,
-    )
-    from repro.metal.shaders.stream import stream_moved_bytes
 
-    chip = machine.chip
-    if spec.target == "cpu":
+    target = spec.target
+    if target == "cpu":
         n = spec.n_elements or DEFAULT_CPU_ELEMENTS
         ntimes = spec.repeats or paper.STREAM_CPU_REPEATS
-        _validate_stream_numerics(machine, "cpu", n, ntimes)
-        ops, labels = chip_memo(
-            _STREAM_OPS_CACHE,
-            (chip.name, "cpu", n, ntimes),
-            chip,
-            lambda: _lowered_cpu_stream_ops(chip, machine, n, ntimes),
-        )
-        chip_name = chip.name
-        theoretical = chip.memory.bandwidth_gbs
-        moved_by_kernel = {
-            kernel: float(kernel_bytes_per_element(kernel, 8) * n)
-            for kernel in KERNEL_ORDER
-        }
-
-        def assemble_cpu(windows) -> StreamResult:
-            # Replay run_sweep: group the flat dispatch stream back into
-            # per-(threads, kernel) repetition tuples, then keep the
-            # per-kernel maximum (strict >, ties keep the lower count).
-            per_setting: dict[tuple[int, str], list[float]] = {}
-            for (threads, kernel), (start, end) in zip(labels, windows):
-                per_setting.setdefault((threads, kernel), []).append(
-                    moved_by_kernel[kernel] / (end - start) / 1e9
-                )
-            best: dict[str, StreamKernelResult] = {}
-            for (threads, kernel), values in per_setting.items():
-                result = StreamKernelResult(
-                    kernel=kernel,
-                    bandwidths_gbs=tuple(values),
-                    best_threads=threads,
-                )
-                current = best.get(kernel)
-                if current is None or result.max_gbs > current.max_gbs:
-                    best[kernel] = result
-            return StreamResult(
-                chip_name=chip_name,
-                target="cpu",
-                n_elements=n,
-                element_bytes=8,
-                kernels=best,
-                theoretical_gbs=theoretical,
-            )
-
-        return LoweredSequence(
-            seed=spec.seed,
-            thermal=machine.thermal,
-            ops=ops,
-            assemble=assemble_cpu,
-        )
-
-    n = spec.n_elements or DEFAULT_GPU_ELEMENTS
-    ntimes = spec.repeats or paper.STREAM_GPU_REPEATS
-    _validate_stream_numerics(machine, "gpu", n, ntimes)
+        build = _cpu_sweep_ops
+    else:
+        n = spec.n_elements or DEFAULT_GPU_ELEMENTS
+        ntimes = spec.repeats or paper.STREAM_GPU_REPEATS
+        build = _gpu_loop_ops
+    _validate_stream_numerics(machine, target, n, ntimes)
+    chip = machine.chip
     ops, labels = chip_memo(
         _STREAM_OPS_CACHE,
-        (chip.name, "gpu", n, ntimes),
+        (chip.name, target, n, ntimes),
         chip,
-        lambda: _lowered_gpu_stream_ops(chip, machine, n, ntimes),
+        lambda: build(machine, n, ntimes),
     )
+    # The first four positions are the four kernels; the bytes a kernel
+    # moves do not depend on the thread count.
+    moved_by_kernel = {
+        kernel: op.cost.total_bytes for kernel, op in zip(STREAM_KERNELS, ops)
+    }
     chip_name = chip.name
     theoretical = chip.memory.bandwidth_gbs
-    moved_by_kernel = {
-        kernel: float(stream_moved_bytes(kernel, n)) for kernel in KERNEL_ORDER
-    }
 
-    def assemble_gpu(windows) -> StreamResult:
-        bandwidths: dict[str, list[float]] = {k: [] for k in KERNEL_ORDER}
-        for (_threads, kernel), (start, end) in zip(labels, windows):
-            bandwidths[kernel].append(
+    def assemble(windows) -> StreamResult:
+        # Replay the benchmark: group the flat dispatch stream back into
+        # per-(threads, kernel) repetition tuples, then keep the per-kernel
+        # maximum (strict >, ties keep the lower count).  The GPU loop has
+        # one setting per kernel.
+        per_setting: dict[tuple, list[float]] = {}
+        for (threads, kernel), (start, end) in zip(labels, windows):
+            per_setting.setdefault((threads, kernel), []).append(
                 moved_by_kernel[kernel] / (end - start) / 1e9
             )
+        best: dict[str, StreamKernelResult] = {}
+        for (threads, kernel), values in per_setting.items():
+            result = StreamKernelResult(
+                kernel=kernel,
+                bandwidths_gbs=tuple(values),
+                best_threads=threads,
+            )
+            current = best.get(kernel)
+            if current is None or result.max_gbs > current.max_gbs:
+                best[kernel] = result
         return StreamResult(
             chip_name=chip_name,
-            target="gpu",
+            target=target,
             n_elements=n,
-            element_bytes=4,
-            kernels={
-                kernel: StreamKernelResult(
-                    kernel=kernel, bandwidths_gbs=tuple(values)
-                )
-                for kernel, values in bandwidths.items()
-            },
+            element_bytes=STREAM_ELEMENT_BYTES[target],
+            kernels=best,
             theoretical_gbs=theoretical,
         )
 
     return LoweredSequence(
-        seed=spec.seed,
-        thermal=machine.thermal,
-        ops=ops,
-        assemble=assemble_gpu,
+        seed=spec.seed, thermal=machine.thermal, ops=ops, assemble=assemble
     )
 
 

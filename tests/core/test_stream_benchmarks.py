@@ -3,10 +3,13 @@
 import pytest
 
 from repro.calibration import paper
+from repro.core.harness import ExperimentRunner
 from repro.core.stream.cpu import CpuStreamBenchmark
 from repro.core.stream.gpu import GpuStreamBenchmark
 from repro.core.stream.runner import figure1_row, run_stream
 from repro.errors import ConfigurationError
+from repro.sim.machine import Machine
+from repro.sim.policy import NumericsConfig
 
 from tests.conftest import make_model_machine, make_study_machine
 
@@ -113,6 +116,46 @@ class TestRunner:
     def test_bad_target(self):
         with pytest.raises(ConfigurationError):
             run_stream(make_model_machine("M1"), "npu")
+
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_elements": 0}, {"repeats": 0}], ids=["elements", "repeats"]
+    )
+    def test_zero_sizes_are_rejected_not_defaulted(self, target, kwargs):
+        # 0 is not "unset": it must not silently run the paper defaults
+        machine = make_model_machine("M1")
+        with pytest.raises(ConfigurationError):
+            run_stream(machine, target, **kwargs)
+        assert machine.now_s() == 0.0
+
+    @pytest.mark.parametrize(
+        "numerics",
+        [NumericsConfig.full(), NumericsConfig.sampled(), NumericsConfig.model_only()],
+        ids=["full", "sampled", "model-only"],
+    )
+    def test_run_stream_equals_experiment_runner_on_used_machines(self, numerics):
+        """Both entry points run the STREAM lowering, so on identically
+        pre-used machines (clock advanced, noise counters consumed) they
+        agree result for result and leave the same clock behind."""
+
+        def used() -> Machine:
+            machine = Machine.for_chip("M2", seed=9, numerics=numerics)
+            ExperimentRunner(machine).run_gemm("gpu-mps", 256, repeats=2)
+            GpuStreamBenchmark(machine, n_elements=SMALL, ntimes=2).run()
+            return machine
+
+        direct, runner = used(), used()
+        for target, n_elements, repeats in (
+            ("gpu", SMALL, 2),
+            ("cpu", SMALL, 3),
+            ("gpu", SMALL, None),
+        ):
+            assert run_stream(
+                direct, target, n_elements=n_elements, repeats=repeats
+            ) == ExperimentRunner(runner).run_stream(
+                target, n_elements=n_elements, repeats=repeats
+            )
+        assert direct.now_s() == runner.now_s()
 
     def test_figure1_row_shape(self):
         row = figure1_row(make_model_machine("M3"), n_elements=SMALL, repeats=2)

@@ -24,6 +24,11 @@ class TestAccounting:
         assert kernel_bytes_per_element("scale", 8) == 16
         assert kernel_bytes_per_element("add", 8) == 24
         assert kernel_bytes_per_element("triad", 8) == 24
+        # the GPU (MSL) port's FP32 arrays
+        assert kernel_bytes_per_element("copy", 4) * 100 == 800
+        assert kernel_bytes_per_element("scale", 4) * 100 == 800
+        assert kernel_bytes_per_element("add", 4) * 100 == 1200
+        assert kernel_bytes_per_element("triad", 4) * 100 == 1200
 
     def test_flops_per_element(self):
         assert kernel_flops_per_element("copy") == 0

@@ -2,7 +2,7 @@
 
 The cross-backend suites compare backends within one checkout, so a change
 that moves every backend's bytes together passes them.  These tests pin the
-bytes themselves, in three slices:
+bytes themselves, in four slices:
 
 * ``envelopes.jsonl`` — six cells of every builtin workload run on a fresh
   model-only session;
@@ -11,6 +11,12 @@ bytes themselves, in three slices:
   implementation at a fully-verified size, the two paper headline
   implementations above ``full_threshold`` (the sampled-rows branch), and
   both STREAM targets;
+* ``protocol_envelopes.jsonl`` — 200 model-only cells on all four study
+  chips at the default noise: every GEMM implementation at three sizes and
+  the paper's powered-GEMM implementations at two, five repetitions each
+  (the parity suite's grids), both STREAM targets at two array sizes and
+  two repetition counts, and two cells per chip of each fast-path workload;
+  it pins every GEMM and STREAM dispatch the lowerings build;
 * ``calibration.jsonl`` — two calibration fits, the paper fit and a short
   synthetic self-fit: each fit's ``CalibrationResult`` JSON, then every
   envelope of its final scoring frame at full precision (the result JSON
@@ -21,7 +27,7 @@ and ``ENVELOPE_SCHEMA_VERSION`` it was generated under; every further line
 is one compact JSON record, which must match byte for byte while both
 recorded values are current.  No backend is named, so running the suite
 under ``REPRO_BACKEND=serial``, ``vectorized`` and ``sharded`` checks each
-backend against the first two files (calibration runs on its own default
+backend against the first three files (calibration runs on its own default
 backend).
 
 An intended byte change bumps one of the two versions first, then
@@ -46,7 +52,10 @@ from repro.calibrate import (
     run_calibration,
     synthesize_trace,
 )
-from repro.core.gemm.registry import implementation_keys
+from repro.core.gemm.registry import (
+    implementation_keys,
+    paper_implementation_keys,
+)
 from repro.experiments import (
     ENVELOPE_SCHEMA_VERSION,
     GemmSpec,
@@ -59,6 +68,7 @@ from repro.workloads import workload_kinds
 
 GOLDEN = pathlib.Path(__file__).with_name("envelopes.jsonl")
 SAMPLED_GOLDEN = pathlib.Path(__file__).with_name("sampled_envelopes.jsonl")
+PROTOCOL_GOLDEN = pathlib.Path(__file__).with_name("protocol_envelopes.jsonl")
 CALIBRATION_GOLDEN = pathlib.Path(__file__).with_name("calibration.jsonl")
 
 #: The builtin workloads, in registration order.
@@ -66,6 +76,7 @@ KINDS = ("gemm", "powered-gemm", "stream", "spmv", "stencil", "batched-gemm")
 SEED = 7
 CELLS_PER_KIND = 6
 CHIPS = ("M1", "M4")
+STUDY_CHIPS = ("M1", "M2", "M3", "M4")
 
 
 def golden_specs() -> list:
@@ -106,6 +117,42 @@ def sampled_specs() -> list:
     return specs
 
 
+def protocol_specs() -> list:
+    """The pinned model-only slice over all four chips: 200 cells."""
+    specs: list = [
+        GemmSpec(chip=chip, seed=SEED, impl_key=key, n=n, repeats=5)
+        for chip in STUDY_CHIPS
+        for key in implementation_keys()
+        for n in (64, 256, 2048)
+    ]
+    specs += [
+        PoweredGemmSpec(chip=chip, seed=SEED, impl_key=key, n=n, repeats=5)
+        for chip in STUDY_CHIPS
+        for key in paper_implementation_keys()
+        for n in (2048, 4096)
+    ]
+    specs += [
+        StreamSpec(
+            chip=chip,
+            seed=SEED,
+            target=target,
+            n_elements=n_elements,
+            repeats=repeats,
+        )
+        for chip in STUDY_CHIPS
+        for target in ("cpu", "gpu")
+        for n_elements in (1 << 14, 1 << 16)
+        for repeats in (1, 3)
+    ]
+    for kind in ("spmv", "stencil", "batched-gemm"):
+        for chip in STUDY_CHIPS:
+            cells = SweepSpec(
+                kind=kind, chips=(chip,), repeats=3, seed=SEED
+            ).expand()
+            specs += [cells[0], cells[len(cells) // 2]]
+    return specs
+
+
 def envelope_lines(numerics: str, specs: list) -> list[str]:
     """One compact envelope JSON line per cell, in grid order."""
     session = Session(numerics=numerics, seed=SEED)
@@ -135,6 +182,7 @@ def calibration_lines() -> list[str]:
 SLICES = {
     GOLDEN: lambda: envelope_lines("model-only", golden_specs()),
     SAMPLED_GOLDEN: lambda: envelope_lines("sampled", sampled_specs()),
+    PROTOCOL_GOLDEN: lambda: envelope_lines("model-only", protocol_specs()),
     CALIBRATION_GOLDEN: calibration_lines,
 }
 
@@ -205,6 +253,18 @@ def test_sampled_slice_pins_sampled_verification():
         for env in envelopes
         if env["spec"]["kind"] == "gemm" and env["spec"]["n"] == 2048
     ] == [True] * 4
+
+
+def test_protocol_slice_pins_every_chip_and_workload():
+    envelopes = [json.loads(line) for line in golden_file_lines(PROTOCOL_GOLDEN)]
+    assert len(envelopes) == 200
+    assert {env["spec"]["kind"] for env in envelopes} == set(KINDS)
+    assert {env["spec"]["chip"] for env in envelopes} == set(STUDY_CHIPS)
+    assert {env["meta"]["session"]["numerics"]["policy"] for env in envelopes} == {
+        "model-only"
+    }
+    stream = [env for env in envelopes if env["spec"]["kind"] == "stream"]
+    assert len(stream) == 32
 
 
 def test_calibration_slice_pins_both_fits():

@@ -18,7 +18,6 @@ from repro.metal.shaders.gemm_fp64_emulated import (
     split_to_float_pair,
 )
 from repro.metal.shaders.gemm_tiled import K_TILE, _k_tiled_product
-from repro.metal.shaders.stream import stream_moved_bytes
 
 from tests.conftest import make_exact_machine
 
@@ -192,12 +191,6 @@ class TestDoubleFloat:
 
 
 class TestStreamShaders:
-    def test_moved_bytes_accounting(self):
-        assert stream_moved_bytes("copy", 100, 4) == 800
-        assert stream_moved_bytes("scale", 100, 4) == 800
-        assert stream_moved_bytes("add", 100, 4) == 1200
-        assert stream_moved_bytes("triad", 100, 4) == 1200
-
     def test_kernels_compute_stream_semantics(self, device):
         n = 1024
         lib = device.new_default_library()

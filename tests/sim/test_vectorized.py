@@ -12,14 +12,13 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.engine import EngineKind
+from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine, machine_template
 from repro.sim.noise import lognormal_factors, noise_entropies, resolve_sigma
 from repro.sim.policy import NumericsConfig
 from repro.sim.roofline import OpCost, roofline_time
 from repro.sim.vectorized import (
     LoweredCell,
-    LoweredOp,
     LoweredSequence,
     evaluate_cells,
     evaluate_sequences,
@@ -205,6 +204,61 @@ class TestValidationParity:
         assert op.compute_efficiency == cell.compute_efficiency
 
 
+def toy_sequence(*ops: Operation, **overrides) -> LoweredSequence:
+    defaults = dict(
+        seed=0,
+        thermal=machine_template("M1", True).thermal,
+        ops=ops,
+        assemble=lambda windows: windows,
+    )
+    defaults.update(overrides)
+    return LoweredSequence(**defaults)
+
+
+def toy_op(**overrides) -> Operation:
+    defaults = dict(
+        engine=EngineKind.GPU,
+        label="toy",
+        cost=OpCost(flops=1e9, bytes_read=1e6),
+        peak_flops=1e12,
+        peak_bytes_per_s=1e11,
+        noise_key="toy",
+        noise_sigma=0.01,
+    )
+    defaults.update(overrides)
+    return Operation(**defaults)
+
+
+class TestSequenceContract:
+    """A sequence holds the executors' own :class:`Operation` objects."""
+
+    @pytest.mark.parametrize("key", [None, ""])
+    def test_keyless_op_rejected(self, key):
+        # the scalar engine would key it by chip and label, which the bulk
+        # engine never hashes: reject it before either engine sees it
+        with pytest.raises(ConfigurationError, match="noise keys"):
+            toy_sequence(toy_op(), toy_op(noise_key=key))
+
+    def test_negative_pre_advance_rejected(self):
+        with pytest.raises(ConfigurationError, match="pre-advance"):
+            toy_sequence(toy_op(), pre_advance_s=-1e-9)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            toy_sequence()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.015])
+    def test_pre_advance_precedes_every_op_on_both_engines(self, sigma):
+        op = toy_op()
+        sequence = toy_sequence(op, toy_op(noise_key="other"), op, pre_advance_s=2.0)
+        windows = evaluate_sequences([sequence], default_sigma=sigma)[0]
+        machine = Machine.for_chip("M1", seed=0, noise_sigma=sigma)
+        assert windows == run_lowered_sequence(machine, sequence)
+        gaps = [b[0] - a[1] for a, b in zip(windows, windows[1:])]
+        assert windows[0][0] == 2.0
+        assert gaps == [pytest.approx(2.0)] * 2
+
+
 class TestNoiseReplayContract:
     """perfbench's traced replay re-draws a cell's noise through the public
     API, one ``noise_entropies`` call per cell and one sigma per entropy."""
@@ -242,7 +296,7 @@ class TestNoiseReplayContract:
         """A sequence mixing silent and noisy draws of one key: the bulk
         engine skips the silent ops exactly as a machine's counter does."""
         ops = tuple(
-            LoweredOp(
+            Operation(
                 engine=EngineKind.CPU_SIMD,
                 label="toy",
                 cost=OpCost(flops=1e9),

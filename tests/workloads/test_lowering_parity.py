@@ -1,13 +1,17 @@
-"""The protocol lowerings against the Table-2 and STREAM reference classes.
+"""The protocol lowerings against the Table-2 and STREAM protocol drivers.
 
 GEMM, powered-GEMM and STREAM cells execute from their workload's lowering
 on every backend, so the cross-backend suites compare the lowering with
-itself.  This suite pins it to the independent reference: the Table-2
-implementation objects timed with ``measure_ns``, the powermetrics
-protocol of ``measure_gemm_power``, and the ``CpuStreamBenchmark`` /
-``GpuStreamBenchmark`` classes, each on a fresh noisy machine.  It also
-pins the contract that every built-in lowering accepts every cell under
-every numerics profile.
+itself.  The lowerings and the executing classes share their dispatch
+operations (the builders in :mod:`repro.calibration`), so this suite pins
+what the lowering replays on its own: the protocol.  Its reference is the
+protocol drivers — the Table-2 implementation objects timed with
+``measure_ns``, the powermetrics protocol of ``measure_gemm_power``, and
+the ``CpuStreamBenchmark`` / ``GpuStreamBenchmark`` classes (repetition
+order, clock windows, the thread sweep's maximum selection), each on a
+fresh noisy machine.  The op values themselves are pinned by
+``tests/golden/protocol_envelopes.jsonl``.  It also pins the contract that
+every built-in lowering accepts every cell under every numerics profile.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Shared op objects: lowerings repeat one op per distinct dispatch.
 
 A STREAM cell's repetitions of one (thread-count, kernel) dispatch are the
-same :class:`~repro.sim.vectorized.LoweredOp` object, and
+same :class:`~repro.sim.engine.Operation` object, and
 :func:`~repro.sim.vectorized.evaluate_sequences` computes each distinct
 object once.  Sharing must never change a byte: a sequence of shared
 objects evaluates exactly like one with a distinct copy at every position,
 and both equal the scalar machine; one ops tuple serving two thermal models
-stretches under each.
+stretches under each, and GEMM and powered-GEMM cells of one shape share
+one tuple whatever their warm-up.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.calibration import paper
-from repro.experiments import PoweredGemmSpec, StreamSpec
+from repro.experiments import GemmSpec, PoweredGemmSpec, StreamSpec
 from repro.sim.machine import Machine, machine_template
 from repro.sim.policy import NumericsConfig
 from repro.sim.vectorized import (
@@ -102,3 +103,21 @@ def test_one_ops_tuple_stretches_under_each_sequence_thermal_model(sigma):
         (t_end - t_start) > (f_end - f_start)
         for (t_start, t_end), (f_start, f_end) in zip(got[0], got[1])
     )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.015])
+def test_gemm_and_powered_gemm_share_one_ops_tuple(sigma):
+    # the powermetrics warm-up lives on the sequence, not on the ops, so
+    # one batch can hold both kinds of cell on the same op objects
+    shape = dict(chip="M3", impl_key="gpu-cutlass", n=2048, repeats=5)
+    gemm = lowered(GemmSpec(seed=1, **shape))
+    powered = lowered(PoweredGemmSpec(seed=2, **shape))
+    assert gemm.ops is powered.ops
+    assert (gemm.pre_advance_s, powered.pre_advance_s) == (
+        0.0,
+        paper.POWERMETRICS_WARMUP_S,
+    )
+    batch = evaluate_sequences([gemm, powered, gemm], default_sigma=sigma)
+    assert batch[0] == batch[2] == scalar_windows(gemm, "M3", sigma)
+    assert batch[1] == scalar_windows(powered, "M3", sigma)
+    assert batch[1][0][0] == paper.POWERMETRICS_WARMUP_S
