@@ -2,7 +2,7 @@
 
 __all__ = ["__version__", "PAPER_TITLE", "PAPER_ARXIV"]
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 #: Title of the reproduced paper.
 PAPER_TITLE = (

@@ -15,10 +15,11 @@ the cells of a batch execute:
 * ``sharded`` — vectorized inside worker processes, for grids too large
   for one core: the parent pulls the batch — any iterable of specs — in
   contiguous shards, ships each shard's cache misses to a worker process
-  as plain-data specs, runs them there under the vectorized backend, and
-  streams their envelopes back as plain data; the parent delivers shards
-  strictly in submission order with a bounded number in flight, so a grid
-  of any size runs in constant parent memory.
+  as plain-data specs, runs them there through the vectorized execution
+  body, and streams back only their result dicts; the parent stamps the
+  envelopes and delivers shards strictly in submission order with a
+  bounded number in flight, so a grid of any size runs in constant parent
+  memory.
 
 Because every cell is a pure function of (spec, session fingerprint) — the
 simulator's jitter is content-addressed, machines are fresh per cell — all
@@ -42,7 +43,6 @@ import concurrent.futures
 import itertools
 import os
 import pickle
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CellTimeoutError, ConfigurationError, WorkerCrashError
@@ -261,14 +261,7 @@ class VectorizedBackend(ExecutionBackend):
         health=None,
     ):
         """Lower every cache miss, evaluate the grid in bulk, finish in order."""
-        from repro import workloads
         from repro.experiments.envelope import ResultEnvelope
-        from repro.sim.vectorized import (
-            LoweredSequence,
-            evaluate_cells,
-            evaluate_sequences,
-            vector_context,
-        )
 
         if session.machine_factory is not None:
             raise ConfigurationError(
@@ -277,11 +270,9 @@ class VectorizedBackend(ExecutionBackend):
                 "the serial backend"
             )
         pending = _resolve_cache_hits(session, specs, finish, use_cache)
-        if not pending:
-            return
-        plan = session.fault_plan
 
-        def deliver(index: int, spec, key: str, result: Any) -> None:
+        def deliver(position: int, result: Any) -> None:
+            index, spec, key = pending[position]
             # fingerprint() per envelope, as session.run stamps it — the
             # nested meta dicts must never be shared across envelopes
             envelope = ResultEnvelope.create(
@@ -293,70 +284,104 @@ class VectorizedBackend(ExecutionBackend):
                 session.cache_store(key, envelope)
             finish(index, envelope)
 
-        cell_entries: list[tuple[int, "ExperimentSpec", str]] = []
-        lowered_cells: list[Any] = []
-        sequence_entries: list[tuple[int, "ExperimentSpec", str]] = []
-        lowered_sequences: list[Any] = []
-        fallback: list[tuple[int, "ExperimentSpec", str, Any]] = []
-        for index, spec, key in pending:
-            workload = workloads.workload_for_spec(spec)
-            try:
-                # Lowering is this backend's per-cell execution point, so
-                # cell-targeted faults (transient/crash/hang) fire here.
-                if plan is not None:
-                    plan.invoke("execute", spec.spec_hash(), attempt)
-                lowered = None
-                if workload.vectorized_body is not None:
-                    context = vector_context(
-                        spec.chip,
-                        session.thermal_enabled,
-                        session.numerics_for(spec),
-                    )
-                    lowered = workload.vectorized_body(context, spec)
-            except Exception as exc:
-                _report_cell_failure(fail, index, exc, spec)
-                continue
-            if lowered is None:
-                # a workload registered without a vectorized body (no
-                # built-in workload declines a cell) — scalar fallback
-                fallback.append((index, spec, key, workload))
-            elif isinstance(lowered, LoweredSequence):
-                sequence_entries.append((index, spec, key))
-                lowered_sequences.append(lowered)
-            else:
-                cell_entries.append((index, spec, key))
-                lowered_cells.append(lowered)
+        def report(position: int, exc: BaseException, spec: Any) -> None:
+            _report_cell_failure(fail, pending[position][0], exc, spec)
 
-        def bulk(entries, lowered, evaluate):
-            try:
-                evaluated = evaluate(lowered, default_sigma=session.noise_sigma)
-            except Exception as exc:
-                # a bulk-evaluation failure takes its whole group down; with
-                # a failure channel, report each member instead of aborting
-                # the batch's other groups
-                if fail is None:
-                    raise
-                for index, spec, key in entries:
-                    fail(index, exc, spec)
-                return
-            for (index, spec, key), result in zip(entries, evaluated):
-                deliver(index, spec, key, result)
+        _evaluate_specs(
+            session,
+            [spec for _, spec, _ in pending],
+            deliver,
+            fail=report,
+            attempt=attempt,
+        )
 
-        if lowered_cells:
-            bulk(cell_entries, lowered_cells, evaluate_cells)
-        if lowered_sequences:
-            bulk(sequence_entries, lowered_sequences, evaluate_sequences)
-        # Scalar-fallback cells run last, delivered one by one — they are
-        # the slow ones (one Python round trip per operation), so per-cell
-        # completion keeps manifest checkpoints and progress reporting
-        # incremental.
-        for index, spec, key, workload in fallback:
-            try:
-                result = workload.execute(session.machine_for(spec), spec)
-            except Exception as exc:
-                _report_cell_failure(fail, index, exc, spec)
-                continue
-            deliver(index, spec, key, result)
+
+def _evaluate_specs(
+    session: "Session",
+    specs: "Sequence[ExperimentSpec]",
+    deliver: Callable[[int, Any], None],
+    *,
+    fail: "FailCallback | None" = None,
+    attempt: int = 1,
+) -> None:
+    """Lower and evaluate ``specs``, handing each result to ``deliver``.
+
+    The execution body the vectorized backend and the sharded workers
+    share: ``deliver(position, result)`` receives each cell's result record
+    by its position in ``specs``, and a failing cell goes to
+    ``fail(position, exc, spec)`` (raised when ``fail`` is ``None``).  It
+    resolves no cache and stamps no envelope — callers do what they need
+    with the result.
+    """
+    from repro import workloads
+    from repro.sim.vectorized import (
+        LoweredSequence,
+        evaluate_cells,
+        evaluate_sequences,
+        vector_context,
+    )
+
+    plan = session.fault_plan
+    cells: list[tuple[int, Any]] = []
+    sequences: list[tuple[int, Any]] = []
+    fallback: list[tuple[int, Any]] = []
+    for position, spec in enumerate(specs):
+        workload = workloads.workload_for_spec(spec)
+        try:
+            # Lowering is this body's per-cell execution point, so
+            # cell-targeted faults (transient/crash/hang) fire here.
+            if plan is not None:
+                plan.invoke("execute", spec.spec_hash(), attempt)
+            lowered = None
+            if workload.vectorized_body is not None:
+                context = vector_context(
+                    spec.chip,
+                    session.thermal_enabled,
+                    session.numerics_for(spec),
+                )
+                lowered = workload.vectorized_body(context, spec)
+        except Exception as exc:
+            _report_cell_failure(fail, position, exc, spec)
+            continue
+        if lowered is None:
+            # a workload registered without a vectorized body (no
+            # built-in workload declines a cell) — scalar fallback
+            fallback.append((position, workload))
+        elif isinstance(lowered, LoweredSequence):
+            sequences.append((position, lowered))
+        else:
+            cells.append((position, lowered))
+
+    for group, evaluate in ((cells, evaluate_cells), (sequences, evaluate_sequences)):
+        if not group:
+            continue
+        try:
+            evaluated = evaluate(
+                [lowered for _, lowered in group], default_sigma=session.noise_sigma
+            )
+        except Exception as exc:
+            # a bulk-evaluation failure takes its whole group down; with
+            # a failure channel, report each member instead of aborting
+            # the batch's other groups
+            if fail is None:
+                raise
+            for position, _ in group:
+                fail(position, exc, specs[position])
+            continue
+        for (position, _), result in zip(group, evaluated):
+            deliver(position, result)
+    # Scalar-fallback cells run last, delivered one by one — they are
+    # the slow ones (one Python round trip per operation), so per-cell
+    # completion keeps manifest checkpoints and progress reporting
+    # incremental.
+    for position, workload in fallback:
+        spec = specs[position]
+        try:
+            result = workload.execute(session.machine_for(spec), spec)
+        except Exception as exc:
+            _report_cell_failure(fail, position, exc, spec)
+            continue
+        deliver(position, result)
 
 
 def _run_shard(
@@ -365,29 +390,28 @@ def _run_shard(
     attempt: int,
     fail: "FailCallback | None" = None,
 ) -> list:
-    """One shard's plain-data specs in, their envelope dicts out in order.
+    """One shard's plain-data specs in, their result dicts out in order.
 
-    The shard executes under the vectorized backend on a fresh session with
-    the parent's configuration, which is what keeps the payloads
-    byte-identical to every other backend.  Workers and the in-parent redo
-    both run shards through here.
+    The shard runs the vectorized backend's execution body on a fresh
+    session with the parent's configuration, which is what keeps the
+    results byte-identical to every other backend.  It builds no envelope
+    and computes no cache key: the parent holds each spec and its key and
+    stamps the envelopes itself.  A cell reported through ``fail`` leaves
+    ``None`` at its position.  Workers and the in-parent redo both run
+    shards through here.
     """
+    from repro.experiments.envelope import result_to_dict
     from repro.experiments.session import Session
     from repro.experiments.specs import spec_from_dict
 
     specs = [spec_from_dict(data) for data in shard["specs"]]
     items: list[Any] = [None] * len(specs)
 
-    def collect(index: int, envelope) -> None:
-        items[index] = envelope.to_dict()
+    def collect(position: int, result: Any) -> None:
+        items[position] = result_to_dict(result)
 
-    VectorizedBackend().run(
-        Session(**session_config),
-        specs,
-        collect,
-        use_cache=False,
-        fail=fail,
-        attempt=attempt,
+    _evaluate_specs(
+        Session(**session_config), specs, collect, fail=fail, attempt=attempt
     )
     return items
 
@@ -397,22 +421,21 @@ def _execute_shard_payload(
     session_config: Mapping[str, Any],
     attempt: int = 1,
 ) -> bytes:
-    """Worker-side entry point: one shard in, its pickled envelope dicts out.
+    """Worker-side entry point: one shard in, its pickled result dicts out.
 
     One pre-pickled blob crosses the pool boundary as a cheap bytes copy,
-    and the parent defers decoding it until an envelope field is actually
-    read.
+    and the parent defers unpickling it until a result is actually read.
     """
     items = _run_shard(shard, session_config, attempt)
     return pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _ShardResults:
-    """One shard's pickled envelope payloads, decoded on first touch.
+    """One shard's pickled result dicts, unpickled on the first read.
 
-    Every lazy envelope of a shard holds a loader into the same instance,
-    so the unpickle cost is paid once per shard — and only if some envelope
-    field is actually read.
+    Every deferred envelope of a shard indexes the same instance, so the
+    unpickle cost is paid once per shard — and only if some envelope's
+    result is actually read or serialized.
     """
 
     __slots__ = ("_blob", "_items")
@@ -421,12 +444,12 @@ class _ShardResults:
         self._blob = blob
         self._items = None
 
-    def item(self, index: int) -> Mapping[str, Any]:
+    def __getitem__(self, position: int) -> Mapping[str, Any]:
         items = self._items
         if items is None:
             items = self._items = pickle.loads(self._blob)
             self._blob = b""
-        return items[index]
+        return items[position]
 
 
 class ShardedBackend(ExecutionBackend):
@@ -435,14 +458,16 @@ class ShardedBackend(ExecutionBackend):
     :meth:`run` pulls its specs — a list, or the lazy grid stream
     ``Session.run_batch`` hands a streaming backend — ``shard_size`` cells
     at a time.  Per shard, the parent resolves cache hits and ships only
-    the misses to a worker as plain-data specs; the worker runs them under
-    the vectorized backend and streams their envelope dicts back.  Hits are
-    held and merged back when their shard returns, and the parent keeps a
-    bounded number of shards in flight and delivers them strictly in
-    submission order, wrapping payloads in lazy envelopes
-    (:meth:`ResultEnvelope.from_deferred`) — so a million-cell grid runs in
-    constant parent memory and the parent's per-cell work is a cache key
-    and a dict handoff, not codec rehydration.
+    the misses to a worker as plain-data specs; the worker runs them
+    through the vectorized backend's execution body and ships back only
+    their result dicts, one pickled blob per shard.  Hits are held and
+    merged back when their shard returns, and the parent keeps a bounded
+    number of shards in flight and delivers them strictly in submission
+    order.  The parent already holds each spec and its cache key, so it
+    stamps each envelope itself, deferring the rest
+    (:meth:`ResultEnvelope.deferred`): a million-cell grid runs in constant
+    parent memory, and the parent's per-cell work is a cache key and one
+    small object, not codec rehydration.
     """
 
     name = "sharded"
@@ -495,6 +520,8 @@ class ShardedBackend(ExecutionBackend):
         indexed_specs = enumerate(specs)
         size = self.shard_size
         pending_entries: "collections.deque" = collections.deque()
+        # one snapshot per batch; each envelope stamps a private copy of it
+        fingerprint = session.fingerprint()
 
         def shards():
             while True:
@@ -518,7 +545,7 @@ class ShardedBackend(ExecutionBackend):
                     "label": f"{first.kind} cells from {first.spec_hash()}",
                 }
 
-        def deliver(item, failures):
+        def deliver(results, failures):
             entries = pending_entries.popleft()
             position = 0
             for index, spec, key, cached in entries:
@@ -529,8 +556,12 @@ class ShardedBackend(ExecutionBackend):
                         position += 1
                         _report_cell_failure(fail, index, exc, spec)
                         continue
-                    envelope = ResultEnvelope.from_deferred(
-                        partial(item, position)
+                    envelope = ResultEnvelope.deferred(
+                        spec,
+                        results,
+                        position,
+                        session=fingerprint,
+                        cache_key=key,
                     )
                     position += 1
                     if use_cache:
@@ -552,10 +583,10 @@ class ShardedBackend(ExecutionBackend):
         """Re-execute a failed shard in this process — the degradation rung.
 
         Runs the worker's exact code path (a fresh session from the shipped
-        config, vectorized execution, envelope dicts out), so recovered
-        payloads are byte-identical to an undisturbed worker's.  Crash
-        faults are worker-only no-ops here, which is what terminates the
-        ladder for a persistently crashing shard.  Cells that *still* fail
+        config, the vectorized execution body, result dicts out), so
+        recovered results are byte-identical to an undisturbed worker's.
+        Crash faults are worker-only no-ops here, which is what terminates
+        the ladder for a persistently crashing shard.  Cells that *still* fail
         come back in the failures map instead of taking the shard down.
         """
         failures: dict[int, tuple] = {}
@@ -578,8 +609,9 @@ class ShardedBackend(ExecutionBackend):
     ):
         """Submit shards with a bounded in-flight window; deliver in order.
 
-        ``deliver(item, failures)`` receives each shard's ``item(position)``
-        accessor over its envelope dicts and the ``{position: (exc, spec)}``
+        ``deliver(results, failures)`` receives each shard's result dicts
+        (indexable by position: a :class:`_ShardResults` from a worker, a
+        list from the in-parent redo) and the ``{position: (exc, spec)}``
         map of its cells that failed.
 
         Failure handling is shard-grained: a shard whose worker raises,
@@ -627,7 +659,7 @@ class ShardedBackend(ExecutionBackend):
                 next_deliver += 1
                 where = shard["label"]
                 cause = None
-                item = None
+                results = None
                 if future is not None:
                     deadline = (
                         None
@@ -635,9 +667,7 @@ class ShardedBackend(ExecutionBackend):
                         else cell_timeout * max(1, len(shard["specs"]))
                     )
                     try:
-                        item = _ShardResults(
-                            future.result(timeout=deadline)
-                        ).item
+                        results = _ShardResults(future.result(timeout=deadline))
                     except concurrent.futures.TimeoutError:
                         future.cancel()
                         # the hung worker holds a pool slot forever; stop
@@ -664,7 +694,7 @@ class ShardedBackend(ExecutionBackend):
                             )
                         else:
                             cause = exc
-                if item is None:
+                if results is None:
                     # pool lost the shard (or was already written off)
                     if not recover:
                         for other, _ in in_flight.values():
@@ -678,13 +708,12 @@ class ShardedBackend(ExecutionBackend):
                         health.fallbacks += 1
                         if cause is not None:
                             health.count(cause)
-                    items, failures = self._redo_shard_in_parent(
+                    results, failures = self._redo_shard_in_parent(
                         config, shard, attempt + 1
                     )
-                    item = items.__getitem__
                 else:
                     failures = {}
-                deliver(item, failures)
+                deliver(results, failures)
         finally:
             pool.shutdown(wait=not abandoned, cancel_futures=True)
 

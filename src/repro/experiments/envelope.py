@@ -4,21 +4,23 @@ A :class:`ResultEnvelope` wraps one spec together with its result record and
 provenance metadata in a uniform, JSON-round-trippable shell: ``repro run
 --json --out results/`` persists envelopes, ``repro figure2 --from results/``
 re-renders figures from them without recomputation.  Serialization covers the
-*raw* fields only (repetitions, per-kernel bandwidths, measurement windows);
-every derived statistic (``best_gflops``, ``max_gbs``,
+*raw* fields only (the ``elapsed_ns`` column, per-kernel bandwidths,
+measurement windows); every derived statistic (``best_gflops``, ``max_gbs``,
 ``efficiency_gflops_per_w``) is recomputed from them, so a round trip
 reproduces the statistics to full precision — JSON preserves finite doubles
-exactly.
+exactly.  An envelope's text is one compact canonical JSON object (sorted
+keys, no whitespace), the form every store writes.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro._version import __version__
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VersionMismatchError
 from repro.experiments.specs import ExperimentSpec, spec_from_dict
 
 __all__ = [
@@ -28,8 +30,10 @@ __all__ = [
     "result_from_dict",
 ]
 
-#: Bumped whenever the on-disk envelope layout changes shape.
-ENVELOPE_SCHEMA_VERSION = 1
+#: Bumped whenever the on-disk envelope layout changes shape.  Schema 2
+#: stores a timed result's repetitions as one ``"elapsed_ns": [ns, ...]``
+#: list (schema 1 wrote one ``{"repetition", "elapsed_ns"}`` object each).
+ENVELOPE_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +57,35 @@ def result_from_dict(data: Mapping[str, Any]) -> Any:
     return workloads.deserialize_result(data)
 
 
-def _check_schema(data: Mapping[str, Any]) -> None:
-    schema = data.get("schema", ENVELOPE_SCHEMA_VERSION)
+def _stamped(spec: ExperimentSpec, meta: Mapping[str, Any] | None) -> dict[str, Any]:
+    """``meta`` under the standard provenance fields every envelope carries."""
+    stamped = {
+        "spec_hash": spec.spec_hash(),
+        "repro_version": __version__,
+    }
+    if meta:
+        stamped.update(meta)
+    return stamped
+
+
+def _check_schema(data: Any) -> None:
+    """Refuse anything but a current-schema envelope payload.
+
+    A payload without an integer ``schema`` is corrupt; a valid envelope
+    of another schema is stale, and raises :class:`VersionMismatchError`
+    naming the ``repro`` version that wrote it.
+    """
+    schema = data.get("schema") if isinstance(data, Mapping) else None
+    if type(schema) is not int:
+        raise ConfigurationError(f"not an envelope: schema is {schema!r}")
     if schema != ENVELOPE_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported envelope schema {schema} "
-            f"(this version reads {ENVELOPE_SCHEMA_VERSION})"
+        meta = data.get("meta")
+        written_by = meta.get("repro_version") if isinstance(meta, Mapping) else None
+        raise VersionMismatchError(
+            f"an envelope of schema {schema} (this version reads "
+            f"{ENVELOPE_SCHEMA_VERSION})",
+            str(written_by or "unknown"),
+            __version__,
         )
 
 
@@ -87,13 +114,32 @@ class ResultEnvelope:
         meta: Mapping[str, Any] | None = None,
     ) -> "ResultEnvelope":
         """Wrap a result, stamping the standard provenance fields."""
-        stamped = {
-            "spec_hash": spec.spec_hash(),
-            "repro_version": __version__,
-        }
-        if meta:
-            stamped.update(meta)
-        return cls(spec=spec, result=result, meta=stamped)
+        return cls(spec=spec, result=result, meta=_stamped(spec, meta))
+
+    @classmethod
+    def deferred(
+        cls,
+        spec: ExperimentSpec,
+        results: Sequence[Mapping[str, Any]],
+        position: int,
+        *,
+        session: Mapping[str, Any],
+        cache_key: str,
+    ) -> "ResultEnvelope":
+        """Wrap a result that is still plain data, without decoding it.
+
+        ``results[position]`` is the result's :func:`result_to_dict` form —
+        the sharded backend passes one shard's worker output, which is
+        unpickled on the first such read.  The envelope equals
+        ``create(spec, result, meta={"session": session, "cache_key":
+        cache_key})``, but does that work only when asked: ``meta`` is
+        stamped on its first read (from a private copy of ``session``),
+        ``result`` is decoded on its first read, and
+        ``to_dict``/``to_json`` serve the plain data as it came.  Reading
+        ``spec``, ``kind``, ``spec_hash`` or ``meta`` never touches
+        ``results``.
+        """
+        return _DeferredEnvelope(spec, results, position, session, cache_key)
 
     @property
     def kind(self) -> str:
@@ -105,12 +151,15 @@ class ResultEnvelope:
         """The spec's content hash (also stamped into ``meta``)."""
         return self.meta.get("spec_hash") or self.spec.spec_hash()
 
+    def _result_data(self) -> dict[str, Any]:
+        return result_to_dict(self.result)
+
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form: schema version, spec, result, meta."""
         return {
             "schema": ENVELOPE_SCHEMA_VERSION,
             "spec": self.spec.to_dict(),
-            "result": result_to_dict(self.result),
+            "result": self._result_data(),
             "meta": dict(self.meta),
         }
 
@@ -124,29 +173,16 @@ class ResultEnvelope:
             meta=dict(data.get("meta", {})),
         )
 
-    @classmethod
-    def from_deferred(cls, loader: "Any") -> "ResultEnvelope":
-        """Wrap a :meth:`to_dict` payload that has not been decoded yet.
+    def to_json(self) -> str:
+        """Compact canonical JSON text: sorted keys, no whitespace.
 
-        ``loader`` is a zero-argument callable returning the payload; it
-        runs (once, with the schema check) on the first access to any
-        envelope field.  The sharded backend ships whole shards as single
-        pickled blobs and hands each cell a loader into the shared decode —
-        so a timing loop that only counts envelopes never deserializes them
-        at all.  The registry codec work (``spec_from_dict``/
-        ``result_from_dict``) is deferred further, until ``spec`` or
-        ``result`` is first read: ``to_dict``/``to_json``/``spec_hash``
-        serve straight from the payload, so a sharded batch can persist a
-        million envelopes without parsing fields nobody reads.
+        The same form as :meth:`ExperimentSpec.canonical_json`, and the
+        one line every store writes per envelope file.
         """
-        return _LazyEnvelope(loader)
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        """JSON text with deterministic key order."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def __eq__(self, other: Any) -> bool:
-        # Field-value equality across eager and lazy envelopes — the
+        # Field-value equality across eager and deferred envelopes — the
         # dataclass-generated comparison would reject the subclass.
         if isinstance(other, ResultEnvelope):
             return (
@@ -168,7 +204,9 @@ class ResultEnvelope:
         Truncated or hand-edited files surface as a
         :class:`ConfigurationError` that points at the offending file
         instead of a bare ``JSONDecodeError`` halfway through a directory
-        scan — the store and run manifests load through here.
+        scan — the store and run manifests load through here.  A refusal
+        keeps its type (a stale file stays a :class:`VersionMismatchError`)
+        and gains the path.
         """
         import pathlib
 
@@ -182,71 +220,60 @@ class ResultEnvelope:
         try:
             return cls.from_json(text)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"envelope file {path}: {exc}") from exc
+            exc.args = (f"envelope file {path}: {exc}",)
+            raise
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"envelope file {path} is corrupt or not an envelope: {exc}"
             ) from exc
 
 
-class _LazyEnvelope(ResultEnvelope):
-    """An envelope backed by its plain-data payload, rehydrated on demand.
+class _DeferredEnvelope(ResultEnvelope):
+    """An envelope over a result's plain data; see :meth:`ResultEnvelope.deferred`.
 
-    Built only by :meth:`ResultEnvelope.from_deferred`.  The loader runs
-    (with the schema check) on the first touch of any field.  ``spec`` and
-    ``result`` are data descriptors that run the registry codecs on first
-    read and memoize the hydrated objects; ``meta``, ``kind``,
-    ``spec_hash`` and the serializers read the payload directly, so an
-    envelope that is only persisted or keyed never pays for codec work at
-    all.
+    ``meta`` and ``result`` are data descriptors that build their value on
+    first read and memoize it.
     """
 
-    def __init__(self, loader: Any) -> None:
-        object.__setattr__(self, "_payload_data", None)
-        object.__setattr__(self, "_loader", loader)
-
-    @property
-    def _payload(self) -> Mapping[str, Any]:
-        data = self._payload_data
-        if data is None:
-            data = self._loader()
-            _check_schema(data)
-            object.__setattr__(self, "_payload_data", data)
-            object.__setattr__(self, "_loader", None)
-        return data
+    def __init__(
+        self,
+        spec: ExperimentSpec,
+        results: Sequence[Mapping[str, Any]],
+        position: int,
+        session: Mapping[str, Any],
+        cache_key: str,
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "_results", results)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_session", session)
+        object.__setattr__(self, "_cache_key", cache_key)
 
     @property
     def meta(self) -> Mapping[str, Any]:
-        cached = self.__dict__.get("_meta_cache")
-        if cached is None:
-            cached = self._payload.get("meta", {})
-            self.__dict__["_meta_cache"] = cached
-        return cached
-
-    @property
-    def spec(self) -> ExperimentSpec:
-        cached = self.__dict__.get("_spec_cache")
-        if cached is None:
-            cached = spec_from_dict(self._payload["spec"])
-            object.__setattr__(self, "_spec_cache", cached)
-        return cached
+        meta = getattr(self, "_meta", None)
+        if meta is None:
+            meta = _stamped(
+                self.spec,
+                {
+                    "session": copy.deepcopy(self._session),
+                    "cache_key": self._cache_key,
+                },
+            )
+            object.__setattr__(self, "_meta", meta)
+        return meta
 
     @property
     def result(self) -> Any:
-        cached = self.__dict__.get("_result_cache")
-        if cached is None:
-            cached = result_from_dict(self._payload["result"])
-            object.__setattr__(self, "_result_cache", cached)
-        return cached
+        result = getattr(self, "_result", None)
+        if result is None:
+            result = result_from_dict(self._results[self._position])
+            object.__setattr__(self, "_result", result)
+        return result
 
     @property
-    def kind(self) -> str:
-        return self._payload["spec"]["kind"]
+    def spec_hash(self) -> str:
+        return self.spec.spec_hash()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": ENVELOPE_SCHEMA_VERSION,
-            "spec": dict(self._payload["spec"]),
-            "result": dict(self._payload["result"]),
-            "meta": dict(self._payload.get("meta", {})),
-        }
+    def _result_data(self) -> dict[str, Any]:
+        return dict(self._results[self._position])

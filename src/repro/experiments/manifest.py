@@ -473,7 +473,11 @@ def run_with_manifest(
     ``on_mismatch`` decides: ``"replace"`` (default) starts a fresh
     manifest for this run — done cells of the old run are not skipped, but
     their envelope files stay in the store, preserving the mixed-session
-    store contract — while ``"error"`` refuses, naming the mismatch.
+    store contract — while ``"error"`` refuses, naming the mismatch.  A
+    manifest written by another ``repro`` version is refused either way,
+    with :class:`~repro.errors.VersionMismatchError`, before anything is
+    written: that version's envelope files would stay beside this one's,
+    and no version could read the store any more.
 
     Failure semantics (``on_error``, ``retry``, ``health`` — see
     :meth:`Session.run_batch`): every cell that exhausts the retry ladder
@@ -495,8 +499,10 @@ def run_with_manifest(
     if manifest is None and root.joinpath(MANIFEST_FILENAME).is_file():
         manifest = RunManifest.load(root)
     if manifest is not None:
-        if manifest.fingerprint != session.fingerprint():
-            if on_mismatch == "error":
+        fingerprint = session.fingerprint()
+        if manifest.fingerprint != fingerprint:
+            written_by = manifest.fingerprint.get("repro_version")
+            if on_mismatch == "error" or written_by != fingerprint["repro_version"]:
                 manifest.check_session(session)  # raises, naming the fields
             # a manifest describes one run configuration; re-running the
             # store under another session starts a fresh index (existing

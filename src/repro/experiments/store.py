@@ -12,8 +12,9 @@ understood:
 * **flat** (the historical layout): ``<kind>-<spec_hash>.json`` directly in
   the root.
 
-:func:`load_envelopes` reads both — mixed directories included — so stores
-written by older versions keep rendering.  A ``manifest.json`` written by
+:func:`load_envelopes` reads both — mixed directories included.  Each file
+holds one envelope as one line of compact canonical JSON
+(:meth:`ResultEnvelope.to_json`).  A ``manifest.json`` written by
 :mod:`repro.experiments.manifest` is skipped, as is anything under a
 dot-directory (``.service/`` holds the experiment service's job records,
 ``.quarantine/`` the evidence of torn writes — reserved metadata, never
@@ -21,7 +22,10 @@ envelopes).  A truncated or corrupt file is **quarantined** — moved to
 ``<store>/.quarantine/`` with a reason file, under a warning naming the
 path — instead of aborting the scan: one torn write must not take a
 thousand good cells hostage, and the quarantined cell re-executes on the
-next manifest resume.
+next manifest resume.  A valid envelope of another schema is not corrupt
+but stale: the scan raises :class:`~repro.errors.VersionMismatchError` and
+moves no file (stores are caches of pure functions; re-run into a fresh
+directory).
 
 Stores are built for **concurrent readers over one writer**: every envelope
 lands via :func:`atomic_write_text` (temp file + ``os.replace``), so a
@@ -39,7 +43,7 @@ import tempfile
 import warnings
 from typing import Iterable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VersionMismatchError
 from repro.experiments.envelope import ResultEnvelope
 
 __all__ = [
@@ -183,9 +187,12 @@ def load_envelopes(directory: str | pathlib.Path) -> list[ResultEnvelope]:
     write, or simply not an envelope — is quarantined under
     ``<store>/.quarantine/`` with a reason file, warning with the offending
     path, and the scan continues: one bad cell must not take the rest of
-    the store down.  A file that simply *vanished* between the listing and
-    the read (a concurrent writer replacing it, a cleanup racing the scan)
-    is skipped silently: listings of a live store are inherently a
+    the store down.  An envelope of another schema raises
+    :class:`~repro.errors.VersionMismatchError`; corrupt files are only
+    quarantined once the whole scan has passed, so a stale store is left
+    exactly as it was.  A file that simply *vanished* between the listing
+    and the read (a concurrent writer replacing it, a cleanup racing the
+    scan) is skipped silently: listings of a live store are inherently a
     snapshot, and raising on the race would make every reader of a served
     store flaky.
     """
@@ -204,11 +211,16 @@ def load_envelopes(directory: str | pathlib.Path) -> list[ResultEnvelope]:
         if current is None or len(path.parts) > len(current.parts):
             by_name[path.name] = path
     envelopes: list[ResultEnvelope] = []
+    corrupt: list[tuple[pathlib.Path, ConfigurationError]] = []
     for path in sorted(by_name.values()):
         try:
             envelopes.append(ResultEnvelope.load(path))
+        except VersionMismatchError:
+            raise
         except ConfigurationError as exc:
             if isinstance(exc.__cause__, FileNotFoundError):
                 continue  # listed, then gone: a writer won the race
-            quarantine_file(root, path, reason=str(exc))
+            corrupt.append((path, exc))
+    for path, exc in corrupt:
+        quarantine_file(root, path, reason=str(exc))
     return envelopes

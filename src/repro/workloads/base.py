@@ -27,10 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "Workload",
     "best_elapsed_s",
+    "elapsed_ns_from_list",
     "iter_axes",
     "modelled_power_metrics",
-    "repetitions_to_dicts",
-    "repetitions_from_dicts",
     "spec_size",
     "spec_variant",
     "variant_grid",
@@ -107,30 +106,27 @@ def variant_grid(
     return tuple(make(rng) for _ in range(count))
 
 
-def repetitions_to_dicts(elapsed_ns: tuple[int, ...]) -> list[dict[str, int]]:
-    """Serialize an ``elapsed_ns`` column (the shared codec fragment).
+def elapsed_ns_from_list(data: Any) -> tuple[int, ...]:
+    """The ``elapsed_ns`` column of a timed result's plain-data form.
 
-    The persisted layout is one ``{"repetition": i, "elapsed_ns": ns}``
-    object per repetition, in repetition order.
-    """
-    return [
-        {"repetition": rep, "elapsed_ns": ns}
-        for rep, ns in enumerate(elapsed_ns)
-    ]
-
-
-def repetitions_from_dicts(data) -> tuple[int, ...]:
-    """The ``elapsed_ns`` column of :func:`repetitions_to_dicts` output.
-
-    A column cannot carry repetition indices, so the codec refuses data it
-    would silently renumber: indices must run ``0 .. R-1`` in order.  Every
-    time must be positive, as the result records require.
+    The shared decoder of the timed-result codecs, which write the column
+    as ``"elapsed_ns": list(result.elapsed_ns)``.  Only a non-empty list
+    of integers decodes: ``bool``, float and string entries are refused
+    rather than truncated, and every time must be positive, as the result
+    records require.
     """
     from repro.core.results import check_elapsed_ns
 
-    if [int(r["repetition"]) for r in data] != list(range(len(data))):
-        raise ConfigurationError("repetition indices must run 0..R-1 in order")
-    elapsed_ns = tuple(int(r["elapsed_ns"]) for r in data)
+    if not isinstance(data, list):
+        raise ConfigurationError(
+            f"elapsed_ns must be a list of integers, not {type(data).__name__}"
+        )
+    for ns in data:
+        if type(ns) is not int:
+            raise ConfigurationError(
+                f"elapsed_ns entries must be integers, not {ns!r}"
+            )
+    elapsed_ns = tuple(data)
     check_elapsed_ns(elapsed_ns)
     return elapsed_ns
 

@@ -42,10 +42,9 @@ from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
+    elapsed_ns_from_list,
     iter_axes,
     modelled_power_metrics,
-    repetitions_from_dicts,
-    repetitions_to_dicts,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -289,7 +288,7 @@ def _result_to_dict(result: BatchedGemmResult) -> dict[str, Any]:
         "batch": result.batch,
         "flop_count": result.flop_count,
         "overhead_s": result.overhead_s,
-        "repetitions": repetitions_to_dicts(result.elapsed_ns),
+        "elapsed_ns": list(result.elapsed_ns),
         "verified": result.verified,
         "power_w": result.power_w,
     }
@@ -304,7 +303,7 @@ def _result_from_dict(data: Mapping[str, Any]) -> BatchedGemmResult:
         batch=int(data["batch"]),
         flop_count=int(data["flop_count"]),
         overhead_s=float(data["overhead_s"]),
-        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=elapsed_ns_from_list(data["elapsed_ns"]),
         verified=data.get("verified"),
         power_w=float(power_w) if power_w is not None else None,
     )

@@ -42,9 +42,8 @@ from repro.units import NS_PER_S
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
+    elapsed_ns_from_list,
     iter_axes,
-    repetitions_from_dicts,
-    repetitions_to_dicts,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -66,7 +65,7 @@ def gemm_result_to_dict(result: GemmResult) -> dict[str, Any]:
         "chip_name": result.chip_name,
         "n": result.n,
         "flop_count": result.flop_count,
-        "repetitions": repetitions_to_dicts(result.elapsed_ns),
+        "elapsed_ns": list(result.elapsed_ns),
         "verified": result.verified,
     }
 
@@ -78,7 +77,7 @@ def gemm_result_from_dict(data: Mapping[str, Any]) -> GemmResult:
         chip_name=data["chip_name"],
         n=int(data["n"]),
         flop_count=int(data["flop_count"]),
-        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=elapsed_ns_from_list(data["elapsed_ns"]),
         verified=data.get("verified"),
     )
 

@@ -44,10 +44,9 @@ from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
+    elapsed_ns_from_list,
     iter_axes,
     modelled_power_metrics,
-    repetitions_from_dicts,
-    repetitions_to_dicts,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -282,7 +281,7 @@ def _result_to_dict(result: SpmvResult) -> dict[str, Any]:
         "flop_count": result.flop_count,
         "bytes_moved": result.bytes_moved,
         "theoretical_gbs": result.theoretical_gbs,
-        "repetitions": repetitions_to_dicts(result.elapsed_ns),
+        "elapsed_ns": list(result.elapsed_ns),
         "verified": result.verified,
         "power_w": result.power_w,
     }
@@ -298,7 +297,7 @@ def _result_from_dict(data: Mapping[str, Any]) -> SpmvResult:
         flop_count=int(data["flop_count"]),
         bytes_moved=float(data["bytes_moved"]),
         theoretical_gbs=float(data["theoretical_gbs"]),
-        elapsed_ns=repetitions_from_dicts(data["repetitions"]),
+        elapsed_ns=elapsed_ns_from_list(data["elapsed_ns"]),
         verified=data.get("verified"),
         power_w=float(power_w) if power_w is not None else None,
     )

@@ -7,6 +7,9 @@ deterministic correctness tests on small problems) and ``study_machine``
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.calibration import paper
@@ -49,3 +52,38 @@ def each_chip_model_machine(request) -> Machine:
 @pytest.fixture
 def study_machine() -> Machine:
     return make_study_machine("M1")
+
+
+def _v1_result(result: dict) -> dict:
+    """A schema-2 result dict in the schema-1 layout (per-repetition dicts)."""
+    data = dict(result)
+    if "elapsed_ns" in data:
+        data["repetitions"] = [
+            {"repetition": rep, "elapsed_ns": ns}
+            for rep, ns in enumerate(data.pop("elapsed_ns"))
+        ]
+    if "gemm" in data:  # powered GEMM nests its GEMM result
+        data["gemm"] = _v1_result(data["gemm"])
+    return data
+
+
+def downgrade_store_to_1_1_0(root: pathlib.Path) -> list[pathlib.Path]:
+    """Rewrite every envelope file under ``root`` as repro 1.1.0 wrote it.
+
+    Schema 1, per-repetition ``{"repetition", "elapsed_ns"}`` dicts,
+    1.1.0 version stamps and indented JSON — a stale store for the tests of
+    its refusal.  Returns the rewritten paths.
+    """
+    paths = []
+    for path in sorted(root.rglob("*.json")):
+        relative = path.relative_to(root)
+        if path.name == "manifest.json" or relative.parts[0].startswith("."):
+            continue
+        data = json.loads(path.read_text())
+        data["schema"] = 1
+        data["result"] = _v1_result(data["result"])
+        data["meta"]["repro_version"] = "1.1.0"
+        data["meta"]["session"]["repro_version"] = "1.1.0"
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        paths.append(path)
+    return paths

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.experiments.session as session_module
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VersionMismatchError
 from repro.experiments import (
     RunManifest,
     Session,
@@ -239,6 +239,22 @@ class TestRunWithManifest:
         # ...but the first session's envelopes are still in the store
         kinds = {e.kind for e in load_envelopes(tmp_path)}
         assert kinds == {"stream", "gemm"}
+
+    def test_a_manifest_from_another_version_is_refused_untouched(
+        self, tmp_path
+    ):
+        """Even under the default "replace": a 1.1.0 store extended by this
+        version would hold envelopes no version can read back together."""
+        run_with_manifest(model_session(), SWEEP, tmp_path)
+        path = tmp_path / "manifest.json"
+        data = json.loads(path.read_text())
+        data["session"]["repro_version"] = "1.1.0"
+        path.write_text(json.dumps(data))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(VersionMismatchError, match="1.1.0"):
+            run_with_manifest(model_session(), SWEEP, tmp_path)
+        after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before
 
     def test_bad_mismatch_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="on_mismatch"):

@@ -5,9 +5,11 @@ against the serial reference (including sampled-numerics GEMM cells,
 whose verification check runs inside the worker), a sweep streamed
 through the parent in one expansion pass, ordered delivery, cache
 semantics, worker-crash propagation that names the failing cell, the
-undelivered-cell guard in ``Session.run_batch``, and the lazy envelopes
-shards stream back.
+undelivered-cell guard in ``Session.run_batch``, and the wire: workers
+ship only result dicts, and the parent stamps deferred envelopes over them.
 """
+
+import pickle
 
 import pytest
 
@@ -18,9 +20,13 @@ from repro.experiments import (
     Session,
     SweepSpec,
 )
+from repro.experiments import envelope as envelope_module
 from repro.experiments.backends import (
     SerialBackend,
     ShardedBackend,
+    _execute_shard_payload,
+    _run_shard,
+    _session_payload,
     resolve_backend,
 )
 from repro.experiments.envelope import ResultEnvelope
@@ -83,16 +89,6 @@ class TestShardedByteIdentity:
             sweep, backend=ShardedBackend(max_workers=2, shard_size=3)
         )
         assert [e.spec for e in envs] == specs
-
-    def test_envelopes_are_lazy_payload_wrappers(self):
-        sweep = small_sweep("spmv")
-        envs = model_session().run_batch(
-            sweep,
-            backend=ShardedBackend(max_workers=2, shard_size=3),
-            use_cache=False,
-        )
-        assert all(type(env).__name__ == "_LazyEnvelope" for env in envs)
-        assert all(isinstance(env, ResultEnvelope) for env in envs)
 
 
 class TestShardedStreaming:
@@ -281,38 +277,89 @@ class TestShardedResolution:
             ShardedBackend(0)
 
 
-class TestLazyEnvelope:
-    def _envelope(self):
-        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=64)
-        return model_session().run(spec)
+def shard_of(sweep: SweepSpec) -> dict:
+    """A worker's shard payload for every cell of ``sweep``."""
+    return {"specs": [spec.to_dict() for spec in sweep.expand()], "label": "test"}
+
+
+def columns_of(item: dict) -> list:
+    """The ``elapsed_ns`` columns of one result dict (powered GEMM nests one)."""
+    nested = (item, item.get("gemm", {}))
+    return [data["elapsed_ns"] for data in nested if "elapsed_ns" in data]
+
+
+class TestShardWire:
+    """Workers ship result dicts only; the parent stamps deferred envelopes."""
+
+    @pytest.mark.parametrize("kind", workload_kinds())
+    def test_a_shard_blob_holds_one_result_dict_per_cell(self, kind):
+        sweep = small_sweep(kind)
+        session = model_session()
+        blob = _execute_shard_payload(shard_of(sweep), _session_payload(session))
+        items = pickle.loads(blob)
+        reference = session.run_batch(sweep, backend="vectorized")
+        assert items == [env.to_dict()["result"] for env in reference]
+        for item in items:
+            assert item["type"] == kind
+            assert not {"spec", "meta", "schema", "repetitions"} & set(item)
+            for column in columns_of(item):
+                assert column and all(type(ns) is int for ns in column)
+        if kind != "stream":
+            assert all(columns_of(item) for item in items)
+
+    def test_workers_build_no_envelope_and_no_cache_key(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a worker must not stamp envelopes")
+
+        monkeypatch.setattr(Session, "cache_key", forbidden)
+        monkeypatch.setattr(ResultEnvelope, "create", classmethod(forbidden))
+        items = _run_shard(
+            shard_of(small_sweep("spmv")), _session_payload(model_session()), 1
+        )
+        assert items and all(item["type"] == "spmv" for item in items)
 
     @staticmethod
-    def _lazy(payload):
-        return ResultEnvelope.from_deferred(lambda: payload)
+    def sharded(sweep, **kwargs):
+        return model_session().run_batch(
+            sweep, backend=ShardedBackend(max_workers=2, shard_size=3), **kwargs
+        )
 
-    def test_payload_round_trip_is_byte_identical(self):
-        eager = self._envelope()
-        lazy = self._lazy(eager.to_dict())
-        assert lazy.to_json() == eager.to_json()
+    @pytest.fixture()
+    def decoded(self, monkeypatch):
+        """Every result dict the envelope codec decodes, in order."""
+        calls = []
+        decode = envelope_module.result_from_dict
+        monkeypatch.setattr(
+            envelope_module,
+            "result_from_dict",
+            lambda data: calls.append(data) or decode(data),
+        )
+        return calls
 
-    def test_equality_crosses_laziness_both_ways(self):
-        eager = self._envelope()
-        lazy = self._lazy(eager.to_dict())
-        assert lazy == eager
-        assert eager == lazy
+    def test_identity_fields_do_not_decode_the_blob(self, decoded):
+        sweep = small_sweep("spmv")
+        specs = list(sweep.expand())
+        hashes = [spec.spec_hash() for spec in specs]
+        envs = self.sharded(sweep, use_cache=False)
+        assert [env.spec for env in envs] == specs
+        assert [env.kind for env in envs] == ["spmv"] * len(specs)
+        assert [env.spec_hash for env in envs] == hashes
+        assert [env.meta["spec_hash"] for env in envs] == hashes
+        assert all(env._results._items is None for env in envs)  # still pickled
+        assert decoded == []
+        assert envs[0].result.n == specs[0].n  # ...until a result is read
+        assert len(decoded) == 1
+        assert envs[0]._results._items is not None
 
-    def test_identity_fields_skip_rehydration(self):
-        eager = self._envelope()
-        lazy = self._lazy(eager.to_dict())
-        assert lazy.kind == "gemm"
-        assert lazy.spec_hash == eager.spec_hash
-        assert "_spec_cache" not in lazy.__dict__  # nothing rehydrated yet
-        assert lazy.spec == eager.spec  # ...until a field is actually read
-        assert "_spec_cache" in lazy.__dict__
-
-    def test_schema_check_still_applies(self):
-        payload = self._envelope().to_dict()
-        payload["schema"] = 99
-        lazy = self._lazy(payload)  # nothing is decoded or checked yet
-        with pytest.raises(ConfigurationError, match="unsupported envelope schema"):
-            lazy.spec_hash
+    @pytest.mark.parametrize("kind", workload_kinds())
+    def test_to_json_equals_vectorized_before_and_after_result(self, kind, decoded):
+        sweep = small_sweep(kind)
+        vectorized = model_session().run_batch(sweep, backend="vectorized")
+        reference = [env.to_json() for env in vectorized]
+        envs = self.sharded(sweep)
+        assert [env.to_json() for env in envs] == reference
+        assert decoded == []  # served from the raw result dicts
+        assert [env.result for env in envs] == [env.result for env in vectorized]
+        assert len(decoded) == len(envs)
+        assert [env.to_json() for env in envs] == reference
+        assert envs == vectorized and vectorized == envs

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VersionMismatchError
 from repro.experiments import (
     GemmSpec,
     ResultEnvelope,
@@ -15,6 +15,9 @@ from repro.experiments import (
     load_envelopes,
     save_envelopes,
 )
+from repro.study import ResultFrame
+
+from tests.conftest import downgrade_store_to_1_1_0
 
 
 @pytest.fixture(scope="module")
@@ -86,24 +89,47 @@ class TestRobustness:
         reason = quarantined.with_name(quarantined.name + ".reason.txt")
         assert victim.name in reason.read_text()
 
-    def test_non_envelope_json_is_quarantined(self, tmp_path, envelopes):
+    @pytest.mark.parametrize(
+        "payload", [{"hello": "world"}, [1, 2]], ids=["object", "array"]
+    )
+    def test_non_envelope_json_is_quarantined(self, tmp_path, envelopes, payload):
         save_envelopes(tmp_path, envelopes[:1])
         rogue = tmp_path / "notes.json"
-        rogue.write_text(json.dumps({"hello": "world"}))
+        rogue.write_text(json.dumps(payload))
         with pytest.warns(UserWarning, match="notes.json"):
             loaded = load_envelopes(tmp_path)
         assert len(loaded) == 1
         assert (tmp_path / ".quarantine" / "notes.json").is_file()
 
-    def test_unsupported_schema_is_quarantined(self, tmp_path, envelopes):
+    @pytest.mark.parametrize("schema", [None, "2", 2.0, True])
+    def test_missing_or_malformed_schema_is_corrupt(
+        self, tmp_path, envelopes, schema
+    ):
         data = envelopes[0].to_dict()
-        data["schema"] = 99
-        path = tmp_path / "future.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(data))
-        with pytest.warns(UserWarning, match="future.json"):
+        if schema is None:
+            del data["schema"]  # not "current by default"
+        else:
+            data["schema"] = schema
+        (tmp_path / "nameless.json").write_text(json.dumps(data))
+        with pytest.warns(UserWarning, match="nameless.json"):
             loaded = load_envelopes(tmp_path)
         assert loaded == []
+        assert (tmp_path / ".quarantine" / "nameless.json").is_file()
+
+    @pytest.mark.parametrize(
+        "column", [[], [10, 0], [10, 2.5], [10, True], ["10"], {"0": 10}, None]
+    )
+    def test_a_bad_elapsed_ns_column_is_quarantined(
+        self, tmp_path, envelopes, column
+    ):
+        paths = save_envelopes(tmp_path, envelopes)
+        data = json.loads(paths[0].read_text())
+        data["result"]["elapsed_ns"] = column
+        paths[0].write_text(json.dumps(data))
+        with pytest.warns(UserWarning, match=paths[0].name):
+            loaded = load_envelopes(tmp_path)
+        assert len(loaded) == len(envelopes) - 1
+        assert (tmp_path / ".quarantine" / paths[0].name).is_file()
 
     def test_quarantined_files_are_not_rescanned(self, tmp_path, envelopes):
         save_envelopes(tmp_path, envelopes)
@@ -125,16 +151,67 @@ class TestRobustness:
             ResultEnvelope.load(tmp_path / "ghost.json")
         assert "ghost.json" in str(excinfo.value)
 
-    def test_swapped_repetition_indices_are_refused(self, tmp_path, envelopes):
-        # a column would silently renumber them on the next save
-        (path,) = save_envelopes(tmp_path, envelopes[:1])
-        data = json.loads(path.read_text())
-        reps = data["result"]["repetitions"]
-        reps[0]["repetition"], reps[1]["repetition"] = 1, 0
-        path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError, match="repetition indices") as exc:
+    def test_files_are_one_compact_canonical_line(self, tmp_path, envelopes):
+        for envelope, path in zip(envelopes, save_envelopes(tmp_path, envelopes)):
+            text = path.read_text()
+            assert text == envelope.to_json() + "\n"
+            assert text.count("\n") == 1 and ": " not in text
+            data = json.loads(text)
+            canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            assert text == canonical + "\n"
+            assert data["schema"] == 2
+            assert data["result"]["elapsed_ns"] == list(envelope.result.elapsed_ns)
+
+
+class TestStaleStore:
+    """A valid store of another schema is refused, typed, and left in place.
+
+    Stores are caches of pure functions: a 1.1.0 store is neither read nor
+    "repaired" by quarantining its cells as corrupt.
+    """
+
+    @pytest.fixture()
+    def stale(self, tmp_path, envelopes):
+        save_envelopes(tmp_path, envelopes)
+        paths = downgrade_store_to_1_1_0(tmp_path)
+        return tmp_path, {path: path.read_bytes() for path in paths}
+
+    @staticmethod
+    def assert_untouched(root, files):
+        assert not (root / ".quarantine").exists()
+        assert {path: path.read_bytes() for path in files} == files
+
+    def test_load_refuses_with_the_path_and_the_writer(self, stale):
+        root, files = stale
+        path = next(iter(files))
+        with pytest.raises(VersionMismatchError) as info:
             ResultEnvelope.load(path)
-        assert str(path) in str(exc.value)
+        message = str(info.value)
+        assert str(path) in message
+        assert "1.1.0" in message and "fresh directory" in message
+        assert info.value.written_by == "1.1.0"
+        self.assert_untouched(root, files)
+
+    def test_load_envelopes_refuses_and_moves_nothing(self, stale):
+        root, files = stale
+        with pytest.raises(VersionMismatchError, match="1.1.0"):
+            load_envelopes(root)
+        self.assert_untouched(root, files)
+
+    def test_a_corrupt_file_beside_it_is_not_quarantined_either(self, stale):
+        root, files = stale
+        rogue = root / "zz-torn.json"
+        rogue.write_text("{broken")
+        with pytest.raises(VersionMismatchError):
+            load_envelopes(root)
+        self.assert_untouched(root, files)
+        assert rogue.is_file()
+
+    def test_frame_from_store_refuses(self, stale):
+        root, files = stale
+        with pytest.raises(VersionMismatchError, match="1.1.0"):
+            ResultFrame.from_store(root)
+        self.assert_untouched(root, files)
 
 
 class TestConcurrentReaders:

@@ -309,12 +309,14 @@ class TestBackendSemantics:
         vectorized = model_session().run_batch([spec], backend="vectorized")[0]
         assert dict(vectorized.meta) == dict(serial.meta)
 
-    def test_envelope_meta_not_shared_across_cells(self):
-        """Mutating one envelope's meta must not leak into another's."""
+    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    def test_envelope_meta_not_shared_across_cells(self, backend):
+        """Mutating one envelope's meta must not leak into another's (the
+        sharded parent stamps its deferred envelopes from one snapshot)."""
         specs = list(
             SweepSpec(kind="spmv", chips=("M1",), sizes=(4096,)).expand()
         )
-        envs = model_session().run_batch(specs, backend="vectorized")
+        envs = model_session().run_batch(specs, backend=backend)
         assert len(envs) >= 2
         envs[0].meta["session"]["noise_sigma"] = "corrupted"
         envs[0].meta["session"]["numerics"]["policy"] = "corrupted"

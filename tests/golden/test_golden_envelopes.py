@@ -156,7 +156,7 @@ def protocol_specs() -> list:
 def envelope_lines(numerics: str, specs: list) -> list[str]:
     """One compact envelope JSON line per cell, in grid order."""
     session = Session(numerics=numerics, seed=SEED)
-    return [env.to_json(indent=None) for env in session.run_batch(specs)]
+    return [env.to_json() for env in session.run_batch(specs)]
 
 
 def calibration_fits() -> list:
@@ -174,7 +174,7 @@ def calibration_lines() -> list[str]:
     lines: list[str] = []
     for fit in calibration_fits():
         lines.append(fit.to_json().rstrip("\n"))
-        lines += [row.envelope.to_json(indent=None) for row in fit.frame]
+        lines += [row.envelope.to_json() for row in fit.frame]
     return lines
 
 

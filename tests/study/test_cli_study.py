@@ -1,10 +1,14 @@
 """CLI integration: `repro study list|run|render` and figure-path parity."""
 
+import shutil
+
 import pytest
 
 from repro.cli import main
 from repro.experiments import RunManifest, load_envelopes
 from repro.study import FIGURES, TABLES
+
+from tests.conftest import downgrade_store_to_1_1_0
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,20 @@ class TestStudyRender:
             == 0
         )
         assert capsys.readouterr().out.startswith("chip,target,kernel")
+
+    def test_a_1_1_0_store_is_refused_and_left_in_place(
+        self, study_store, tmp_path, capsys
+    ):
+        stale = tmp_path / "stale"
+        shutil.copytree(study_store, stale)
+        files = {path: path.read_bytes() for path in downgrade_store_to_1_1_0(stale)}
+        code = main(["study", "render", "figure2", "--from", str(stale)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "1.1.0" in err and "fresh directory" in err
+        assert not (stale / ".quarantine").exists()
+        assert {path: path.read_bytes() for path in files} == files
 
     def test_efficiency_report_from_store(self, study_store, capsys):
         assert (

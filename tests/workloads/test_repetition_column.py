@@ -2,19 +2,21 @@
 
 The four timed result records (GEMM, SpMV, stencil, batched GEMM) store one
 timing per repetition in an ``elapsed_ns`` tuple.  Their ``repetitions``
-property derives the per-repetition records, and the shared codec keeps
-the persisted ``[{"repetition": i, "elapsed_ns": ns}, ...]`` layout.
+property derives the per-repetition records, and the codecs persist the
+column as one ``"elapsed_ns": [ns, ...]`` list (envelope schema 2), decoded
+by the shared :func:`~repro.workloads.base.elapsed_ns_from_list`.
 """
 
 import dataclasses
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.results import GemmRepetition
 from repro.errors import ConfigurationError
-from repro.experiments import GemmSpec, Session
+from repro.experiments import GemmSpec, ResultEnvelope, Session
 from repro.workloads import (
     BatchedGemmSpec,
     SpmvResult,
@@ -24,7 +26,7 @@ from repro.workloads import (
     get_workload,
     serialize_result,
 )
-from repro.workloads.base import repetitions_from_dicts, repetitions_to_dicts
+from repro.workloads.base import elapsed_ns_from_list
 from repro.workloads.batched_gemm import lower_batched_gemm_spec
 from repro.workloads.gemm import lower_gemm_spec
 from repro.workloads.spmv import lower_spmv_spec
@@ -33,15 +35,17 @@ from repro.workloads.stencil import lower_stencil_spec
 from tests.conftest import make_model_machine
 
 TIMED_KINDS = ("gemm", "spmv", "stencil", "batched-gemm")
+#: The timed kinds plus powered GEMM, whose result nests a GEMM result.
+TIMED_WORKLOADS = TIMED_KINDS + ("powered-gemm",)
 
 
 @pytest.fixture(scope="module")
 def samples():
-    """One model-only result record per timed kind."""
+    """One model-only result record per timed workload."""
     session = Session(numerics="model-only")
     return {
         kind: session.run(get_workload(kind).sample_spec()).result
-        for kind in TIMED_KINDS
+        for kind in TIMED_WORKLOADS
     }
 
 
@@ -53,14 +57,8 @@ columns = st.lists(
 @pytest.mark.parametrize("kind", TIMED_KINDS)
 class TestColumn:
     @given(elapsed_ns=columns)
-    def test_codec_keeps_the_legacy_layout(self, samples, kind, elapsed_ns):
+    def test_codec_writes_the_column_as_one_list(self, samples, kind, elapsed_ns):
         result = dataclasses.replace(samples[kind], elapsed_ns=elapsed_ns)
-        legacy = [
-            {"repetition": i, "elapsed_ns": ns}
-            for i, ns in enumerate(elapsed_ns)
-        ]
-        assert repetitions_to_dicts(result.elapsed_ns) == legacy
-        assert repetitions_from_dicts(legacy) == elapsed_ns
         assert result.repetitions == tuple(
             GemmRepetition(i, ns) for i, ns in enumerate(elapsed_ns)
         )
@@ -69,7 +67,9 @@ class TestColumn:
             result.flop_count / ns for ns in elapsed_ns
         )
         data = serialize_result(result)
-        assert data["repetitions"] == legacy
+        assert data["elapsed_ns"] == list(elapsed_ns)
+        assert "repetitions" not in data
+        assert elapsed_ns_from_list(data["elapsed_ns"]) == elapsed_ns
         assert deserialize_result(data) == result
 
     def test_statistics_read_the_column(self, samples, kind):
@@ -92,22 +92,62 @@ class TestColumn:
 
 
 class TestCodecRefusals:
+    """The decoder takes a non-empty JSON list of ``int`` and nothing else."""
+
     @pytest.mark.parametrize(
-        "indices", [(1, 0, 2), (0, 2, 1), (0, 1, 1), (1, 2, 3), (0, 2, 3)]
+        "data",
+        [{"0": 10}, (10, 20), "10", 10, None],
+        ids=["dict", "tuple", "str", "int", "null"],
     )
-    def test_indices_must_run_in_order(self, indices):
-        data = [{"repetition": i, "elapsed_ns": 10} for i in indices]
-        with pytest.raises(ConfigurationError, match="repetition indices"):
-            repetitions_from_dicts(data)
+    def test_column_must_be_a_list(self, data):
+        with pytest.raises(ConfigurationError, match="list of integers"):
+            elapsed_ns_from_list(data)
+
+    def test_column_must_not_be_empty(self):
+        with pytest.raises(ConfigurationError, match="at least one repetition"):
+            elapsed_ns_from_list([])
+
+    @pytest.mark.parametrize(
+        "entry", [True, False, 10.0, 10.7, "10", None, [10]],
+        ids=["true", "false", "float", "fraction", "str", "null", "list"],
+    )
+    def test_entries_must_be_ints_not_truncated(self, entry):
+        # int() would turn True into 1 and 10.7 into 10 without a word
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            elapsed_ns_from_list([10, entry])
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_times_must_be_positive(self, bad):
-        data = [
-            {"repetition": 0, "elapsed_ns": 10},
-            {"repetition": 1, "elapsed_ns": bad},
-        ]
         with pytest.raises(ConfigurationError, match="positive time"):
-            repetitions_from_dicts(data)
+            elapsed_ns_from_list([10, bad])
+
+
+def with_column(result, elapsed_ns):
+    """``result`` with its (powered-GEMM: its GEMM's) column replaced."""
+    if hasattr(result, "gemm"):
+        return dataclasses.replace(
+            result, gemm=dataclasses.replace(result.gemm, elapsed_ns=elapsed_ns)
+        )
+    return dataclasses.replace(result, elapsed_ns=elapsed_ns)
+
+
+@pytest.mark.parametrize("kind", TIMED_WORKLOADS)
+class TestEnvelopeRoundTrip:
+    """Every timed workload's ``sample_variants``, through envelope JSON."""
+
+    @settings(max_examples=15)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), elapsed_ns=columns)
+    def test_round_trip_keeps_the_column(self, samples, kind, seed, elapsed_ns):
+        result = with_column(samples[kind], elapsed_ns)
+        for spec in get_workload(kind).sample_variants(seed, 4):
+            envelope = ResultEnvelope.create(spec, result)
+            text = envelope.to_json()
+            column = json.loads(text)["result"]
+            column = column.get("gemm", column)["elapsed_ns"]
+            assert column == list(elapsed_ns)
+            back = ResultEnvelope.from_json(text)
+            assert back == envelope
+            assert back.to_json() == text
 
 
 class TestNonPositiveTimeOnEveryPath:
@@ -128,10 +168,7 @@ class TestNonPositiveTimeOnEveryPath:
 
     def test_spmv_codec(self, samples):
         data = serialize_result(samples["spmv"])
-        data["repetitions"] = [
-            {"repetition": 0, "elapsed_ns": 5},
-            {"repetition": 1, "elapsed_ns": 0},
-        ]
+        data["elapsed_ns"] = [5, 0]
         with pytest.raises(ConfigurationError, match="positive time"):
             deserialize_result(data)
 
