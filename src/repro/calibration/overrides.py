@@ -36,6 +36,7 @@ from repro.errors import CalibrationError
 from repro.soc.catalog import (
     CHIP_NAMES,
     base_chip_name,
+    derived_chip_base,
     get_chip,
     register_derived_chip,
 )
@@ -93,6 +94,10 @@ class CalibrationOverlay:
 
 #: Derived chip name (upper-case) -> its overlay.
 _OVERLAYS: dict[str, CalibrationOverlay] = {}
+
+#: ``(base, ((knob, type(value), value), ...)) -> name`` of every chip
+#: :func:`derive_calibrated_chip` has registered.
+_DERIVED_NAMES: dict[tuple, str] = {}
 
 
 def _split_knob(knob: str) -> tuple[str, str]:
@@ -180,11 +185,24 @@ def derive_calibrated_chip(base: str, values: Mapping[str, float]) -> str:
     (base, values) twice returns the same name, and distinct overlays can
     never alias.
 
+    A search re-derives the same candidates many times, so each derived
+    name is memoized on exactly what it hashes: the base, and every knob
+    with its value's type and value (``1``, ``1.0`` and ``True`` serialize
+    differently, so they name different chips).  A hit still checks that
+    the name is registered; errors are never memoized.
+
     Raises
     ------
     CalibrationError
         For unknown knobs, non-positive values, or a non-catalog base.
     """
+    memo_key = (
+        base,
+        tuple((knob, type(value), value) for knob, value in values.items()),
+    )
+    name = _DERIVED_NAMES.get(memo_key)
+    if name is not None and derived_chip_base(name) is not None:
+        return name
     base_key = base.strip().upper()
     if base_key not in CHIP_NAMES:
         raise CalibrationError(
@@ -206,6 +224,7 @@ def derive_calibrated_chip(base: str, values: Mapping[str, float]) -> str:
     spec = dataclasses.replace(get_chip(base_key), name=name)
     register_derived_chip(spec, base_key)
     _OVERLAYS[name] = overlay
+    _DERIVED_NAMES[memo_key] = name
     return name
 
 

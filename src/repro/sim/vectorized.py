@@ -44,8 +44,8 @@ one roofline operation repeated R times, assembled from per-repetition
 elapsed nanoseconds.  A :class:`LoweredSequence` is the general case — an
 ordered tuple of heterogeneous :class:`~repro.sim.engine.Operation`
 objects (optionally each preceded by one fixed clock advance, the
-powermetrics warm-up sleep), assembled from each operation's
-``(start_s, end_s)`` clock window, which is what protocol-shaped
+powermetrics warm-up sleep), assembled from two float64 rows — every
+operation's clock start and clock end — which is what protocol-shaped
 workloads (the STREAM thread sweep, the GEMM implementation studies, the
 powered-GEMM measurement protocol) need.  Their ops come from the dispatch
 builders in :mod:`repro.calibration` that the benchmark classes execute
@@ -59,7 +59,11 @@ cell, one op per (thread-count, kernel) repeated ``ntimes`` for a CPU
 STREAM sweep.  :func:`evaluate_sequences` computes everything that depends
 only on the op once per distinct object (per sequence thermal model) and
 gathers it back to positions; noise keys and counters still advance per
-position, so sharing an object never changes a byte.
+position, so sharing an object never changes a byte.  The clock runs
+column-wise: sequences of one length share one ``np.cumsum`` over their
+interleaved ``[pre, d1, pre, d2, ...]`` steps, whose strictly left-to-right
+adds are the scalar clock's own, and each assembler reads its rows with
+array expressions instead of per-window Python tuples.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -188,10 +193,12 @@ class LoweredSequence:
     on one cumulative machine clock.  ``ops`` are the very
     :class:`~repro.sim.engine.Operation` objects the scalar executors run,
     from the shared builders in :mod:`repro.calibration`.  ``assemble``
-    receives each op's ``(start_s, end_s)`` window — the exact floats the
-    scalar clock would produce — and rebuilds the workload's result record,
-    replaying any executor-side arithmetic (nanosecond truncation,
-    bandwidth division, powermetrics formatting) on top of them.
+    is called as ``assemble(starts, ends)`` with two 1-D float64 arrays of
+    ``len(ops)`` entries — each op's clock start and end, the exact floats
+    the scalar clock would produce — and rebuilds the workload's result
+    record, replaying any executor-side arithmetic (nanosecond truncation,
+    bandwidth division, powermetrics formatting) on top of them.  The rows
+    may be views into a batch-wide array: read them, never write them.
 
     ``pre_advance_s`` models a ``machine.sleep`` the scalar executor
     performs before issuing *each* op (the powermetrics warm-up): it shifts
@@ -212,7 +219,7 @@ class LoweredSequence:
     seed: int
     thermal: ThermalModel
     ops: tuple[Operation, ...]
-    assemble: Callable[[tuple[tuple[float, float], ...]], Any]
+    assemble: Callable[[np.ndarray, np.ndarray], Any]
     pre_advance_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -222,7 +229,7 @@ class LoweredSequence:
             )
         if self.pre_advance_s < 0.0:
             raise ConfigurationError("pre-advance must be non-negative")
-        if not all(op.noise_key for op in self.ops):
+        if not all(map(operator.attrgetter("noise_key"), self.ops)):
             raise ConfigurationError(
                 "lowered-sequence ops need explicit noise keys "
                 "(content-addressed, never the chip/label fallback)"
@@ -299,16 +306,18 @@ def run_lowered_sequence(machine: Machine, sequence: LoweredSequence) -> Any:
     The counterpart of :func:`run_lowered_cell` for sequence-shaped cells:
     the pre-advance becomes a real ``machine.sleep`` before each op, each
     op a real ``machine.execute``, and ``assemble`` sees the genuine clock
-    windows.
+    starts and ends.
     """
-    windows = []
+    starts = []
+    ends = []
     pre_advance_s = sequence.pre_advance_s
     for op in sequence.ops:
         if pre_advance_s:
             machine.sleep(pre_advance_s)
         completed = machine.execute(op)
-        windows.append((completed.start_s, completed.end_s))
-    return sequence.assemble(tuple(windows))
+        starts.append(completed.start_s)
+        ends.append(completed.end_s)
+    return sequence.assemble(np.array(starts), np.array(ends))
 
 
 def _validated_arrays(cells: Sequence[LoweredCell]) -> dict[str, np.ndarray]:
@@ -477,17 +486,18 @@ def evaluate_sequences(
     op object, by identity, to a slot of a table kept in first-appearance
     order — one slot per distinct (op, sequence thermal model) pair, so an
     ops tuple shared by sequences with different thermal models still
-    stretches under each model.  Validation, the roofline, the thermal
-    stretch and the pre-advances run once per slot and are gathered back
-    to positions; a lowering that repeats one op object for every
-    repetition of a dispatch pays for it once.  The noise pass walks
+    stretches under each model.  Validation, the roofline and the thermal
+    stretch run once per slot and are gathered back to positions; a
+    lowering that repeats one op object for every repetition of a dispatch
+    pays for it once.  The noise pass walks
     positions, so keys and counters are those of the scalar machine, and
-    runs only when some slot's sigma resolves to a non-zero value.  Each
-    sequence's virtual clock is replayed column-wise over the padded
-    (sequence, op) grid — honouring each sequence's pre-advance with the
-    same op-ordered float additions the scalar clock performs — and every
-    sequence's ``assemble`` receives its ops' exact clock windows.
-    Returns one assembled result record per sequence, in input order.
+    runs only when some slot's sigma resolves to a non-zero value.  The
+    virtual clock runs once per group of equal-length sequences, as one
+    ``np.cumsum`` over each member's interleaved pre-advance and duration
+    steps — the op-ordered float additions the scalar clock performs — and
+    every sequence's ``assemble`` receives its ops' exact clock start and
+    end rows.  Returns one assembled result record per sequence, in input
+    order.
     """
     if not sequences:
         return []
@@ -507,8 +517,8 @@ def evaluate_sequences(
                 table.append(op)
                 table_thermals.append(thermal)
         rows.append(list(map(slot_of.__getitem__, ids)))
-    counts = np.fromiter(map(len, rows), np.int64, n)
-    total = int(counts.sum())
+    counts = list(map(len, rows))
+    total = sum(counts)
     slots = np.fromiter(itertools.chain.from_iterable(rows), np.intp, total)
 
     # Roofline and thermal stretch, per slot, as in evaluate_cells.
@@ -553,31 +563,28 @@ def evaluate_sequences(
         )
         flat_durations = flat_durations * factors
 
-    max_ops = int(counts.max())
-    mask = np.arange(max_ops)[None, :] < counts[:, None]
-    durations = np.zeros((n, max_ops))
-    durations[mask] = flat_durations
+    # Virtual clock, one cumsum per sequence length.  Each row interleaves
+    # [pre, d1, pre, d2, ...]; add.accumulate adds strictly left to right,
+    # so every start is the scalar clock's ``clock + pre`` and every end its
+    # ``start + d``.  A zero pre-advance adds exactly 0.0 — the IEEE
+    # identity on the non-negative clock — matching the scalar executor
+    # skipping the sleep.  Assembly then runs in input order, so a batch
+    # with several failing cells raises the first one's error.
+    offsets = np.cumsum([0] + counts[:-1])
     pre = np.fromiter((s.pre_advance_s for s in sequences), np.float64, n)
-
-    # Virtual clock: per-op cumulative float adds, column-wise.  A zero
-    # pre-advance adds exactly 0.0 — the IEEE identity on the non-negative
-    # clock — matching the scalar executor skipping the sleep; padded
-    # columns only run the clock past windows already recorded.
-    starts = np.empty((n, max_ops))
-    ends = np.empty((n, max_ops))
-    clock = np.zeros(n)
-    for i in range(max_ops):
-        begin = clock + pre
-        finish = begin + durations[:, i]
-        starts[:, i] = begin
-        ends[:, i] = finish
-        clock = finish
-
-    start_rows = starts.tolist()
-    end_rows = ends.tolist()
+    groups: dict[int, list[int]] = {}
+    for i, count in enumerate(counts):
+        groups.setdefault(count, []).append(i)
+    windows: list[Any] = [None] * n
+    for length, members in groups.items():
+        steps = np.empty((len(members), 2 * length))
+        steps[:, 0::2] = pre[members, None]
+        steps[:, 1::2] = flat_durations[
+            offsets[members, None] + np.arange(length)
+        ]
+        clock = np.cumsum(steps, axis=1)
+        for i, starts, ends in zip(members, clock[:, 0::2], clock[:, 1::2]):
+            windows[i] = starts, ends
     return [
-        sequence.assemble(
-            tuple(zip(start_rows[i][:count], end_rows[i][:count]))
-        )
-        for i, (sequence, count) in enumerate(zip(sequences, counts.tolist()))
+        sequence.assemble(*window) for sequence, window in zip(sequences, windows)
     ]

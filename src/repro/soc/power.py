@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.errors import ConfigurationError
@@ -63,6 +64,8 @@ class PowerEnvelope:
     components: Mapping[PowerComponent, ComponentPower]
 
     def __post_init__(self) -> None:
+        # envelopes are shared between machines: a read-only copy
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
         missing = [c for c in (PowerComponent.CPU, PowerComponent.GPU) if c not in self.components]
         if missing:
             raise ConfigurationError(
@@ -96,53 +99,43 @@ class PowerEnvelope:
         return out
 
 
+def _envelope(cpu, gpu, ane, dram) -> PowerEnvelope:
+    """An envelope from (idle, max) watt pairs of the four rails."""
+    return PowerEnvelope(
+        {
+            PowerComponent.CPU: ComponentPower(*cpu),
+            PowerComponent.GPU: ComponentPower(*gpu),
+            PowerComponent.ANE: ComponentPower(*ane),
+            PowerComponent.DRAM: ComponentPower(*dram),
+        }
+    )
+
+
+#: The study chips' envelopes, built once and shared by every machine.
+_ENVELOPES: Mapping[str, PowerEnvelope] = MappingProxyType(
+    {
+        "M1": _envelope((0.04, 13.0), (0.02, 10.0), (0.01, 8.0), (0.05, 1.5)),
+        "M2": _envelope((0.04, 16.0), (0.02, 12.0), (0.01, 9.0), (0.05, 1.8)),
+        "M3": _envelope((0.04, 15.0), (0.02, 12.0), (0.01, 9.0), (0.05, 1.8)),
+        "M4": _envelope((0.05, 18.0), (0.02, 22.0), (0.01, 10.0), (0.06, 2.2)),
+    }
+)
+
+#: A generic envelope keeps custom/user-defined chips usable.
+_GENERIC_ENVELOPE = _envelope((0.05, 15.0), (0.02, 15.0), (0.01, 8.0), (0.05, 2.0))
+
+
 def default_envelope_for(chip_name: str) -> PowerEnvelope:
     """Built-in power envelopes for the study chips.
 
     These bound the draws observed in Figure 3 (a few watts to ~20 W, with
     the M4 GPU at the top) and the powermetrics idle floors of consumer Macs.
+    Derived chips get their base's envelope object, not the generic one.
     """
-    tables: dict[str, dict[PowerComponent, ComponentPower]] = {
-        "M1": {
-            PowerComponent.CPU: ComponentPower(0.04, 13.0),
-            PowerComponent.GPU: ComponentPower(0.02, 10.0),
-            PowerComponent.ANE: ComponentPower(0.01, 8.0),
-            PowerComponent.DRAM: ComponentPower(0.05, 1.5),
-        },
-        "M2": {
-            PowerComponent.CPU: ComponentPower(0.04, 16.0),
-            PowerComponent.GPU: ComponentPower(0.02, 12.0),
-            PowerComponent.ANE: ComponentPower(0.01, 9.0),
-            PowerComponent.DRAM: ComponentPower(0.05, 1.8),
-        },
-        "M3": {
-            PowerComponent.CPU: ComponentPower(0.04, 15.0),
-            PowerComponent.GPU: ComponentPower(0.02, 12.0),
-            PowerComponent.ANE: ComponentPower(0.01, 9.0),
-            PowerComponent.DRAM: ComponentPower(0.05, 1.8),
-        },
-        "M4": {
-            PowerComponent.CPU: ComponentPower(0.05, 18.0),
-            PowerComponent.GPU: ComponentPower(0.02, 22.0),
-            PowerComponent.ANE: ComponentPower(0.01, 10.0),
-            PowerComponent.DRAM: ComponentPower(0.06, 2.2),
-        },
-    }
-    # Derived chips inherit their base's envelope, not the generic one.
     from repro.soc.catalog import base_chip_name
 
     key = base_chip_name(chip_name.strip().upper())
-    if key not in tables:
-        # A generic envelope keeps custom/user-defined chips usable.
-        return PowerEnvelope(
-            {
-                PowerComponent.CPU: ComponentPower(0.05, 15.0),
-                PowerComponent.GPU: ComponentPower(0.02, 15.0),
-                PowerComponent.ANE: ComponentPower(0.01, 8.0),
-                PowerComponent.DRAM: ComponentPower(0.05, 2.0),
-            }
-        )
-    return PowerEnvelope(tables[key])
+    return _ENVELOPES.get(key, _GENERIC_ENVELOPE)
 
 
 __all__.append("default_envelope_for")

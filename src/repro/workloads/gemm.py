@@ -192,9 +192,10 @@ def lower_gemm_spec(machine, spec: GemmSpec) -> LoweredSequence:
     n = spec.n
     flop_count = paper.gemm_flop_count(spec.n)
 
-    def assemble(windows: "tuple[tuple[float, float], ...]") -> GemmResult:
+    def assemble(starts, ends) -> GemmResult:
         # measure_ns brackets each repetition with int(now * NS_PER_S)
-        # reads of the cumulative clock — truncation, not rounding.
+        # reads of the cumulative clock — truncation, not rounding, on
+        # Python ints, which no clock reading can overflow.
         return GemmResult(
             impl_key=impl_key,
             chip_name=chip_name,
@@ -202,7 +203,7 @@ def lower_gemm_spec(machine, spec: GemmSpec) -> LoweredSequence:
             flop_count=flop_count,
             elapsed_ns=tuple(
                 int(end * NS_PER_S) - int(start * NS_PER_S)
-                for start, end in windows
+                for start, end in zip(starts.tolist(), ends.tolist())
             ),
             verified=verified,
         )

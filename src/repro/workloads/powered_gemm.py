@@ -133,12 +133,10 @@ def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
         PowerComponent.GPU, envelope.idle_watts(PowerComponent.GPU)
     )
 
-    def assemble(
-        windows: "tuple[tuple[float, float], ...]",
-    ) -> PoweredGemmResult:
+    def assemble(starts, ends) -> PoweredGemmResult:
         measurements = []
-        for start, end in windows:
-            window = end - start
+        # the tool formats Python floats: one tolist() of the windows
+        for window in (ends - starts).tolist():
             elapsed_ms = float(f"{window * 1e3:.2f}")
             if elapsed_ms <= 0.0:
                 raise ProtocolError(

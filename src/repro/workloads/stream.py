@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
+import numpy as np
+
 from repro.calibration import paper
 from repro.calibration.stream import (
     STREAM_ELEMENT_BYTES,
@@ -33,6 +35,7 @@ from repro.calibration.stream import (
     gpu_stream_operations,
 )
 from repro.core.results import StreamKernelResult, StreamResult
+from repro.errors import ConfigurationError
 from repro.experiments.executor import run_stream_spec
 from repro.experiments.specs import StreamSpec, SweepSpec
 from repro.sim.machine import Machine
@@ -96,10 +99,9 @@ def stream_result_from_dict(data: Mapping[str, Any]) -> StreamResult:
     )
 
 
-#: ``(chip name, target, n_elements, ntimes) -> (ops, labels)`` per chip
-#: object (see :func:`~repro.soc.catalog.chip_memo`) — the op tuples are
-#: pure data shared by every seed of a sweep; ``labels`` pairs each
-#: position with its ``(threads, kernel)`` identity for the assembler.
+#: ``(chip name, target, n_elements, ntimes) -> ops`` per chip object (see
+#: :func:`~repro.soc.catalog.chip_memo`) — the op tuples are pure data
+#: shared by every seed of a sweep.
 _STREAM_OPS_CACHE: dict[tuple, tuple] = {}
 
 
@@ -107,18 +109,22 @@ def _cpu_sweep_ops(machine_like, n: int, ntimes: int):
     """The OMP_NUM_THREADS sweep in dispatch order: 1 to the physical core
     count, ``ntimes`` repetitions of the four kernels at each count."""
     ops: list = []
-    labels: list[tuple[int, str]] = []
     for threads in range(1, machine_like.chip.total_cores + 1):
         ops += cpu_stream_operations(machine_like, threads, n) * ntimes
-        labels += [(threads, kernel) for kernel in STREAM_KERNELS] * ntimes
-    return tuple(ops), tuple(labels)
+    return tuple(ops)
 
 
 def _gpu_loop_ops(machine_like, n: int, ntimes: int):
-    """The GPU loop in command-buffer order: ``ntimes`` passes of four
-    (no thread count: the labels carry ``None``)."""
-    labels = tuple((None, kernel) for kernel in STREAM_KERNELS)
-    return gpu_stream_operations(machine_like, n) * ntimes, labels * ntimes
+    """The GPU loop in command-buffer order: ``ntimes`` passes of four."""
+    return gpu_stream_operations(machine_like, n) * ntimes
+
+
+#: ``(target, n_elements, settings) -> (moved, threads)``: the bytes each
+#: kernel moves, in :data:`STREAM_KERNELS` order, and the thread count of
+#: each sweep setting (``(None,)`` for the GPU loop's one setting).  Both
+#: follow from the target, the element count and the core count alone, so
+#: every chip — derived calibration chips included — shares one entry.
+_STREAM_LAYOUTS: dict[tuple, tuple] = {}
 
 
 #: (target, n_elements, ntimes, numerics config) of every validated cell.
@@ -180,46 +186,51 @@ def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence:
         build = _gpu_loop_ops
     _validate_stream_numerics(machine, target, n, ntimes)
     chip = machine.chip
-    ops, labels = chip_memo(
+    ops = chip_memo(
         _STREAM_OPS_CACHE,
         (chip.name, target, n, ntimes),
         chip,
         lambda: build(machine, n, ntimes),
     )
-    # The first four positions are the four kernels; the bytes a kernel
-    # moves do not depend on the thread count.
-    moved_by_kernel = {
-        kernel: op.cost.total_bytes for kernel, op in zip(STREAM_KERNELS, ops)
-    }
+    settings = chip.total_cores if target == "cpu" else 1
+    layout_key = (target, n, settings)
+    layout = _STREAM_LAYOUTS.get(layout_key)
+    if layout is None:
+        # The first four positions are the four kernels; the bytes a kernel
+        # moves do not depend on the thread count.
+        layout = _STREAM_LAYOUTS[layout_key] = (
+            np.array([op.cost.total_bytes for op in ops[:4]]),
+            tuple(range(1, settings + 1)) if target == "cpu" else (None,),
+        )
+    moved, threads = layout
     chip_name = chip.name
     theoretical = chip.memory.bandwidth_gbs
 
-    def assemble(windows) -> StreamResult:
-        # Replay the benchmark: group the flat dispatch stream back into
-        # per-(threads, kernel) repetition tuples, then keep the per-kernel
-        # maximum (strict >, ties keep the lower count).  The GPU loop has
-        # one setting per kernel.
-        per_setting: dict[tuple, list[float]] = {}
-        for (threads, kernel), (start, end) in zip(labels, windows):
-            per_setting.setdefault((threads, kernel), []).append(
-                moved_by_kernel[kernel] / (end - start) / 1e9
+    def assemble(starts, ends) -> StreamResult:
+        # Replay the benchmark: each dispatch's GB/s, viewed as (setting,
+        # repetition, kernel), then per kernel the first setting holding
+        # the largest maximum — strict >, so ties keep the lower count.
+        widths = ends - starts
+        if not (widths > 0.0).all():
+            raise ConfigurationError(
+                "STREAM dispatch windows must be positive; a zero-width "
+                "window has no bandwidth"
             )
-        best: dict[str, StreamKernelResult] = {}
-        for (threads, kernel), values in per_setting.items():
-            result = StreamKernelResult(
-                kernel=kernel,
-                bandwidths_gbs=tuple(values),
-                best_threads=threads,
-            )
-            current = best.get(kernel)
-            if current is None or result.max_gbs > current.max_gbs:
-                best[kernel] = result
+        gbs = moved / widths.reshape(settings, ntimes, 4) / 1e9
+        best = gbs.max(axis=1).argmax(axis=0).tolist()
         return StreamResult(
             chip_name=chip_name,
             target=target,
             n_elements=n,
             element_bytes=STREAM_ELEMENT_BYTES[target],
-            kernels=best,
+            kernels={
+                kernel: StreamKernelResult(
+                    kernel=kernel,
+                    bandwidths_gbs=tuple(gbs[setting, :, k].tolist()),
+                    best_threads=threads[setting],
+                )
+                for k, (kernel, setting) in enumerate(zip(STREAM_KERNELS, best))
+            },
             theoretical_gbs=theoretical,
         )
 

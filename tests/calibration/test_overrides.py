@@ -6,6 +6,7 @@ from repro.calibration import paper
 from repro.calibration.gemm import gemm_calibration, max_anchorable_peak_gflops
 from repro.calibration.overrides import (
     KNOB_CATEGORIES,
+    CalibrationOverlay,
     anchored_knob_value,
     derive_calibrated_chip,
     knob_value,
@@ -147,6 +148,57 @@ class TestDerivedChips:
     def test_catalog_shadow_rejected(self):
         with pytest.raises(ConfigurationError, match="shadow"):
             register_derived_chip(get_chip("M1"), "M2")
+
+
+class TestDerivationMemo:
+    """A search re-derives candidates; a repeat skips the digest."""
+
+    def test_repeat_returns_the_name_without_rebuilding_the_digest(
+        self, monkeypatch
+    ):
+        calls = []
+        digest = CalibrationOverlay.digest
+
+        def counted(overlay):
+            calls.append(overlay)
+            return digest(overlay)
+
+        monkeypatch.setattr(CalibrationOverlay, "digest", counted)
+        values = {"gemm.overhead_s.gpu-mps": 3.25e-5, "stream.gbs.gpu": 61.25}
+        first = derive_calibrated_chip("M1", values)
+        assert len(calls) == 1
+        assert derive_calibrated_chip("M1", dict(values)) == first
+        assert len(calls) == 1
+        assert get_chip(first).name == first
+
+    def test_int_float_and_bool_values_name_distinct_chips(self):
+        names = {
+            derive_calibrated_chip("M2", {"stream.gbs.cpu": value})
+            for value in (1, 1.0, True)
+        }
+        assert len(names) == 3
+        # and each repeat still resolves to its own name
+        assert derive_calibrated_chip("M2", {"stream.gbs.cpu": 1}) in names
+        assert knob_value(
+            derive_calibrated_chip("M2", {"stream.gbs.cpu": True}),
+            "stream.gbs.cpu",
+        ) is True
+
+    def test_bad_knob_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(CalibrationError, match="positive"):
+                derive_calibrated_chip("M3", {"stream.gbs.cpu": 0.0})
+            with pytest.raises(CalibrationError, match="catalog chips"):
+                derive_calibrated_chip("Xeon", {"stream.gbs.cpu": 64.0})
+
+    def test_hit_must_still_be_registered(self, monkeypatch):
+        from repro.soc import catalog
+
+        values = {"stream.gbs.cpu": 62.75}
+        name = derive_calibrated_chip("M4", values)
+        monkeypatch.setattr(catalog, "_DERIVED", {})
+        assert derive_calibrated_chip("M4", values) == name
+        assert derived_chip_base(name) == "M4"
 
 
 class TestKnobEffects:

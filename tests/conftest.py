@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.calibration import paper
@@ -32,6 +33,15 @@ def make_model_machine(chip: str = "M1") -> Machine:
     return Machine.for_chip(
         chip, noise_sigma=0.0, numerics=NumericsConfig.model_only()
     )
+
+
+def window_pairs(starts, ends) -> tuple[tuple[float, float], ...]:
+    """A sequence ``assemble`` that checks the ``(starts, ends)`` rows — two
+    1-D float64 arrays of one length — and returns them as clock windows."""
+    assert isinstance(starts, np.ndarray) and isinstance(ends, np.ndarray)
+    assert starts.dtype == ends.dtype == np.float64
+    assert starts.ndim == ends.ndim == 1 and starts.shape == ends.shape
+    return tuple(zip(starts.tolist(), ends.tolist()))
 
 
 @pytest.fixture

@@ -8,8 +8,11 @@ the scalar engine's error messages.
 """
 
 import dataclasses
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import EngineKind, Operation
@@ -26,7 +29,10 @@ from repro.sim.vectorized import (
     run_lowered_sequence,
     vector_context,
 )
+from repro.soc.power import PowerComponent
+from repro.soc.thermal import ThermalModel
 from repro.workloads import get_workload
+from tests.conftest import window_pairs
 
 
 def lowered_sample_cells():
@@ -209,7 +215,7 @@ def toy_sequence(*ops: Operation, **overrides) -> LoweredSequence:
         seed=0,
         thermal=machine_template("M1", True).thermal,
         ops=ops,
-        assemble=lambda windows: windows,
+        assemble=window_pairs,
     )
     defaults.update(overrides)
     return LoweredSequence(**defaults)
@@ -257,6 +263,69 @@ class TestSequenceContract:
         gaps = [b[0] - a[1] for a, b in zip(windows, windows[1:])]
         assert windows[0][0] == 2.0
         assert gaps == [pytest.approx(2.0)] * 2
+
+
+#: Ops of distinct cost, draw and sigma rule (session default, silent, own).
+PROPERTY_OPS = tuple(
+    toy_op(
+        label=f"prop{i}",
+        cost=OpCost(flops=1e8 * (i + 1), bytes_read=1e6 * (6 - i)),
+        power_draws_w={PowerComponent.CPU: 1.5 * i, PowerComponent.GPU: 2.0},
+        noise_key=f"prop/{i % 4}",
+        noise_sigma=(None, 0.0, 0.02)[i % 3],
+        noise_gain=(1.0, 1.5)[i % 2],
+    )
+    for i in range(6)
+)
+#: The M1 enclosure's model, and one whose 3 W cap throttles most ops.
+PROPERTY_THERMALS = (
+    machine_template("M1", True).thermal,
+    ThermalModel(sustained_cap_w=3.0),
+)
+
+
+@st.composite
+def sequence_batches(draw):
+    """A batch of sequences of 1-400 ops, some sharing one ops tuple."""
+    tuples = []
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = draw(st.lists(st.sampled_from(PROPERTY_OPS), min_size=1, max_size=6))
+        length = draw(st.sampled_from([1, 2, 5, 80]) | st.integers(1, 400))
+        tuples.append(tuple(itertools.islice(itertools.cycle(pattern), length)))
+    return [
+        LoweredSequence(
+            seed=draw(st.integers(0, 3)),
+            thermal=draw(st.sampled_from(PROPERTY_THERMALS)),
+            ops=draw(st.sampled_from(tuples)),
+            assemble=window_pairs,
+            pre_advance_s=draw(st.sampled_from([0.0, 2.0])),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+
+
+class TestColumnarClock:
+    """The bulk clock equals the scalar machine start for start, end for end."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=sequence_batches(), sigma=st.sampled_from([0.0, 0.015]))
+    def test_bulk_windows_equal_scalar_windows(self, batch, sigma):
+        template = machine_template("M1", True)
+        scalar = [
+            run_lowered_sequence(
+                Machine(
+                    template.chip,
+                    template.device,
+                    envelope=template.envelope,
+                    thermal=sequence.thermal,
+                    seed=sequence.seed,
+                    noise_sigma=sigma,
+                ),
+                sequence,
+            )
+            for sequence in batch
+        ]
+        assert evaluate_sequences(batch, default_sigma=sigma) == scalar
 
 
 class TestNoiseReplayContract:
@@ -323,7 +392,7 @@ class TestNoiseReplayContract:
             seed=3,
             thermal=machine_template("M1", True).thermal,
             ops=ops,
-            assemble=lambda windows: windows,
+            assemble=window_pairs,
         )
         windows = evaluate_sequences([sequence], default_sigma=0.015)[0]
         machine = Machine.for_chip("M1", seed=3)

@@ -90,3 +90,31 @@ class TestDefaultEnvelopes:
     def test_unknown_chip_gets_generic_envelope(self):
         env = default_envelope_for("M99-custom")
         assert env.max_watts(PowerComponent.CPU) > 0
+
+
+class TestSharedEnvelopes:
+    """Each built-in envelope is built once and shared by every caller."""
+
+    def test_components_are_read_only(self):
+        env = default_envelope_for("M1")
+        with pytest.raises(TypeError):
+            env.components[PowerComponent.CPU] = ComponentPower(0.0, 1.0)  # type: ignore[index]
+
+    def test_constructor_copies_the_mapping(self):
+        components = {
+            PowerComponent.CPU: ComponentPower(0.1, 1.0),
+            PowerComponent.GPU: ComponentPower(0.1, 1.0),
+        }
+        env = PowerEnvelope(components)
+        components[PowerComponent.ANE] = ComponentPower(0.1, 1.0)
+        assert PowerComponent.ANE not in env.components
+
+    def test_repeat_calls_share_one_envelope(self):
+        assert default_envelope_for("M3") is default_envelope_for("m3")
+        assert default_envelope_for("X1") is default_envelope_for("X2")
+
+    def test_derived_chip_gets_its_base_envelope_object(self):
+        from repro.calibration.overrides import derive_calibrated_chip
+
+        name = derive_calibrated_chip("M4", {"stream.gbs.gpu": 101.5})
+        assert default_envelope_for(name) is default_envelope_for("M4")

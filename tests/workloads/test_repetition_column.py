@@ -10,6 +10,7 @@ by the shared :func:`~repro.workloads.base.elapsed_ns_from_list`.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,4 +194,4 @@ class TestNonPositiveTimeOnEveryPath:
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256, repeats=2)
         sequence = lower_gemm_spec(make_model_machine("M1"), spec)
         with pytest.raises(ConfigurationError, match="positive time"):
-            sequence.assemble(((0.0, 5e-9), (5e-9, 5e-9)))
+            sequence.assemble(np.array([0.0, 5e-9]), np.array([5e-9, 5e-9]))

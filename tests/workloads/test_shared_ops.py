@@ -27,6 +27,7 @@ from repro.sim.vectorized import (
 from repro.soc.catalog import CHIP_NAMES, get_chip
 from repro.soc.thermal import ThermalModel
 from repro.workloads import get_workload
+from tests.conftest import window_pairs
 
 
 def lowered(spec) -> LoweredSequence:
@@ -34,7 +35,7 @@ def lowered(spec) -> LoweredSequence:
     ``assemble`` returning the raw clock windows."""
     context = vector_context(spec.chip, True, NumericsConfig.model_only())
     sequence = get_workload(spec.kind).vectorized_body(context, spec)
-    return dataclasses.replace(sequence, assemble=lambda windows: windows)
+    return dataclasses.replace(sequence, assemble=window_pairs)
 
 
 def scalar_windows(sequence: LoweredSequence, chip: str, sigma: float, thermal=None):
