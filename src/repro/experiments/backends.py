@@ -238,12 +238,12 @@ class VectorizedBackend(ExecutionBackend):
 
     Cache misses of workloads that declare a ``vectorized_body`` are lowered
     onto shared chip templates and evaluated together in a handful of array
-    operations through :func:`repro.sim.vectorized.evaluate_cells`; cells of
-    workloads without a vectorized body fall back to the scalar executor,
-    per cell, inside the same batch.  Either way the arithmetic is the
-    scalar engine's, operation for operation, so envelopes are byte-identical
-    to the ``serial`` reference — the cross-backend determinism suite
-    enforces this for every registered workload.
+    operations through :func:`repro.sim.vectorized.evaluate_sequences`;
+    cells of workloads without a vectorized body fall back to the scalar
+    executor, per cell, inside the same batch.  Either way the arithmetic is
+    the scalar engine's, operation for operation, so envelopes are
+    byte-identical to the ``serial`` reference — the cross-backend
+    determinism suite enforces this for every registered workload.
     """
 
     name = "vectorized"
@@ -314,15 +314,9 @@ def _evaluate_specs(
     with the result.
     """
     from repro import workloads
-    from repro.sim.vectorized import (
-        LoweredSequence,
-        evaluate_cells,
-        evaluate_sequences,
-        vector_context,
-    )
+    from repro.sim.vectorized import evaluate_sequences, vector_context
 
     plan = session.fault_plan
-    cells: list[tuple[int, Any]] = []
     sequences: list[tuple[int, Any]] = []
     fallback: list[tuple[int, Any]] = []
     for position, spec in enumerate(specs):
@@ -347,28 +341,31 @@ def _evaluate_specs(
             # a workload registered without a vectorized body (no
             # built-in workload declines a cell) — scalar fallback
             fallback.append((position, workload))
-        elif isinstance(lowered, LoweredSequence):
-            sequences.append((position, lowered))
         else:
-            cells.append((position, lowered))
+            sequences.append((position, lowered))
 
-    for group, evaluate in ((cells, evaluate_cells), (sequences, evaluate_sequences)):
-        if not group:
-            continue
-        try:
-            evaluated = evaluate(
-                [lowered for _, lowered in group], default_sigma=session.noise_sigma
-            )
-        except Exception as exc:
-            # a bulk-evaluation failure takes its whole group down; with
-            # a failure channel, report each member instead of aborting
-            # the batch's other groups
-            if fail is None:
-                raise
-            for position, _ in group:
+    sigma = session.noise_sigma
+    try:
+        evaluated = evaluate_sequences(
+            [lowered for _, lowered in sequences], default_sigma=sigma
+        )
+    except Exception:
+        if fail is None:
+            raise
+        evaluated = None
+    if evaluated is not None:
+        for (position, _), result in zip(sequences, evaluated):
+            deliver(position, result)
+    else:
+        # The bulk call raised: evaluate each member alone and report only
+        # the cells that raise.  One call is one cell for noise and clock,
+        # so the others' bytes are those of the bulk call.
+        for position, lowered in sequences:
+            try:
+                result = evaluate_sequences([lowered], default_sigma=sigma)[0]
+            except Exception as exc:
                 fail(position, exc, specs[position])
-            continue
-        for (position, _), result in zip(group, evaluated):
+                continue
             deliver(position, result)
     # Scalar-fallback cells run last, delivered one by one — they are
     # the slow ones (one Python round trip per operation), so per-cell

@@ -28,11 +28,11 @@ from repro.sim.machine import (
     machine_template,
 )
 from repro.sim.vectorized import (
-    LoweredCell,
+    LoweredSequence,
     VectorContext,
     effective_draw_w,
-    evaluate_cells,
-    run_lowered_cell,
+    evaluate_sequences,
+    run_lowered_sequence,
     vector_context,
 )
 
@@ -63,10 +63,10 @@ __all__ = [
     "MachineTemplate",
     "engine_peak_flops",
     "machine_template",
-    "LoweredCell",
+    "LoweredSequence",
     "VectorContext",
     "vector_context",
-    "run_lowered_cell",
-    "evaluate_cells",
+    "run_lowered_sequence",
+    "evaluate_sequences",
     "effective_draw_w",
 ]

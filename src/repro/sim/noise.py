@@ -9,12 +9,11 @@ another.
 
 A key names what runs (chip, kernel, size); the repetition is the counter.
 The rule: the k-th draw of a key within one cell uses counter k, where a cell
-is one fresh :class:`~repro.sim.machine.Machine` (which counts draws per key),
-one :class:`~repro.sim.vectorized.LoweredCell` or one
-:class:`~repro.sim.vectorized.LoweredSequence`.  An op whose sigma resolves
-to 0 does not draw: its factor is exactly 1.0 and it takes no counter.  A
-draw is counter-based, in the sense of Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3" (SC'11)::
+is one fresh :class:`~repro.sim.machine.Machine` (which counts draws per key)
+or one :class:`~repro.sim.vectorized.LoweredSequence`.  An op whose sigma
+resolves to 0 does not draw: its factor is exactly 1.0 and it takes no
+counter.  A draw is counter-based, in the sense of Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3" (SC'11)::
 
     entropy = sha256(f"{seed}:{key}")[:8]              # once per distinct key
     state   = entropy + 2k * GAMMA   (mod 2**64)        # SplitMix64 position
@@ -139,6 +138,12 @@ def _words(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _mix64(states + _GAMMA), _mix64(states + _GAMMA2)
 
 
+#: Draws per Box-Muller block.  A bulk draw runs block by block, so its
+#: temporaries stay cache-sized however large the batch; every value is the
+#: same elementwise operation either way.
+_BLOCK = 1 << 14
+
+
 def lognormal_factors(
     entropies: "Sequence[int] | np.ndarray",
     sigmas: "Sequence[float] | np.ndarray",
@@ -156,14 +161,32 @@ def lognormal_factors(
     n = len(states)
     if n != len(sigma):
         raise ConfigurationError("need exactly one sigma per noise entropy")
-    out = np.ones(n)
-    active = np.flatnonzero(sigma)
-    if len(active) == 0:
-        return out
-    if len(active) < n:
+    active = None
+    if not sigma.all():
+        active = np.flatnonzero(sigma)
+        if len(active) == 0:
+            return np.ones(n)
         states, sigma = states[active], sigma[active]
-    # Box-Muller on 53-bit uniforms u1 in (0, 1] and u2 in [0, 1), in place:
-    # z = sqrt(-2 ln u1) cos(2 pi u2), then exp(sigma z - sigma^2 / 2).
+    factors = np.empty(len(states))
+    for lo in range(0, len(factors), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        _box_muller(states[block], sigma[block], factors[block])
+    if gains is not None:
+        gains = np.asarray(gains, dtype=np.float64)
+        factors *= gains if active is None else gains[active]
+    if active is None:
+        return factors
+    out = np.ones(n)
+    out[active] = factors
+    return out
+
+
+def _box_muller(states: np.ndarray, sigma: np.ndarray, out: np.ndarray) -> None:
+    """Write the factors of one block of active draws into ``out``.
+
+    Box-Muller on 53-bit uniforms u1 in (0, 1] and u2 in [0, 1), in place:
+    z = sqrt(-2 ln u1) cos(2 pi u2), then exp(sigma z - sigma^2 / 2).
+    """
     w1, w2 = _words(states)
     w1 >>= np.uint64(11)
     z = w1.astype(np.float64)
@@ -179,13 +202,7 @@ def lognormal_factors(
     z *= np.cos(angle, out=angle)
     z *= sigma
     z -= 0.5 * sigma * sigma
-    factors = np.exp(z, out=z)
-    if gains is not None:
-        factors *= np.asarray(gains, dtype=np.float64)[active]
-    if len(active) == n:
-        return factors
-    out[active] = factors
-    return out
+    np.exp(z, out=out)
 
 
 class DeterministicNoise:

@@ -13,23 +13,28 @@ The contract has three parts:
 
 * **Lowering** — a workload's ``vectorized_body`` hook (see
   :class:`~repro.workloads.base.Workload`) maps ``(machine-like, spec)`` to
-  a :class:`LoweredCell`: the roofline parameters of one repetition, the
-  per-repetition noise keys (one key repeated: the repetition is the noise
-  counter), and an ``assemble`` closure that turns the
-  resulting nanosecond timings back into the workload's result record.  The
-  scalar executor runs the *same* lowering through
-  :func:`run_lowered_cell` — one :class:`Operation` per repetition on a
-  real machine — so the two paths cannot drift.
-* **Evaluation** — :func:`evaluate_cells` stacks the lowered cells into
-  arrays and replicates the scalar engine's arithmetic elementwise:
-  roofline time, thermal clamp/stretch, bulk noise factors (each cell's
-  keys through :func:`repro.sim.noise.noise_entropies` — one hash per
-  distinct key, the k-th draw of a key at counter k, as a fresh machine
-  counts — then :func:`repro.sim.noise.lognormal_factors`, the scalar
-  path's own draw; ops whose sigma resolves to 0 are neither hashed nor
-  drawn), the virtual clock's cumulative float adds,
-  and the chrono-style nanosecond truncation.  Every step is the same
-  IEEE-754 double operation the scalar path performs, so results are
+  a :class:`LoweredSequence`: the ordered
+  :class:`~repro.sim.engine.Operation` objects the cell executes on one
+  cumulative clock (optionally each preceded by one fixed clock advance,
+  the powermetrics warm-up sleep) and an ``assemble`` closure that turns
+  two float64 rows — every operation's clock start and clock end — back
+  into the workload's result record.  A repetition grid (SpMV, stencil,
+  batched GEMM, a GEMM cell) is one op repeated, ``(op,) * repeats``;
+  protocol-shaped cells (the STREAM thread sweep, the powered-GEMM
+  measurement protocol) order heterogeneous ops, built by the dispatch
+  builders in :mod:`repro.calibration` that the benchmark classes execute
+  too.  The scalar executor runs the *same* lowering through
+  :func:`run_lowered_sequence` — each op a real ``machine.execute`` — so
+  the two paths cannot drift.
+* **Evaluation** — :func:`evaluate_sequences` replicates the scalar
+  engine's arithmetic over the whole batch: roofline time, thermal
+  clamp/stretch, bulk noise factors (each sequence's keys through
+  :func:`repro.sim.noise.noise_entropies` — one hash per distinct key, the
+  k-th draw of a key at counter k, as a fresh machine counts — then
+  :func:`repro.sim.noise.lognormal_factors`, the scalar path's own draw;
+  ops whose sigma resolves to 0 are neither hashed nor drawn) and the
+  virtual clock's cumulative float adds.  Every step is the same IEEE-754
+  double operation the scalar path performs, so results are
   byte-identical, not merely close.
 * **Fallback** — every built-in workload lowers every cell, under every
   numerics profile: numerics are a memoized check inside the lowering,
@@ -39,31 +44,19 @@ The contract has three parts:
   :class:`~repro.experiments.backends.VectorizedBackend` mixes the paths
   per cell.
 
-Cells come in two shapes.  A :class:`LoweredCell` is the homogeneous case —
-one roofline operation repeated R times, assembled from per-repetition
-elapsed nanoseconds.  A :class:`LoweredSequence` is the general case — an
-ordered tuple of heterogeneous :class:`~repro.sim.engine.Operation`
-objects (optionally each preceded by one fixed clock advance, the
-powermetrics warm-up sleep), assembled from two float64 rows — every
-operation's clock start and clock end — which is what protocol-shaped
-workloads (the STREAM thread sweep, the GEMM implementation studies, the
-powered-GEMM measurement protocol) need.  Their ops come from the dispatch
-builders in :mod:`repro.calibration` that the benchmark classes execute
-too, so a sequence holds the very operations a scalar executor runs.
-:func:`evaluate_sequences` is the bulk evaluator;
-:func:`run_lowered_sequence` is its scalar reference.
-
 A lowering builds one operation per *distinct* dispatch and repeats that
-object at every position it occupies — ``(op,) * repeats`` for a GEMM
-cell, one op per (thread-count, kernel) repeated ``ntimes`` for a CPU
-STREAM sweep.  :func:`evaluate_sequences` computes everything that depends
-only on the op once per distinct object (per sequence thermal model) and
-gathers it back to positions; noise keys and counters still advance per
-position, so sharing an object never changes a byte.  The clock runs
-column-wise: sequences of one length share one ``np.cumsum`` over their
-interleaved ``[pre, d1, pre, d2, ...]`` steps, whose strictly left-to-right
-adds are the scalar clock's own, and each assembler reads its rows with
-array expressions instead of per-window Python tuples.
+object at every position it occupies — ``(op,) * repeats`` for a
+repetition grid, one op per (thread-count, kernel) repeated ``ntimes`` for
+a CPU STREAM sweep.  :func:`evaluate_sequences` computes everything that
+depends only on the op once per distinct object (per sequence thermal
+model) and gathers it back to positions; noise keys and counters still
+advance per position, so sharing an object never changes a byte.  A
+sequence that repeats one op (or equal copies of it) is handled per
+sequence, never per position: one slot, one sigma and one
+``noise_entropies`` call on its repeated key.  The clock runs column-wise:
+sequences of one length share one ``np.cumsum``, whose strictly
+left-to-right adds are the scalar clock's own, and each assembler reads
+its rows with array expressions instead of per-window Python tuples.
 """
 
 from __future__ import annotations
@@ -87,16 +80,12 @@ from repro.sim.noise import (
 from repro.sim.policy import NumericsConfig
 from repro.soc.power import PowerComponent
 from repro.soc.thermal import ThermalModel
-from repro.sim.roofline import OpCost
 
 __all__ = [
-    "LoweredCell",
     "LoweredSequence",
     "VectorContext",
     "vector_context",
-    "run_lowered_cell",
     "run_lowered_sequence",
-    "evaluate_cells",
     "evaluate_sequences",
     "effective_draw_w",
 ]
@@ -118,87 +107,21 @@ def effective_draw_w(
 
 
 @dataclasses.dataclass(frozen=True)
-class LoweredCell:
-    """One experiment cell lowered to its repetition-grid parameters.
-
-    Every repetition of a cell shares the same roofline operation — cost,
-    peaks, efficiencies, overhead, power draws — and differs only in its
-    noise draw, which is exactly what makes the grid vectorizable.  The
-    built-in lowerings repeat one content-addressed key, ``(key,) *
-    repeats``, so repetition k draws counter k of that key.
-    ``assemble`` closes over the spec-derived metadata
-    (chip name, verification outcome, work content) and rebuilds the
-    workload's result record from the per-repetition elapsed nanoseconds.
-    """
-
-    engine: EngineKind
-    label: str
-    cost: OpCost
-    peak_flops: float
-    peak_bytes_per_s: float
-    compute_efficiency: float
-    memory_efficiency: float
-    overhead_s: float
-    power_draws_w: Mapping[PowerComponent, float]
-    noise_keys: tuple[str, ...]
-    noise_sigma: float | None
-    seed: int
-    thermal: ThermalModel
-    assemble: Callable[[tuple[int, ...]], Any]
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ConfigurationError("operation label must be non-empty")
-        if not self.noise_keys:
-            raise ConfigurationError("a lowered cell needs at least one repetition")
-        if not all(self.noise_keys):
-            # an empty key is falsy, so the scalar engine would silently
-            # substitute its chip/label fallback while the vectorized
-            # engine hashed "" — reject it rather than diverge
-            raise ConfigurationError(
-                "lowered-cell noise keys must be non-empty "
-                "(content-addressed, never keyless fallbacks)"
-            )
-        for comp, watts in self.power_draws_w.items():
-            if watts < 0.0:
-                raise ConfigurationError(f"negative power draw for {comp}")
-
-    @property
-    def repeats(self) -> int:
-        return len(self.noise_keys)
-
-    def operation(self, repetition: int) -> Operation:
-        """The scalar-engine operation of one repetition."""
-        return Operation(
-            engine=self.engine,
-            label=self.label,
-            cost=self.cost,
-            peak_flops=self.peak_flops,
-            peak_bytes_per_s=self.peak_bytes_per_s,
-            compute_efficiency=self.compute_efficiency,
-            memory_efficiency=self.memory_efficiency,
-            overhead_s=self.overhead_s,
-            power_draws_w=self.power_draws_w,
-            noise_key=self.noise_keys[repetition],
-            noise_sigma=self.noise_sigma,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
 class LoweredSequence:
     """One experiment cell lowered to an ordered operation sequence.
 
-    Protocol-shaped cells (a STREAM thread sweep, a GEMM repetition study,
-    the powered-GEMM measurement loop) execute *heterogeneous* operations
-    on one cumulative machine clock.  ``ops`` are the very
-    :class:`~repro.sim.engine.Operation` objects the scalar executors run,
-    from the shared builders in :mod:`repro.calibration`.  ``assemble``
-    is called as ``assemble(starts, ends)`` with two 1-D float64 arrays of
-    ``len(ops)`` entries — each op's clock start and end, the exact floats
-    the scalar clock would produce — and rebuilds the workload's result
-    record, replaying any executor-side arithmetic (nanosecond truncation,
-    bandwidth division, powermetrics formatting) on top of them.  The rows
-    may be views into a batch-wide array: read them, never write them.
+    Every cell executes its operations on one cumulative machine clock: a
+    repetition grid (SpMV, stencil, batched GEMM, a GEMM cell) repeats one
+    op, ``(op,) * repeats``; a protocol (a STREAM thread sweep, the
+    powered-GEMM measurement loop) orders *heterogeneous* ones.  ``ops``
+    are the very :class:`~repro.sim.engine.Operation` objects the scalar
+    executors run.  ``assemble`` is called as ``assemble(starts, ends)``
+    with two 1-D float64 arrays of ``len(ops)`` entries — each op's clock
+    start and end, the exact floats the scalar clock would produce — and
+    rebuilds the workload's result record, replaying any executor-side
+    arithmetic (nanosecond rounding or truncation, bandwidth division,
+    powermetrics formatting) on top of them.  The rows may be views into a
+    batch-wide array: read them, never write them.
 
     ``pre_advance_s`` models a ``machine.sleep`` the scalar executor
     performs before issuing *each* op (the powermetrics warm-up): it shifts
@@ -213,7 +136,8 @@ class LoweredSequence:
     once per distinct cell shape and reuse it, which is what makes
     million-cell grids cheap to lower.  Within a tuple, every repetition of
     one dispatch should be the same op object; the bulk evaluator then
-    computes it once.
+    computes it once, and a tuple of one repeated op costs it one slot and
+    one noise call however long it is.
     """
 
     seed: int
@@ -223,17 +147,31 @@ class LoweredSequence:
     pre_advance_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.ops:
+        ops = self.ops
+        if not ops:
             raise ConfigurationError(
                 "a lowered sequence needs at least one operation"
             )
         if self.pre_advance_s < 0.0:
             raise ConfigurationError("pre-advance must be non-negative")
-        if not all(map(operator.attrgetter("noise_key"), self.ops)):
+        # a repetition grid's key is checked once, not once per position
+        checked = ops[:1] if _repeats_one_op(ops) else ops
+        if not all(map(operator.attrgetter("noise_key"), checked)):
             raise ConfigurationError(
                 "lowered-sequence ops need explicit noise keys "
                 "(content-addressed, never the chip/label fallback)"
             )
+
+
+def _repeats_one_op(ops: tuple[Operation, ...]) -> bool:
+    """Whether every position holds the first op, or an equal copy of it.
+
+    One C-level tuple comparison: identical objects compare without
+    ``__eq__``, and a tuple of distinct dispatches stops at its first
+    unequal op.  Equal ops evaluate alike, so either way the sequence needs
+    one slot.
+    """
+    return ops == (ops[0],) * len(ops)
 
 
 class VectorContext:
@@ -286,27 +224,13 @@ def vector_context(
     return VectorContext(machine_template(chip, thermal_enabled), numerics)
 
 
-def run_lowered_cell(machine: Machine, cell: LoweredCell) -> Any:
-    """Execute one lowered cell on the scalar engine (the reference path).
-
-    The workload executors run through here, so the scalar and vectorized
-    paths consume the very same lowering — the only difference is *how* the
-    repetition grid is evaluated.
-    """
-    elapsed_ns = []
-    for rep in range(cell.repeats):
-        completed = machine.execute(cell.operation(rep))
-        elapsed_ns.append(max(1, round(completed.elapsed_s * 1e9)))
-    return cell.assemble(tuple(elapsed_ns))
-
-
 def run_lowered_sequence(machine: Machine, sequence: LoweredSequence) -> Any:
     """Execute one lowered sequence on the scalar engine (the reference path).
 
-    The counterpart of :func:`run_lowered_cell` for sequence-shaped cells:
-    the pre-advance becomes a real ``machine.sleep`` before each op, each
-    op a real ``machine.execute``, and ``assemble`` sees the genuine clock
-    starts and ends.
+    The workload executors run through here, so the scalar and vectorized
+    paths consume the very same lowering: the pre-advance becomes a real
+    ``machine.sleep`` before each op, each op a real ``machine.execute``,
+    and ``assemble`` sees the genuine clock starts and ends.
     """
     starts = []
     ends = []
@@ -320,32 +244,32 @@ def run_lowered_sequence(machine: Machine, sequence: LoweredSequence) -> Any:
     return sequence.assemble(np.array(starts), np.array(ends))
 
 
-def _validated_arrays(cells: Sequence[LoweredCell]) -> dict[str, np.ndarray]:
-    """Stack the per-cell roofline parameters, with scalar-parity validation.
+def _validated_arrays(ops: Sequence[Operation]) -> dict[str, np.ndarray]:
+    """Stack the per-op roofline parameters, with scalar-parity validation.
 
     A misbehaving third-party lowering fails with the same
     :class:`ConfigurationError` *messages*
     :func:`~repro.sim.roofline.roofline_time` raises.  Note the checks run
-    check-major over the whole batch (not cell-major), so when several
-    cells are invalid in different ways, *which* message surfaces first may
+    check-major over the whole batch (not op-major), so when several ops
+    are invalid in different ways, *which* message surfaces first may
     differ from serial execution — but an invalid batch never evaluates
     under either engine.
     """
-    n = len(cells)
+    n = len(ops)
     arr = {
-        "flops": np.fromiter((c.cost.flops for c in cells), np.float64, n),
+        "flops": np.fromiter((c.cost.flops for c in ops), np.float64, n),
         "total_bytes": np.fromiter(
-            (c.cost.total_bytes for c in cells), np.float64, n
+            (c.cost.total_bytes for c in ops), np.float64, n
         ),
-        "peak_flops": np.fromiter((c.peak_flops for c in cells), np.float64, n),
+        "peak_flops": np.fromiter((c.peak_flops for c in ops), np.float64, n),
         "peak_bytes": np.fromiter(
-            (c.peak_bytes_per_s for c in cells), np.float64, n
+            (c.peak_bytes_per_s for c in ops), np.float64, n
         ),
         "ceff": np.fromiter(
-            (c.compute_efficiency for c in cells), np.float64, n
+            (c.compute_efficiency for c in ops), np.float64, n
         ),
-        "meff": np.fromiter((c.memory_efficiency for c in cells), np.float64, n),
-        "overhead": np.fromiter((c.overhead_s for c in cells), np.float64, n),
+        "meff": np.fromiter((c.memory_efficiency for c in ops), np.float64, n),
+        "overhead": np.fromiter((c.overhead_s for c in ops), np.float64, n),
     }
     if np.any((arr["peak_flops"] <= 0.0) & (arr["flops"] > 0.0)):
         raise ConfigurationError("compute work requires a positive peak FLOP rate")
@@ -407,124 +331,116 @@ def _stretch_factor(
     return factor
 
 
-def evaluate_cells(
-    cells: Sequence[LoweredCell], *, default_sigma: float = 0.015
-) -> list[Any]:
-    """Evaluate a grid of lowered cells in bulk, byte-identical to scalar.
+def _apply_noise(
+    durations: np.ndarray,
+    sequences: Sequence[LoweredSequence],
+    order: Sequence[int],
+    rows: "Sequence[int | list[int]]",
+    entries: np.ndarray,
+    spans: np.ndarray,
+    table: Sequence[Operation],
+    default_sigma: float,
+) -> None:
+    """Multiply the batch's noise factors into ``durations``, in place.
 
-    ``default_sigma`` is the session noise level a fresh machine would have
-    been constructed with; ``0.0`` disables jitter globally, exactly like
-    ``Machine(..., noise_sigma=0.0)``.  Returns one assembled result record
-    per cell, in input order.
+    ``durations`` holds the sequences' positions in ``order``; entry ``e``
+    of ``entries`` is the slot of ``spans[e]`` consecutive positions.  Each
+    sequence applies the draw rule to the keys of its active ops (every op
+    is keyed, see :class:`LoweredSequence`), a one-op sequence (an int row)
+    through one ``noise_entropies`` call on its repeated key; an op whose
+    sigma resolves to 0 keeps a factor of exactly 1.0 and is neither hashed
+    nor drawn.  The per-position sigma, active and gain arrays live only
+    inside this call, and only when some slot needs them.
     """
-    if not cells:
-        return []
-    n = len(cells)
-    base = _roofline_s(_validated_arrays(cells))
-
-    # Thermal clamp, per (model, requested draw).
-    thermal_memo: dict[tuple[int, float], float] = {}
-    base = base * np.fromiter(
-        (
-            _stretch_factor(thermal_memo, cell.thermal, cell.power_draws_w)
-            for cell in cells
-        ),
-        np.float64,
-        n,
-    )
-
-    # Bulk noise: each cell applies the draw rule to its own keys (one hash
-    # per distinct key); a cell whose sigma resolves to 0 keeps factors of
-    # exactly 1.0 and is neither hashed nor drawn.
-    repeats = np.fromiter((c.repeats for c in cells), np.int64, n)
-    max_reps = int(repeats.max())
-    noisy: list[int] = []
-    sigmas: list[float] = []
-    states: list[np.ndarray] = []
-    for i, cell in enumerate(cells):
-        sigma = resolve_sigma(default_sigma, cell.noise_sigma)
-        if sigma:
-            noisy.append(i)
-            sigmas.append(sigma)
-            states.append(noise_entropies(cell.seed, cell.noise_keys))
-    factors = np.ones((n, max_reps))
-    if noisy:
-        mask = np.zeros((n, max_reps), dtype=bool)
-        mask[noisy] = np.arange(max_reps)[None, :] < repeats[noisy, None]
-        factors[mask] = lognormal_factors(
-            np.concatenate(states), np.repeat(sigmas, repeats[noisy])
-        )
-    durations = base[:, None] * factors
-
-    # Virtual clock: cumulative float adds in repetition order, then the
-    # chrono-style truncation max(1, round(elapsed * 1e9)).  Padded columns
-    # beyond a cell's repeat count only ever extend the running clock past
-    # timings that are already recorded, so they are harmless.
-    elapsed = np.empty((n, max_reps))
-    start = np.zeros(n)
-    for rep in range(max_reps):
-        end = start + durations[:, rep]
-        elapsed[:, rep] = end - start
-        start = end
-    elapsed_ns = np.maximum(1, np.rint(elapsed * 1e9)).astype(np.int64)
-
-    # .tolist() yields builtin ints in one C pass — identical values to a
-    # per-element int() loop, at a fraction of the per-op cost.
-    rows = elapsed_ns.tolist()
-    return [
-        cell.assemble(tuple(rows[i][: cell.repeats]))
-        for i, cell in enumerate(cells)
-    ]
+    slot_sigmas = [resolve_sigma(default_sigma, op.noise_sigma) for op in table]
+    if not any(slot_sigmas):
+        return
+    keys = [op.noise_key for op in table]
+    per_sequence = []
+    for i in order:
+        row, seed = rows[i], sequences[i].seed
+        if type(row) is not int:
+            active_keys = [keys[slot] for slot in row if slot_sigmas[slot]]
+            if active_keys:
+                per_sequence.append(noise_entropies(seed, active_keys))
+        elif slot_sigmas[row]:
+            repeats = len(sequences[i].ops)
+            per_sequence.append(noise_entropies(seed, [keys[row]] * repeats))
+    states = np.concatenate(per_sequence)
+    del per_sequence
+    sigmas = np.repeat(np.asarray(slot_sigmas)[entries], spans)
+    active = None if all(slot_sigmas) else np.flatnonzero(sigmas)
+    if active is not None:
+        sigmas = sigmas[active]
+    gains = None
+    slot_gains = [op.noise_gain for op in table]
+    if any(gain != 1.0 for gain in slot_gains):
+        gains = np.repeat(np.asarray(slot_gains)[entries], spans)
+        if active is not None:
+            gains = gains[active]
+    factors = lognormal_factors(states, sigmas, gains)
+    if active is None:
+        durations *= factors
+    else:
+        durations[active] *= factors
 
 
 def evaluate_sequences(
     sequences: Sequence[LoweredSequence], *, default_sigma: float = 0.015
 ) -> list[Any]:
-    """Evaluate sequence-shaped cells in bulk, byte-identical to scalar.
+    """Evaluate a batch of lowered sequences in bulk, byte-identical to scalar.
 
-    The sequence counterpart of :func:`evaluate_cells`.  One pass maps each
-    op object, by identity, to a slot of a table kept in first-appearance
-    order — one slot per distinct (op, sequence thermal model) pair, so an
-    ops tuple shared by sequences with different thermal models still
-    stretches under each model.  Validation, the roofline and the thermal
-    stretch run once per slot and are gathered back to positions; a
-    lowering that repeats one op object for every repetition of a dispatch
-    pays for it once.  The noise pass walks
-    positions, so keys and counters are those of the scalar machine, and
-    runs only when some slot's sigma resolves to a non-zero value.  The
-    virtual clock runs once per group of equal-length sequences, as one
-    ``np.cumsum`` over each member's interleaved pre-advance and duration
-    steps — the op-ordered float additions the scalar clock performs — and
-    every sequence's ``assemble`` receives its ops' exact clock start and
-    end rows.  Returns one assembled result record per sequence, in input
-    order.
+    ``default_sigma`` is the session noise level a fresh machine would have
+    been constructed with; ``0.0`` disables jitter globally, exactly like
+    ``Machine(..., noise_sigma=0.0)``.
+
+    One pass maps each op object, by identity, to a slot of a table kept in
+    first-appearance order — one slot per distinct (op, sequence thermal
+    model) pair, so an ops tuple shared by sequences with different thermal
+    models still stretches under each model; validation, the roofline and
+    the thermal stretch run once per slot.  A sequence that repeats one op
+    (or equal copies) is one slot with no Python pass over its positions.
+    Noise follows :func:`_apply_noise`, the clock one ``np.cumsum`` per
+    clock shape, and every ``assemble`` receives its ops' exact clock start
+    and end rows.  Returns one result record per sequence, in input order.
     """
     if not sequences:
         return []
-    n = len(sequences)
     table: list[Operation] = []
     table_thermals: list[ThermalModel] = []
     slot_maps: dict[int, dict[int, int]] = {}  # id(model) -> id(op) -> slot
-    rows: list[list[int]] = []
-    for sequence in sequences:
+    # per sequence: the slot of its one op (an int), or one slot per position
+    rows: list[int | list[int]] = []
+    # the sequences of one clock shape: length, and whether a pre-advance
+    # interleaves
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, sequence in enumerate(sequences):
         thermal = sequence.thermal
         slot_of = slot_maps.setdefault(id(thermal), {})
-        ids = list(map(id, sequence.ops))
-        # the sequence's distinct ops, in first-appearance order
-        for key, op in dict(zip(ids, sequence.ops)).items():
-            if key not in slot_of:
-                slot_of[key] = len(table)
+        ops = sequence.ops
+        if _repeats_one_op(ops):
+            op = ops[0]
+            slot = slot_of.get(id(op))
+            if slot is None:
+                slot = slot_of[id(op)] = len(table)
                 table.append(op)
                 table_thermals.append(thermal)
-        rows.append(list(map(slot_of.__getitem__, ids)))
-    counts = list(map(len, rows))
-    total = sum(counts)
-    slots = np.fromiter(itertools.chain.from_iterable(rows), np.intp, total)
+            rows.append(slot)
+        else:
+            ids = list(map(id, ops))
+            # the sequence's distinct ops, in first-appearance order
+            for key, op in dict(zip(ids, ops)).items():
+                if key not in slot_of:
+                    slot_of[key] = len(table)
+                    table.append(op)
+                    table_thermals.append(thermal)
+            rows.append(list(map(slot_of.__getitem__, ids)))
+        groups.setdefault((len(ops), sequence.pre_advance_s != 0.0), []).append(i)
 
-    # Roofline and thermal stretch, per slot, as in evaluate_cells.
+    # Roofline and thermal stretch, per slot.
     base = _roofline_s(_validated_arrays(table))
     thermal_memo: dict[tuple[int, float], float] = {}
-    base = base * np.fromiter(
+    base *= np.fromiter(
         (
             _stretch_factor(thermal_memo, thermal, op.power_draws_w)
             for op, thermal in zip(table, table_thermals)
@@ -532,59 +448,76 @@ def evaluate_sequences(
         np.float64,
         len(table),
     )
-    flat_durations = base[slots]
 
-    # Bulk noise: each sequence applies the draw rule to the keys of its
-    # active ops (every op is keyed, see LoweredSequence); an op whose sigma
-    # resolves to 0 keeps a factor of exactly 1.0 and is neither
-    # hashed nor drawn.
-    slot_sigmas = [resolve_sigma(default_sigma, op.noise_sigma) for op in table]
-    if any(slot_sigmas):
-        positions: list[int] = []
-        sigmas: list[float] = []
-        gains: list[float] = []
-        states: list[np.ndarray] = []
-        offset = 0
-        for sequence, row in zip(sequences, rows):
-            keys: list[str] = []
-            for j, slot in enumerate(row):
-                sigma = slot_sigmas[slot]
-                if sigma:
-                    keys.append(table[slot].noise_key)
-                    positions.append(offset + j)
-                    sigmas.append(sigma)
-                    gains.append(table[slot].noise_gain)
-            if keys:
-                states.append(noise_entropies(sequence.seed, keys))
-            offset += len(row)
-        factors = np.ones(total)
-        factors[positions] = lognormal_factors(
-            np.concatenate(states), sigmas, gains
-        )
-        flat_durations = flat_durations * factors
+    # Positions are laid out group-major, in input order within a group, so
+    # each group's durations are one reshaped block.  An entry is a slot and
+    # the run of positions it covers (a one-op sequence is one entry), and
+    # per-entry values repeat over their spans: no per-position slot array
+    # is built.
+    order = list(itertools.chain.from_iterable(groups.values()))
+    entries: list[int] = []
+    spans: list[int] = []
+    for i in order:
+        row = rows[i]
+        if type(row) is int:
+            entries.append(row)
+            spans.append(len(sequences[i].ops))
+        else:
+            entries += row
+            spans += [1] * len(row)
+    entry_slots = np.array(entries, dtype=np.intp)
+    entry_spans = np.array(spans, dtype=np.intp)
+    del entries, spans
+    durations = np.repeat(base[entry_slots], entry_spans)
+    _apply_noise(
+        durations, sequences, order, rows, entry_slots, entry_spans, table,
+        default_sigma,
+    )
 
-    # Virtual clock, one cumsum per sequence length.  Each row interleaves
-    # [pre, d1, pre, d2, ...]; add.accumulate adds strictly left to right,
+    # Virtual clock, one cumsum per group.  Without a pre-advance a group's
+    # clock is one (members, L + 1) array [0, d1, d2, ...], whose column
+    # views are the starts and ends; with one it interleaves
+    # [pre, d1, pre, d2, ...].  add.accumulate adds strictly left to right,
     # so every start is the scalar clock's ``clock + pre`` and every end its
-    # ``start + d``.  A zero pre-advance adds exactly 0.0 — the IEEE
-    # identity on the non-negative clock — matching the scalar executor
-    # skipping the sleep.  Assembly then runs in input order, so a batch
-    # with several failing cells raises the first one's error.
-    offsets = np.cumsum([0] + counts[:-1])
-    pre = np.fromiter((s.pre_advance_s for s in sequences), np.float64, n)
-    groups: dict[int, list[int]] = {}
-    for i, count in enumerate(counts):
-        groups.setdefault(count, []).append(i)
-    windows: list[Any] = [None] * n
-    for length, members in groups.items():
-        steps = np.empty((len(members), 2 * length))
-        steps[:, 0::2] = pre[members, None]
-        steps[:, 1::2] = flat_durations[
-            offsets[members, None] + np.arange(length)
-        ]
-        clock = np.cumsum(steps, axis=1)
-        for i, starts, ends in zip(members, clock[:, 0::2], clock[:, 1::2]):
-            windows[i] = starts, ends
+    # ``start + d``, in the scalar order.  Assembly then runs in input
+    # order, so a batch with several failing cells raises the first one's
+    # error.
+    # two lists of row views, not a tuple per sequence: fewer objects for
+    # the collector to track in a large batch
+    start_rows: list[Any] = [None] * len(sequences)
+    end_rows: list[Any] = [None] * len(sequences)
+    offset = 0
+    for (length, pre_advanced), members in groups.items():
+        m = len(members)
+        block = durations[offset : offset + m * length].reshape(m, length)
+        offset += m * length
+        if pre_advanced:
+            clock = np.empty((m, 2 * length))
+            clock[:, 0::2] = np.fromiter(
+                (sequences[i].pre_advance_s for i in members), np.float64, m
+            )[:, None]
+            clock[:, 1::2] = block
+            np.cumsum(clock, axis=1, out=clock)
+            starts, ends = clock[:, 0::2], clock[:, 1::2]
+        else:
+            clock = np.empty((m, length + 1))
+            clock[:, 0] = 0.0
+            clock[:, 1:] = block
+            np.cumsum(clock, axis=1, out=clock)
+            starts, ends = clock[:, :-1], clock[:, 1:]
+        for i, start_row, end_row in zip(members, starts, ends):
+            start_rows[i] = start_row
+            end_rows[i] = end_row
+    del durations, block  # the clocks hold copies: free the column early
     return [
-        sequence.assemble(*window) for sequence, window in zip(sequences, windows)
+        sequence.assemble(start_row, end_row)
+        for sequence, start_row, end_row in zip(sequences, start_rows, end_rows)
     ]
+
+
+# perfbench's replay still imports these two names; no lowering builds a LoweredCell.
+class LoweredCell:
+    pass
+
+
+evaluate_cells = evaluate_sequences

@@ -18,6 +18,8 @@ import dataclasses
 import random
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -30,6 +32,7 @@ __all__ = [
     "elapsed_ns_from_list",
     "iter_axes",
     "modelled_power_metrics",
+    "rounded_elapsed_ns",
     "spec_size",
     "spec_variant",
     "variant_grid",
@@ -39,6 +42,22 @@ __all__ = [
 def best_elapsed_s(result: Any) -> float:
     """Fastest repetition of a timed result record, in seconds."""
     return min(result.elapsed_ns) * 1e-9
+
+
+def rounded_elapsed_ns(starts: np.ndarray, ends: np.ndarray) -> tuple[int, ...]:
+    """Each clock window's nanoseconds, ``max(1, round((end - start) * 1e9))``.
+
+    The shared assembly rule of the repetition-grid workloads (SpMV,
+    stencil, batched GEMM) over a lowered sequence's start and end rows.
+    Every step is the scalar rule's double operation, and ``np.rint``
+    rounds half to even as ``round`` does, so the integers are the ones a
+    per-window Python loop would produce.
+    """
+    ns = ends - starts
+    ns *= 1e9
+    np.rint(ns, out=ns)
+    np.maximum(ns, 1.0, out=ns)
+    return tuple(ns.astype(np.int64).tolist())
 
 
 def spec_variant(spec: Any) -> str:
@@ -217,14 +236,14 @@ class Workload:
         extractor — the frame falls back to attribute access.
     vectorized_body:
         Optional lowering hook ``(machine_like, spec) ->``
-        :class:`~repro.sim.vectorized.LoweredCell` (or
-        :class:`~repro.sim.vectorized.LoweredSequence`) behind the
-        ``vectorized`` execution backend.  ``machine_like`` is either a real
+        :class:`~repro.sim.vectorized.LoweredSequence` behind the
+        ``vectorized`` execution backend (a repetition grid lowers to
+        ``(op,) * repeats``).  ``machine_like`` is either a real
         :class:`~repro.sim.machine.Machine` or a
         :class:`~repro.sim.vectorized.VectorContext`; a workload that
         declares this hook should implement its scalar ``execute`` as
-        ``run_lowered_cell(machine, vectorized_body(machine, spec))`` so
-        the two paths share one lowering and stay byte-identical by
+        ``run_lowered_sequence(machine, vectorized_body(machine, spec))``
+        so the two paths share one lowering and stay byte-identical by
         construction.  Every built-in workload declares one and lowers
         every cell; workloads that leave it ``None`` execute on the scalar
         engine even inside a vectorized batch — the fallback is per cell.

@@ -34,17 +34,18 @@ from repro.core.results import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
-from repro.sim.engine import EngineKind
+from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
+from repro.sim.vectorized import LoweredSequence, effective_draw_w, run_lowered_sequence
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
     elapsed_ns_from_list,
     iter_axes,
     modelled_power_metrics,
+    rounded_elapsed_ns,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -216,7 +217,7 @@ def _numerics_verified(spec: BatchedGemmSpec) -> bool:
     )
 
 
-def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredCell:
+def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredSequence:
     """Lower one batched-GEMM cell to its repetition grid.
 
     ``machine`` is a :class:`~repro.sim.machine.Machine` or a
@@ -238,7 +239,7 @@ def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredCell:
     draws = gemm_power_draws(chip, impl.power_impl_key, spec.n)
     power_w = effective_draw_w(machine.thermal, draws)
 
-    def assemble(elapsed_ns: tuple[int, ...]) -> BatchedGemmResult:
+    def assemble(starts, ends) -> BatchedGemmResult:
         return BatchedGemmResult(
             chip_name=chip.name,
             impl_key=spec.impl_key,
@@ -246,12 +247,12 @@ def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredCell:
             batch=spec.batch,
             flop_count=int(cost.flops),
             overhead_s=overhead,
-            elapsed_ns=elapsed_ns,
+            elapsed_ns=rounded_elapsed_ns(starts, ends),
             verified=verified,
             power_w=power_w,
         )
 
-    return LoweredCell(
+    op = Operation(
         engine=impl.engine,
         label=f"batched-gemm/{spec.impl_key}/n={spec.n}/b={spec.batch}",
         cost=cost,
@@ -261,13 +262,16 @@ def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredCell:
         memory_efficiency=_MEMORY_EFFICIENCY[impl.engine],
         overhead_s=overhead,
         power_draws_w=draws,
-        noise_keys=(
-            f"batched-gemm/{chip.name}/{spec.impl_key}/n={spec.n}/b={spec.batch}",
-        )
-        * spec.repeats,
+        noise_key=(
+            f"batched-gemm/{chip.name}/{spec.impl_key}/n={spec.n}/b={spec.batch}"
+        ),
         noise_sigma=_NOISE_SIGMA,
+    )
+
+    return LoweredSequence(
         seed=spec.seed,
         thermal=machine.thermal,
+        ops=(op,) * spec.repeats,
         assemble=assemble,
     )
 
@@ -276,7 +280,7 @@ def run_batched_gemm_spec(
     machine: Machine, spec: BatchedGemmSpec
 ) -> BatchedGemmResult:
     """Execute one batched-GEMM cell on ``machine``."""
-    return run_lowered_cell(machine, lower_batched_gemm_spec(machine, spec))
+    return run_lowered_sequence(machine, lower_batched_gemm_spec(machine, spec))
 
 
 def _result_to_dict(result: BatchedGemmResult) -> dict[str, Any]:

@@ -36,17 +36,18 @@ from repro.core.results import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
-from repro.sim.engine import EngineKind
+from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
+from repro.sim.vectorized import LoweredSequence, effective_draw_w, run_lowered_sequence
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
     elapsed_ns_from_list,
     iter_axes,
     modelled_power_metrics,
+    rounded_elapsed_ns,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -207,7 +208,7 @@ def _numerics_verified(spec: SpmvSpec) -> bool:
     return bool(np.allclose(y, dense @ x, rtol=1e-10, atol=1e-12))
 
 
-def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
+def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredSequence:
     """Lower one SpMV cell to its repetition grid (the shared cost model).
 
     ``machine`` is a :class:`~repro.sim.machine.Machine` or a
@@ -229,7 +230,7 @@ def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
     draws = stream_power_draws(chip, spec.target)
     power_w = effective_draw_w(machine.thermal, draws)
 
-    def assemble(elapsed_ns: tuple[int, ...]) -> SpmvResult:
+    def assemble(starts, ends) -> SpmvResult:
         return SpmvResult(
             chip_name=chip.name,
             target=spec.target,
@@ -238,12 +239,12 @@ def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
             flop_count=int(flops),
             bytes_moved=bytes_read + bytes_written,
             theoretical_gbs=chip.memory.bandwidth_gbs,
-            elapsed_ns=elapsed_ns,
+            elapsed_ns=rounded_elapsed_ns(starts, ends),
             verified=verified,
             power_w=power_w,
         )
 
-    return LoweredCell(
+    op = Operation(
         engine=engine,
         label=f"spmv/{spec.target}/n={spec.n}",
         cost=OpCost(
@@ -255,20 +256,23 @@ def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredCell:
         memory_efficiency=memory_efficiency,
         overhead_s=overhead,
         power_draws_w=draws,
-        noise_keys=(
-            f"spmv/{chip.name}/{spec.target}/n={spec.n}/k={spec.nnz_per_row}",
-        )
-        * spec.repeats,
+        noise_key=(
+            f"spmv/{chip.name}/{spec.target}/n={spec.n}/k={spec.nnz_per_row}"
+        ),
         noise_sigma=STREAM_NOISE_SIGMA,
+    )
+
+    return LoweredSequence(
         seed=spec.seed,
         thermal=machine.thermal,
+        ops=(op,) * spec.repeats,
         assemble=assemble,
     )
 
 
 def run_spmv_spec(machine: Machine, spec: SpmvSpec) -> SpmvResult:
     """Execute one SpMV cell on ``machine``."""
-    return run_lowered_cell(machine, lower_spmv_spec(machine, spec))
+    return run_lowered_sequence(machine, lower_spmv_spec(machine, spec))
 
 
 def _result_to_dict(result: SpmvResult) -> dict[str, Any]:

@@ -31,17 +31,18 @@ from repro.core.results import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
-from repro.sim.engine import EngineKind
+from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
 from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredCell, effective_draw_w, run_lowered_cell
+from repro.sim.vectorized import LoweredSequence, effective_draw_w, run_lowered_sequence
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
     elapsed_ns_from_list,
     iter_axes,
     modelled_power_metrics,
+    rounded_elapsed_ns,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -212,7 +213,7 @@ def _numerics_verified(spec: StencilSpec) -> bool:
     return bool(np.allclose(grid_a, grid_b, rtol=1e-12, atol=1e-12))
 
 
-def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredCell:
+def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredSequence:
     """Lower one stencil cell to its repetition grid (the shared cost model).
 
     ``machine`` is a :class:`~repro.sim.machine.Machine` or a
@@ -229,7 +230,7 @@ def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredCell:
     draws = stream_power_draws(chip, "cpu")
     power_w = effective_draw_w(machine.thermal, draws)
 
-    def assemble(elapsed_ns: tuple[int, ...]) -> StencilResult:
+    def assemble(starts, ends) -> StencilResult:
         return StencilResult(
             chip_name=chip.name,
             impl_key=spec.impl_key,
@@ -238,12 +239,12 @@ def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredCell:
             flop_count=int(cost.flops),
             bytes_moved=cost.total_bytes,
             theoretical_gbs=chip.memory.bandwidth_gbs,
-            elapsed_ns=elapsed_ns,
+            elapsed_ns=rounded_elapsed_ns(starts, ends),
             verified=verified,
             power_w=power_w,
         )
 
-    return LoweredCell(
+    op = Operation(
         engine=EngineKind.CPU_SIMD,
         label=f"stencil/{spec.impl_key}/n={spec.n}",
         cost=cost,
@@ -253,20 +254,23 @@ def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredCell:
         memory_efficiency=_MEMORY_EFFICIENCY[spec.impl_key],
         overhead_s=_OVERHEAD_S,
         power_draws_w=draws,
-        noise_keys=(
-            f"stencil/{chip.name}/{spec.impl_key}/n={spec.n}/it={spec.iterations}",
-        )
-        * spec.repeats,
+        noise_key=(
+            f"stencil/{chip.name}/{spec.impl_key}/n={spec.n}/it={spec.iterations}"
+        ),
         noise_sigma=_NOISE_SIGMA,
+    )
+
+    return LoweredSequence(
         seed=spec.seed,
         thermal=machine.thermal,
+        ops=(op,) * spec.repeats,
         assemble=assemble,
     )
 
 
 def run_stencil_spec(machine: Machine, spec: StencilSpec) -> StencilResult:
     """Execute one stencil cell on ``machine``."""
-    return run_lowered_cell(machine, lower_stencil_spec(machine, spec))
+    return run_lowered_sequence(machine, lower_stencil_spec(machine, spec))
 
 
 def _result_to_dict(result: StencilResult) -> dict[str, Any]:

@@ -7,9 +7,11 @@ every execution backend, the envelope JSON must be *byte-identical* to the
 serial reference.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import (
     BACKEND_NAMES,
     GemmSpec,
@@ -21,8 +23,19 @@ from repro.experiments import (
     resolve_backend,
 )
 from repro.experiments.backends import ShardedBackend
+from repro.experiments.specs import ExperimentSpec
+from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine
-from repro.workloads import get_workload, workload_kinds
+from repro.sim.roofline import OpCost
+from repro.sim.vectorized import LoweredSequence, run_lowered_sequence
+from repro.workloads import (
+    Workload,
+    get_workload,
+    register_workload,
+    unregister_workload,
+    workload_kinds,
+)
+from repro.workloads.base import rounded_elapsed_ns
 
 pytestmark = []
 
@@ -98,6 +111,105 @@ class TestCrossBackendDeterminism:
             bad.spec_hash(),
             "ValidationError",
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class OverEfficientSpec(ExperimentSpec):
+    """A plugin cell whose lowering claims 150 % compute efficiency."""
+
+    n: int = 1
+
+    kind = "over-efficient"
+
+
+@dataclasses.dataclass(frozen=True)
+class OverEfficientResult:
+    chip_name: str
+    elapsed_ns: tuple[int, ...]
+
+
+def _lower_over_efficient(machine, spec):
+    op = Operation(
+        engine=EngineKind.CPU_SIMD,
+        label="over-efficient",
+        cost=OpCost(flops=1e9 * spec.n),
+        peak_flops=machine.peak_flops(EngineKind.CPU_SIMD),
+        peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
+        compute_efficiency=1.5,
+        noise_key=f"over-efficient/{machine.chip.name}/n={spec.n}",
+    )
+    return LoweredSequence(
+        seed=spec.seed,
+        thermal=machine.thermal,
+        ops=(op,) * 3,
+        assemble=lambda starts, ends: OverEfficientResult(
+            machine.chip.name, rounded_elapsed_ns(starts, ends)
+        ),
+    )
+
+
+@pytest.fixture()
+def over_efficient():
+    workload = register_workload(
+        Workload(
+            kind="over-efficient",
+            display_name="Over-efficient",
+            description="a plugin whose every cell fails roofline validation",
+            spec_cls=OverEfficientSpec,
+            result_cls=OverEfficientResult,
+            execute=lambda machine, spec: run_lowered_sequence(
+                machine, _lower_over_efficient(machine, spec)
+            ),
+            result_to_dict=lambda r: {
+                "type": "over-efficient",
+                "chip_name": r.chip_name,
+                "elapsed_ns": list(r.elapsed_ns),
+            },
+            result_from_dict=lambda d: OverEfficientResult(
+                d["chip_name"], tuple(d["elapsed_ns"])
+            ),
+            sweep_cells=lambda sweep: (),
+            sample_spec=lambda: OverEfficientSpec(chip="M1"),
+            cell_label=lambda spec: f"{spec.chip} over-efficient",
+            summary_line=lambda spec, result: spec.chip,
+            vectorized_body=_lower_over_efficient,
+        )
+    )
+    yield workload
+    unregister_workload(workload.kind)
+
+
+class TestOneBadCellInABulkGroup:
+    """A cell whose lowering fails bulk validation fails alone: its batch
+    neighbours, evaluated in the same bulk call, still deliver their
+    serial bytes on every backend."""
+
+    @pytest.mark.parametrize("neighbour", ["gemm", "spmv"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_only_the_bad_cell_fails(self, over_efficient, backend, neighbour):
+        good = get_workload(neighbour).sample_spec()
+        bad = OverEfficientSpec(chip="M1")
+        session = model_session()
+        envelopes = session.run_batch(
+            [bad, good], backend=backend, max_workers=2, on_error="collect"
+        )
+        assert envelopes[0] is None
+        assert envelopes[1].to_json() == batch_json([good], backend="serial")[0]
+        [failure] = session.last_health.failures
+        assert (failure.spec_hash, failure.error) == (
+            bad.spec_hash(),
+            "ConfigurationError",
+        )
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_raising_batch_names_only_the_bad_cell(self, over_efficient, backend):
+        good = get_workload("gemm").sample_spec()
+        with pytest.raises(
+            SimulationError, match="1 of 2 cells failed.*compute efficiency"
+        ):
+            model_session().run_batch(
+                [good, OverEfficientSpec(chip="M1")], backend=backend, max_workers=2
+            )
 
 
 def factory_session() -> Session:

@@ -2,7 +2,7 @@
 
 The cross-backend suites compare backends within one checkout, so a change
 that moves every backend's bytes together passes them.  These tests pin the
-bytes themselves, in four slices:
+bytes themselves, in five slices:
 
 * ``envelopes.jsonl`` — six cells of every builtin workload run on a fresh
   model-only session;
@@ -17,6 +17,11 @@ bytes themselves, in four slices:
   (the parity suite's grids), both STREAM targets at two array sizes and
   two repetition counts, and two cells per chip of each fast-path workload;
   it pins every GEMM and STREAM dispatch the lowerings build;
+* ``repetition_envelopes.jsonl`` — the three fast-path workloads (SpMV,
+  stencil, batched GEMM) on all four study chips at 1, 2 and 150
+  repetitions, each session's cells in one batch: model-only at the default
+  noise and at σ 0, each with thermal modelling on and off, then the
+  default ``sampled`` profile, whose envelopes pin ``verified``;
 * ``calibration.jsonl`` — two calibration fits, the paper fit and a short
   synthetic self-fit: each fit's ``CalibrationResult`` JSON, then every
   envelope of its final scoring frame at full precision (the result JSON
@@ -27,8 +32,8 @@ and ``ENVELOPE_SCHEMA_VERSION`` it was generated under; every further line
 is one compact JSON record, which must match byte for byte while both
 recorded values are current.  No backend is named, so running the suite
 under ``REPRO_BACKEND=serial``, ``vectorized`` and ``sharded`` checks each
-backend against the first three files (calibration runs on its own default
-backend).
+backend against every file but the calibration one (calibration runs on
+its own default backend).
 
 An intended byte change bumps one of the two versions first, then
 regenerates the files with::
@@ -69,6 +74,7 @@ from repro.workloads import workload_kinds
 GOLDEN = pathlib.Path(__file__).with_name("envelopes.jsonl")
 SAMPLED_GOLDEN = pathlib.Path(__file__).with_name("sampled_envelopes.jsonl")
 PROTOCOL_GOLDEN = pathlib.Path(__file__).with_name("protocol_envelopes.jsonl")
+REPETITION_GOLDEN = pathlib.Path(__file__).with_name("repetition_envelopes.jsonl")
 CALIBRATION_GOLDEN = pathlib.Path(__file__).with_name("calibration.jsonl")
 
 #: The builtin workloads, in registration order.
@@ -77,6 +83,16 @@ SEED = 7
 CELLS_PER_KIND = 6
 CHIPS = ("M1", "M4")
 STUDY_CHIPS = ("M1", "M2", "M3", "M4")
+FAST_PATH_KINDS = ("spmv", "stencil", "batched-gemm")
+REPETITION_COUNTS = (1, 2, 150)
+#: (numerics, noise_sigma, thermal_enabled) of each repetition-slice batch
+REPETITION_SESSIONS = (
+    ("model-only", 0.015, True),
+    ("model-only", 0.015, False),
+    ("model-only", 0.0, True),
+    ("model-only", 0.0, False),
+    ("sampled", 0.015, True),
+)
 
 
 def golden_specs() -> list:
@@ -153,6 +169,35 @@ def protocol_specs() -> list:
     return specs
 
 
+def repetition_specs() -> list:
+    """Per fast-path kind, chip and repeat count: the first and last cell of
+    the chip's default sweep (both targets or implementations, smallest and
+    largest size)."""
+    specs: list = []
+    for kind in FAST_PATH_KINDS:
+        for chip in STUDY_CHIPS:
+            for repeats in REPETITION_COUNTS:
+                cells = SweepSpec(
+                    kind=kind, chips=(chip,), repeats=repeats, seed=SEED
+                ).expand()
+                specs += [cells[0], cells[-1]]
+    return specs
+
+
+def repetition_lines() -> list[str]:
+    """Every repetition-slice session's batch, in ``REPETITION_SESSIONS`` order."""
+    lines: list[str] = []
+    for numerics, sigma, thermal in REPETITION_SESSIONS:
+        session = Session(
+            numerics=numerics,
+            seed=SEED,
+            noise_sigma=sigma,
+            thermal_enabled=thermal,
+        )
+        lines += [env.to_json() for env in session.run_batch(repetition_specs())]
+    return lines
+
+
 def envelope_lines(numerics: str, specs: list) -> list[str]:
     """One compact envelope JSON line per cell, in grid order."""
     session = Session(numerics=numerics, seed=SEED)
@@ -183,6 +228,7 @@ SLICES = {
     GOLDEN: lambda: envelope_lines("model-only", golden_specs()),
     SAMPLED_GOLDEN: lambda: envelope_lines("sampled", sampled_specs()),
     PROTOCOL_GOLDEN: lambda: envelope_lines("model-only", protocol_specs()),
+    REPETITION_GOLDEN: repetition_lines,
     CALIBRATION_GOLDEN: calibration_lines,
 }
 
@@ -265,6 +311,32 @@ def test_protocol_slice_pins_every_chip_and_workload():
     }
     stream = [env for env in envelopes if env["spec"]["kind"] == "stream"]
     assert len(stream) == 32
+
+
+def test_repetition_slice_pins_repeats_noise_and_thermal():
+    envelopes = [json.loads(line) for line in golden_file_lines(REPETITION_GOLDEN)]
+    per_session = len(repetition_specs())
+    assert len(envelopes) == per_session * len(REPETITION_SESSIONS)
+    assert {env["spec"]["kind"] for env in envelopes} == set(FAST_PATH_KINDS)
+    assert {env["spec"]["chip"] for env in envelopes} == set(STUDY_CHIPS)
+    assert {len(env["result"]["elapsed_ns"]) for env in envelopes} == set(
+        REPETITION_COUNTS
+    )
+    sessions = [env["meta"]["session"] for env in envelopes[::per_session]]
+    assert [
+        (s["numerics"]["policy"], s["noise_sigma"], s["thermal_enabled"])
+        for s in sessions
+    ] == list(REPETITION_SESSIONS)
+    # sigma 0 repeats one duration; the default sigma never does at 150
+    for env in envelopes:
+        times = set(env["result"]["elapsed_ns"])
+        if env["meta"]["session"]["noise_sigma"] == 0.0:
+            assert len(times) == 1
+        elif env["spec"]["repeats"] == 150:
+            assert len(times) > 1
+    sampled = envelopes[-per_session:]
+    assert [env["result"]["verified"] for env in sampled] == [True] * per_session
+    assert all(env["result"]["verified"] is None for env in envelopes[:-per_session])
 
 
 def test_calibration_slice_pins_both_fits():

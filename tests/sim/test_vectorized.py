@@ -2,7 +2,7 @@
 
 Backend-level byte-identity lives in
 ``tests/experiments/test_vectorized_backend.py``; here the engine itself is
-pinned down: lowered cells evaluate exactly like the scalar machine, the
+pinned down: lowered sequences evaluate exactly like the scalar machine, the
 shared chip templates really are shared, and malformed lowerings fail with
 the scalar engine's error messages.
 """
@@ -21,22 +21,20 @@ from repro.sim.noise import lognormal_factors, noise_entropies, resolve_sigma
 from repro.sim.policy import NumericsConfig
 from repro.sim.roofline import OpCost, roofline_time
 from repro.sim.vectorized import (
-    LoweredCell,
     LoweredSequence,
-    evaluate_cells,
     evaluate_sequences,
-    run_lowered_cell,
     run_lowered_sequence,
     vector_context,
 )
 from repro.soc.power import PowerComponent
 from repro.soc.thermal import ThermalModel
 from repro.workloads import get_workload
+from repro.workloads.base import rounded_elapsed_ns
 from tests.conftest import window_pairs
 
 
 def lowered_sample_cells():
-    """One lowered cell per fast-path workload, on context machines."""
+    """One lowered repetition grid per fast-path workload, on context machines."""
     cells = []
     for kind in ("spmv", "stencil", "batched-gemm"):
         workload = get_workload(kind)
@@ -49,26 +47,27 @@ def lowered_sample_cells():
 class TestEngineEquivalence:
     def test_evaluate_matches_scalar_machine(self):
         cells = lowered_sample_cells()
-        bulk = evaluate_cells(cells, default_sigma=0.015)
+        bulk = evaluate_sequences(cells, default_sigma=0.015)
         for cell, result in zip(cells, bulk):
             machine = Machine.for_chip(
                 chip_name(cell),
                 seed=cell.seed,
                 numerics=NumericsConfig.model_only(),
             )
-            assert result == run_lowered_cell(machine, cell)
+            assert result == run_lowered_sequence(machine, cell)
 
     def test_single_cell_batch_equals_many_cell_batch(self):
         """Batch shape must not leak into results."""
         cells = lowered_sample_cells()
-        together = evaluate_cells(cells, default_sigma=0.015)
+        together = evaluate_sequences(cells, default_sigma=0.015)
         alone = [
-            evaluate_cells([cell], default_sigma=0.015)[0] for cell in cells
+            evaluate_sequences([cell], default_sigma=0.015)[0] for cell in cells
         ]
         assert together == alone
 
     def test_ragged_repeat_counts(self):
-        """Cells with different repetition counts pad without cross-talk."""
+        """Cells with different repetition counts share a batch without
+        cross-talk."""
         workload = get_workload("spmv")
         context = vector_context("M1", True, NumericsConfig.model_only())
         specs = [
@@ -76,15 +75,15 @@ class TestEngineEquivalence:
             type(workload.sample_spec())(chip="M1", target="gpu", n=4096, repeats=7),
         ]
         cells = [workload.vectorized_body(context, s) for s in specs]
-        together = evaluate_cells(cells, default_sigma=0.015)
+        together = evaluate_sequences(cells, default_sigma=0.015)
         alone = [
-            evaluate_cells([cell], default_sigma=0.015)[0] for cell in cells
+            evaluate_sequences([cell], default_sigma=0.015)[0] for cell in cells
         ]
         assert together == alone
 
     def test_zero_sigma_disables_noise(self):
         cells = lowered_sample_cells()
-        a = evaluate_cells(cells, default_sigma=0.0)
+        a = evaluate_sequences(cells, default_sigma=0.0)
         machines = [
             Machine.for_chip(
                 chip_name(cell),
@@ -94,14 +93,19 @@ class TestEngineEquivalence:
             )
             for cell in cells
         ]
-        b = [run_lowered_cell(m, c) for m, c in zip(machines, cells)]
+        b = [run_lowered_sequence(m, c) for m, c in zip(machines, cells)]
         assert a == b
 
+    def test_repetition_grids_repeat_one_op_object(self):
+        for cell in lowered_sample_cells():
+            assert len({id(op) for op in cell.ops}) == 1
+            assert len(cell.ops) == 2  # the sample specs' repeats
 
-def chip_name(cell: LoweredCell) -> str:
+
+def chip_name(cell: LoweredSequence) -> str:
     """Recover the chip a lowered cell was built for (label-addressed keys)."""
     # noise keys embed the chip name: "<kind>/<chip>/..."
-    return cell.noise_keys[0].split("/")[1]
+    return cell.ops[0].noise_key.split("/")[1]
 
 
 class TestTemplatesAndContexts:
@@ -137,79 +141,6 @@ class TestTemplatesAndContexts:
         )
 
 
-def toy_cell(**overrides) -> LoweredCell:
-    defaults = dict(
-        engine=EngineKind.CPU_SIMD,
-        label="toy",
-        cost=OpCost(flops=1e9, bytes_read=1e6, bytes_written=1e6),
-        peak_flops=1e12,
-        peak_bytes_per_s=1e11,
-        compute_efficiency=0.5,
-        memory_efficiency=0.5,
-        overhead_s=1e-6,
-        power_draws_w={},
-        noise_keys=("toy/rep=0",),
-        noise_sigma=0.01,
-        seed=0,
-        thermal=machine_template("M1", True).thermal,
-        assemble=lambda elapsed_ns: elapsed_ns,
-    )
-    defaults.update(overrides)
-    return LoweredCell(**defaults)
-
-
-class TestValidationParity:
-    def test_empty_batch(self):
-        assert evaluate_cells([], default_sigma=0.015) == []
-
-    def test_label_required(self):
-        with pytest.raises(ConfigurationError, match="label"):
-            toy_cell(label="")
-
-    def test_at_least_one_repetition(self):
-        with pytest.raises(ConfigurationError, match="repetition"):
-            toy_cell(noise_keys=())
-
-    def test_empty_noise_key_rejected(self):
-        """An empty key would hit the scalar engine's chip/label fallback
-        while the vectorized engine hashed "" — reject, never diverge."""
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            toy_cell(noise_keys=("ok", ""))
-
-    def test_negative_power_draw_rejected(self):
-        from repro.soc.power import PowerComponent
-
-        with pytest.raises(ConfigurationError, match="negative power draw"):
-            toy_cell(power_draws_w={PowerComponent.CPU: -1.0})
-
-    def test_bad_efficiency_matches_scalar_message(self):
-        with pytest.raises(ConfigurationError, match="compute efficiency"):
-            evaluate_cells([toy_cell(compute_efficiency=1.5)])
-        with pytest.raises(ConfigurationError, match="memory efficiency"):
-            evaluate_cells([toy_cell(memory_efficiency=0.0)])
-
-    def test_zero_peak_with_work_rejected(self):
-        with pytest.raises(ConfigurationError, match="peak FLOP rate"):
-            evaluate_cells([toy_cell(peak_flops=0.0)])
-        with pytest.raises(ConfigurationError, match="peak bandwidth"):
-            evaluate_cells([toy_cell(peak_bytes_per_s=0.0)])
-
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(ConfigurationError, match="overhead"):
-            evaluate_cells([toy_cell(overhead_s=-1e-9)])
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ConfigurationError, match="sigma"):
-            evaluate_cells([toy_cell(noise_sigma=-0.1)], default_sigma=0.015)
-
-    def test_scalar_operation_reconstruction(self):
-        cell = toy_cell(noise_keys=("a", "b"))
-        op = cell.operation(1)
-        assert op.noise_key == "b"
-        assert op.cost is cell.cost
-        assert op.compute_efficiency == cell.compute_efficiency
-
-
 def toy_sequence(*ops: Operation, **overrides) -> LoweredSequence:
     defaults = dict(
         seed=0,
@@ -233,6 +164,69 @@ def toy_op(**overrides) -> Operation:
     )
     defaults.update(overrides)
     return Operation(**defaults)
+
+
+def toy_grid(repeats: int = 3, **overrides) -> LoweredSequence:
+    """A repetition grid of one toy op, ``(op,) * repeats``."""
+    return toy_sequence(*(toy_op(**overrides),) * repeats)
+
+
+class TestValidationParity:
+    """Malformed ops fail in bulk with the scalar engine's messages,
+    whether a sequence repeats one op or orders distinct ones."""
+
+    def test_empty_batch(self):
+        assert evaluate_sequences([], default_sigma=0.015) == []
+
+    def test_label_required(self):
+        with pytest.raises(ConfigurationError, match="label"):
+            toy_op(label="")
+
+    def test_at_least_one_repetition(self):
+        with pytest.raises(ConfigurationError, match="at least one operation"):
+            toy_sequence()
+
+    def test_empty_noise_key_rejected(self):
+        """An empty key would hit the scalar engine's chip/label fallback
+        while the vectorized engine hashed "" — reject, never diverge."""
+        with pytest.raises(ConfigurationError, match="explicit noise keys"):
+            toy_sequence(toy_op(noise_key="ok"), toy_op(noise_key=""))
+        with pytest.raises(ConfigurationError, match="explicit noise keys"):
+            toy_grid(noise_key="")
+
+    def test_negative_power_draw_rejected(self):
+        with pytest.raises(ConfigurationError, match="negative power draw"):
+            toy_op(power_draws_w={PowerComponent.CPU: -1.0})
+
+    def test_bad_efficiency_matches_scalar_message(self):
+        for repeats in (1, 3):
+            with pytest.raises(ConfigurationError, match="compute efficiency"):
+                evaluate_sequences([toy_grid(repeats, compute_efficiency=1.5)])
+            with pytest.raises(ConfigurationError, match="memory efficiency"):
+                evaluate_sequences([toy_grid(repeats, memory_efficiency=0.0)])
+            with pytest.raises(ConfigurationError, match="compute efficiency"):
+                run_lowered_sequence(
+                    Machine.for_chip("M1"), toy_grid(repeats, compute_efficiency=1.5)
+                )
+
+    def test_zero_peak_with_work_rejected(self):
+        with pytest.raises(ConfigurationError, match="peak FLOP rate"):
+            evaluate_sequences([toy_grid(peak_flops=0.0)])
+        with pytest.raises(ConfigurationError, match="peak bandwidth"):
+            evaluate_sequences([toy_grid(peak_bytes_per_s=0.0)])
+
+    def test_negative_overhead_rejected(self):
+        with pytest.raises(ConfigurationError, match="overhead"):
+            evaluate_sequences([toy_grid(overhead_s=-1e-9)])
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            evaluate_sequences([toy_grid(noise_sigma=-0.1)], default_sigma=0.015)
+        with pytest.raises(ConfigurationError, match="sigma"):
+            evaluate_sequences(
+                [toy_sequence(toy_op(), toy_op(noise_key="j", noise_sigma=-0.1))],
+                default_sigma=0.015,
+            )
 
 
 class TestSequenceContract:
@@ -286,12 +280,28 @@ PROPERTY_THERMALS = (
 
 @st.composite
 def sequence_batches(draw):
-    """A batch of sequences of 1-400 ops, some sharing one ops tuple."""
+    """A batch of sequences of 1-400 ops, some sharing one ops tuple.
+
+    A tuple cycles a pattern of shared op objects, repeats one object
+    (``(op,) * R``, a repetition grid), or holds a fresh equal copy of its
+    pattern's op at every position.
+    """
     tuples = []
     for _ in range(draw(st.integers(1, 3))):
         pattern = draw(st.lists(st.sampled_from(PROPERTY_OPS), min_size=1, max_size=6))
         length = draw(st.sampled_from([1, 2, 5, 80]) | st.integers(1, 400))
-        tuples.append(tuple(itertools.islice(itertools.cycle(pattern), length)))
+        shape = draw(st.sampled_from(["cycle", "one-object", "copies"]))
+        if shape == "one-object":
+            tuples.append((pattern[0],) * length)
+        elif shape == "copies":
+            tuples.append(
+                tuple(
+                    dataclasses.replace(op)
+                    for op in itertools.islice(itertools.cycle(pattern), length)
+                )
+            )
+        else:
+            tuples.append(tuple(itertools.islice(itertools.cycle(pattern), length)))
     return [
         LoweredSequence(
             seed=draw(st.integers(0, 3)),
@@ -329,37 +339,69 @@ class TestColumnarClock:
 
 
 class TestNoiseReplayContract:
-    """perfbench's traced replay re-draws a cell's noise through the public
-    API, one ``noise_entropies`` call per cell and one sigma per entropy."""
+    """perfbench's traced replay re-draws a sequence's noise through the
+    public API, one ``noise_entropies`` call per sequence and one sigma per
+    op."""
 
     def test_replay_call_reproduces_the_engine_factors(self):
-        cell = dataclasses.replace(
-            toy_cell(noise_keys=("toy/M1",) * 6), assemble=lambda ns: ns
+        op = toy_op(
+            engine=EngineKind.CPU_SIMD,
+            cost=OpCost(flops=1e9, bytes_read=1e6, bytes_written=1e6),
+            compute_efficiency=0.5,
+            memory_efficiency=0.5,
+            overhead_s=1e-6,
+            noise_key="toy/M1",
         )
-        sigma = resolve_sigma(0.015, cell.noise_sigma)
+        sequence = toy_sequence(*(op,) * 6, assemble=rounded_elapsed_ns)
+        sigmas = [resolve_sigma(0.015, op.noise_sigma) for op in sequence.ops]
         factors = lognormal_factors(
-            noise_entropies(cell.seed, cell.noise_keys), [sigma] * cell.repeats
+            noise_entropies(sequence.seed, [op.noise_key for op in sequence.ops]),
+            sigmas,
         )
-        machine = Machine.for_chip("M1", seed=cell.seed)
+        machine = Machine.for_chip("M1", seed=sequence.seed)
         assert list(factors) == [
-            machine.noise.factor(key, sigma, counter=k)
-            for k, key in enumerate(cell.noise_keys)
+            machine.noise.factor(op.noise_key, sigma, counter=k)
+            for k, (op, sigma) in enumerate(zip(sequence.ops, sigmas))
         ]
         base = roofline_time(
-            cell.cost,
-            peak_flops=cell.peak_flops,
-            peak_bytes_per_s=cell.peak_bytes_per_s,
-            compute_efficiency=cell.compute_efficiency,
-            memory_efficiency=cell.memory_efficiency,
-            overhead_s=cell.overhead_s,
+            op.cost,
+            peak_flops=op.peak_flops,
+            peak_bytes_per_s=op.peak_bytes_per_s,
+            compute_efficiency=op.compute_efficiency,
+            memory_efficiency=op.memory_efficiency,
+            overhead_s=op.overhead_s,
         ).total_s
         start, expected = 0.0, []
         for factor in factors:
             end = start + base * factor
             expected.append(max(1, round((end - start) * 1e9)))
             start = end
-        assert evaluate_cells([cell], default_sigma=0.015)[0] == tuple(expected)
-        assert run_lowered_cell(machine, cell) == tuple(expected)
+        assert evaluate_sequences([sequence], default_sigma=0.015)[0] == tuple(
+            expected
+        )
+        assert run_lowered_sequence(machine, sequence) == tuple(expected)
+
+    def test_one_op_sequence_draws_in_one_repeated_key_call(self, monkeypatch):
+        """A repetition grid hands ``noise_entropies`` its key repeated, once
+        per sequence; a mixed sequence hands it its active keys in order."""
+        from repro.sim import vectorized
+
+        calls = []
+
+        def spy(seed, keys):
+            calls.append((seed, list(keys)))
+            return noise_entropies(seed, keys)
+
+        monkeypatch.setattr(vectorized, "noise_entropies", spy)
+        op, other = toy_op(), toy_op(noise_key="other", noise_sigma=0.0)
+        copies = tuple(dataclasses.replace(op) for _ in range(4))
+        batch = [
+            toy_sequence(*(op,) * 5, seed=1),
+            toy_sequence(*copies, seed=2),
+            toy_sequence(op, other, op, seed=3),
+        ]
+        evaluate_sequences(batch, default_sigma=0.015)
+        assert calls == [(1, ["toy"] * 5), (2, ["toy"] * 4), (3, ["toy"] * 2)]
 
     def test_zero_sigma_ops_take_no_counter_on_either_engine(self):
         """A sequence mixing silent and noisy draws of one key: the bulk

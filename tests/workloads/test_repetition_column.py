@@ -27,7 +27,7 @@ from repro.workloads import (
     get_workload,
     serialize_result,
 )
-from repro.workloads.base import elapsed_ns_from_list
+from repro.workloads.base import elapsed_ns_from_list, rounded_elapsed_ns
 from repro.workloads.batched_gemm import lower_batched_gemm_spec
 from repro.workloads.gemm import lower_gemm_spec
 from repro.workloads.spmv import lower_spmv_spec
@@ -186,12 +186,43 @@ class TestNonPositiveTimeOnEveryPath:
         ids=["spmv", "stencil", "batched-gemm"],
     )
     def test_lowered_cell_assemble(self, lower, spec):
-        cell = lower(make_model_machine("M1"), spec)
+        # the repetition-grid rule max(1, round(...)) turns a zero-length
+        # window into 1 ns, and the result it builds still refuses a zero
+        sequence = lower(make_model_machine("M1"), spec)
+        result = sequence.assemble(np.array([0.0, 5e-9]), np.array([5e-9, 5e-9]))
+        assert result.elapsed_ns == (5, 1)
         with pytest.raises(ConfigurationError, match="positive time"):
-            cell.assemble((5, 0))
+            dataclasses.replace(result, elapsed_ns=(5, 0))
 
     def test_lowered_gemm_assemble(self):
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256, repeats=2)
         sequence = lower_gemm_spec(make_model_machine("M1"), spec)
         with pytest.raises(ConfigurationError, match="positive time"):
             sequence.assemble(np.array([0.0, 5e-9]), np.array([5e-9, 5e-9]))
+
+
+class TestRoundedElapsedNs:
+    """The repetition grids' assembly rule equals the scalar loop's
+    ``max(1, round((end - start) * 1e9))`` window for window, half-way and
+    sub-nanosecond windows included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        durations=st.lists(
+            st.floats(0.0, 1e-3, allow_nan=False)
+            | st.integers(0, 8).map(lambda k: k * 0.5e-9),
+            min_size=1,
+            max_size=40,
+        ),
+        origin=st.floats(0.0, 10.0, allow_nan=False),
+    )
+    def test_matches_the_scalar_rule(self, durations, origin):
+        starts, ends, clock = [], [], origin
+        for duration in durations:
+            starts.append(clock)
+            clock += duration
+            ends.append(clock)
+        expected = tuple(
+            max(1, round((end - start) * 1e9)) for start, end in zip(starts, ends)
+        )
+        assert rounded_elapsed_ns(np.array(starts), np.array(ends)) == expected
