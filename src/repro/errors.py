@@ -8,6 +8,8 @@ the Metal simulation layer additionally defines API-shaped errors in
 
 from __future__ import annotations
 
+import copyreg
+
 __all__ = [
     "ReproError",
     "ConfigurationError",
@@ -32,6 +34,13 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
+
+    def __reduce__(self):
+        # Rebuild from ``args`` and attributes without calling __init__, so
+        # a subclass whose constructor formats its message from other
+        # arguments (UnknownChipError, VersionMismatchError) crosses a
+        # process boundary with its type and message intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigurationError(ReproError):
@@ -98,20 +107,22 @@ class TransientError(ReproError):
 class WorkerCrashError(TransientError):
     """A worker process died (or its pool broke) while executing a cell.
 
-    Raised parent-side when a sharded worker's future is lost to a crashed
-    worker — a ``BrokenProcessPool``, an ``os._exit`` in the worker, an
-    OOM kill.  Retryable: the sharded backend redoes the lost shard in the
-    parent, and cells that keep failing degrade to the in-process serial
-    path.
+    The sharded backend reports it through the failure channel for every
+    cell of a shard its pool lost — a ``BrokenProcessPool``, an
+    ``os._exit`` in the worker, an OOM kill — and replaces the pool.
+    Retryable: ``Session.run_batch`` retries the cells, and cells that keep
+    failing get one in-process serial attempt.
     """
 
 
 class CellTimeoutError(TransientError):
-    """A cell (or shard) exceeded its execution deadline.
+    """A cell's shard exceeded its execution deadline.
 
-    Raised parent-side when a dispatched cell runs past the configured
-    ``cell_timeout``; the hung worker is abandoned, never joined.
-    Retryable: a hang caused by transient contention clears on re-execution.
+    The sharded backend reports it for every cell of a shard that runs
+    past ``cell_timeout`` × its cell count, and abandons the pool holding
+    the hung worker without joining it.  Retryable: a hang caused by
+    transient contention clears on re-execution, and cells that keep
+    hanging get one in-process serial attempt, where no deadline preempts.
     """
 
 

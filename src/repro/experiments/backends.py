@@ -94,22 +94,21 @@ class ExecutionBackend:
     they may differ only in wall-clock time.
 
     Fault-tolerance contract (keyword-only; ``Session.run_batch`` always
-    passes all four, so every backend must accept them):
+    passes all three, so every backend must accept them).  Backends report
+    failures and recover from none; ``Session.run_batch``'s retry ladder is
+    the one recovery path.
 
     * ``fail(index, exc, spec)`` — report a cell's failure instead of
       raising; every spec reaches exactly one of ``finish``/``fail``.  With
-      ``fail=None`` (a direct call, e.g. inside a sharded worker) the first
-      failure aborts the batch.
+      ``fail=None`` (a direct call) the first failure is raised.
     * ``attempt`` — 1-based attempt number of this round, threaded to
       ``Session.run`` (and across worker boundaries) so deterministic
       fault injection can count attempts.
     * ``cell_timeout`` — per-cell deadline in seconds; the sharded backend
-      gives each shard ``cell_timeout`` × its cell count, abandons a shard
-      that runs past it and redoes it in the parent.  In-process backends
-      cannot preempt a running cell and ignore it.
-    * ``health`` — optional :class:`~repro.experiments.resilience.RunHealth`
-      a backend with *internal* recovery (sharded) uses to report the
-      retries/fallbacks it performed itself.
+      gives each shard ``cell_timeout`` × its cell count and fails every
+      cell of a shard that runs past it with
+      :class:`~repro.errors.CellTimeoutError`.  In-process backends cannot
+      preempt a running cell and ignore it.
     """
 
     #: Registry/CLI name of this backend.
@@ -133,7 +132,6 @@ class ExecutionBackend:
         fail: "FailCallback | None" = None,
         attempt: int = 1,
         cell_timeout: float | None = None,
-        health: Any = None,
     ) -> None:
         """Execute every spec, reporting completions through ``finish``."""
         raise NotImplementedError
@@ -157,7 +155,6 @@ class SerialBackend(ExecutionBackend):
         fail=None,
         attempt=1,
         cell_timeout=None,
-        health=None,
     ):
         """Execute the specs one after another, in input order.
 
@@ -258,7 +255,6 @@ class VectorizedBackend(ExecutionBackend):
         fail=None,
         attempt=1,
         cell_timeout=None,
-        health=None,
     ):
         """Lower every cache miss, evaluate the grid in bulk, finish in order."""
         from repro.experiments.envelope import ResultEnvelope
@@ -385,17 +381,16 @@ def _run_shard(
     shard: Mapping[str, Any],
     session_config: Mapping[str, Any],
     attempt: int,
-    fail: "FailCallback | None" = None,
-) -> list:
-    """One shard's plain-data specs in, their result dicts out in order.
+) -> tuple[list, dict[int, BaseException]]:
+    """One shard's plain-data specs in; result dicts and failures out.
 
     The shard runs the vectorized backend's execution body on a fresh
     session with the parent's configuration, which is what keeps the
     results byte-identical to every other backend.  It builds no envelope
     and computes no cache key: the parent holds each spec and its key and
-    stamps the envelopes itself.  A cell reported through ``fail`` leaves
-    ``None`` at its position.  Workers and the in-parent redo both run
-    shards through here.
+    stamps the envelopes itself.  A cell that raises fails alone: it
+    leaves ``None`` among the result dicts and its exception in the
+    ``{position: exception}`` map.
     """
     from repro.experiments.envelope import result_to_dict
     from repro.experiments.session import Session
@@ -403,28 +398,37 @@ def _run_shard(
 
     specs = [spec_from_dict(data) for data in shard["specs"]]
     items: list[Any] = [None] * len(specs)
+    failures: dict[int, BaseException] = {}
 
     def collect(position: int, result: Any) -> None:
         items[position] = result_to_dict(result)
 
+    def collect_failure(position: int, exc: BaseException, spec: Any) -> None:
+        failures[position] = exc
+
     _evaluate_specs(
-        Session(**session_config), specs, collect, fail=fail, attempt=attempt
+        Session(**session_config),
+        specs,
+        collect,
+        fail=collect_failure,
+        attempt=attempt,
     )
-    return items
+    return items, failures
 
 
 def _execute_shard_payload(
     shard: Mapping[str, Any],
     session_config: Mapping[str, Any],
     attempt: int = 1,
-) -> bytes:
-    """Worker-side entry point: one shard in, its pickled result dicts out.
+) -> tuple[bytes, dict[int, BaseException]]:
+    """Worker-side entry point: one shard in; its pickled result dicts and
+    its ``{position: exception}`` failures out.
 
     One pre-pickled blob crosses the pool boundary as a cheap bytes copy,
     and the parent defers unpickling it until a result is actually read.
     """
-    items = _run_shard(shard, session_config, attempt)
-    return pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
+    items, failures = _run_shard(shard, session_config, attempt)
+    return pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL), failures
 
 
 class _ShardResults:
@@ -457,7 +461,8 @@ class ShardedBackend(ExecutionBackend):
     at a time.  Per shard, the parent resolves cache hits and ships only
     the misses to a worker as plain-data specs; the worker runs them
     through the vectorized backend's execution body and ships back only
-    their result dicts, one pickled blob per shard.  Hits are held and
+    their result dicts, one pickled blob per shard, and the exception of
+    each cell that raised.  Hits are held and
     merged back when their shard returns, and the parent keeps a bounded
     number of shards in flight and delivers them strictly in submission
     order.  The parent already holds each spec and its cache key, so it
@@ -495,7 +500,6 @@ class ShardedBackend(ExecutionBackend):
         fail=None,
         attempt=1,
         cell_timeout=None,
-        health=None,
     ):
         """Stream any iterable of specs shard-wise through the pool.
 
@@ -549,7 +553,7 @@ class ShardedBackend(ExecutionBackend):
                 envelope = cached
                 if envelope is None:
                     if position in failures:
-                        exc, _ = failures[position]
+                        exc = failures[position]
                         position += 1
                         _report_cell_failure(fail, index, exc, spec)
                         continue
@@ -569,150 +573,81 @@ class ShardedBackend(ExecutionBackend):
             session,
             shards(),
             deliver,
-            fail=fail,
             attempt=attempt,
             cell_timeout=cell_timeout,
-            health=health,
         )
 
-    @staticmethod
-    def _redo_shard_in_parent(config, shard, attempt):
-        """Re-execute a failed shard in this process — the degradation rung.
-
-        Runs the worker's exact code path (a fresh session from the shipped
-        config, the vectorized execution body, result dicts out), so
-        recovered results are byte-identical to an undisturbed worker's.
-        Crash faults are worker-only no-ops here, which is what terminates
-        the ladder for a persistently crashing shard.  Cells that *still* fail
-        come back in the failures map instead of taking the shard down.
-        """
-        failures: dict[int, tuple] = {}
-
-        def collect_fail(index, exc, spec):
-            failures[index] = (exc, spec)
-
-        return _run_shard(shard, config, attempt, fail=collect_fail), failures
-
-    def _pump(
-        self,
-        session,
-        shards,
-        deliver,
-        *,
-        fail=None,
-        attempt=1,
-        cell_timeout=None,
-        health=None,
-    ):
+    def _pump(self, session, shards, deliver, *, attempt=1, cell_timeout=None):
         """Submit shards with a bounded in-flight window; deliver in order.
 
         ``deliver(results, failures)`` receives each shard's result dicts
-        (indexable by position: a :class:`_ShardResults` from a worker, a
-        list from the in-parent redo) and the ``{position: (exc, spec)}``
-        map of its cells that failed.
-
-        Failure handling is shard-grained: a shard whose worker raises,
-        crashes, or hangs past its deadline (``cell_timeout`` × shard
-        cells) is re-executed on the in-parent vectorized path at
-        ``attempt + 1`` — and once the pool is broken or holds a hung
-        worker, every remaining shard degrades the same way rather than
-        trusting it.  With no failure channel and no health report the
-        historical fail-fast ``SimulationError`` is preserved.
+        (a :class:`_ShardResults`, indexable by position) and the
+        ``{position: exception}`` map of its cells that failed.  A shard
+        the pool loses fails every cell: with :class:`WorkerCrashError`
+        when its worker died, with :class:`CellTimeoutError` when it ran
+        past its deadline (``cell_timeout`` × its cells).  The losing pool
+        is shut down and a new one serves the shards after it; a pool
+        holding a hung worker is never joined.  No cell runs in the parent:
+        recovering the failed cells is ``Session.run_batch``'s job.
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.errors import SimulationError
-
         config = _session_payload(session)
         window = self.max_workers + 2
-        recover = fail is not None or health is not None
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.max_workers
-        )
-        pool_broken = False
-        abandoned = False
+        pool = None
+        in_flight: dict[int, tuple] = {}
+        next_submit = next_deliver = 0
         try:
-            in_flight: dict[int, tuple] = {}
-            next_submit = 0
-            next_deliver = 0
             while True:
                 while len(in_flight) < window:
                     shard = next(shards, None)
                     if shard is None:
                         break
-                    future = (
-                        None
-                        if pool_broken
-                        else pool.submit(
-                            _execute_shard_payload, shard, config, attempt
+                    if pool is None:
+                        pool = concurrent.futures.ProcessPoolExecutor(
+                            max_workers=self.max_workers
                         )
+                    future = pool.submit(
+                        _execute_shard_payload, shard, config, attempt
                     )
-                    in_flight[next_submit] = (future, shard)
+                    in_flight[next_submit] = (future, shard, pool)
                     next_submit += 1
                 if next_deliver not in in_flight:
                     break
-                future, shard = in_flight.pop(next_deliver)
-                shard_index = next_deliver
+                future, shard, owner = in_flight.pop(next_deliver)
+                where = (
+                    f"shard {next_deliver} ({shard['label']}, attempt {attempt})"
+                )
                 next_deliver += 1
-                where = shard["label"]
-                cause = None
-                results = None
-                if future is not None:
-                    deadline = (
-                        None
-                        if cell_timeout is None
-                        else cell_timeout * max(1, len(shard["specs"]))
+                cells = len(shard["specs"])
+                deadline = (
+                    None if cell_timeout is None else cell_timeout * max(1, cells)
+                )
+                try:
+                    blob, failures = future.result(timeout=deadline)
+                except concurrent.futures.TimeoutError:
+                    lost = CellTimeoutError(
+                        f"{where} exceeded its {deadline:g}s deadline"
                     )
-                    try:
-                        results = _ShardResults(future.result(timeout=deadline))
-                    except concurrent.futures.TimeoutError:
-                        future.cancel()
-                        # the hung worker holds a pool slot forever; stop
-                        # trusting the pool and never join it
-                        pool_broken = True
-                        abandoned = True
-                        cause = CellTimeoutError(
-                            f"shard {shard_index} ({where}) exceeded its "
-                            f"{deadline:g}s deadline (attempt {attempt})"
-                        )
-                    except concurrent.futures.CancelledError as exc:
-                        cause = WorkerCrashError(
-                            f"shard {shard_index} ({where}) was cancelled "
-                            f"by a broken worker pool (attempt {attempt})"
-                        )
-                    except Exception as exc:
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broken = True
-                            abandoned = True
-                            cause = WorkerCrashError(
-                                f"worker process died executing shard "
-                                f"{shard_index} ({where}) "
-                                f"(attempt {attempt}): {exc}"
-                            )
-                        else:
-                            cause = exc
-                if results is None:
-                    # pool lost the shard (or was already written off)
-                    if not recover:
-                        for other, _ in in_flight.values():
-                            if other is not None:
-                                other.cancel()
-                        raise SimulationError(
-                            f"worker process failed on shard {shard_index} "
-                            f"({where}): {cause}"
-                        ) from cause
-                    if health is not None:
-                        health.fallbacks += 1
-                        if cause is not None:
-                            health.count(cause)
-                    results, failures = self._redo_shard_in_parent(
-                        config, shard, attempt + 1
+                    if owner is pool:  # its hung worker would block a join
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        pool = None
+                except (BrokenProcessPool, concurrent.futures.CancelledError) as exc:
+                    lost = WorkerCrashError(
+                        f"{where} was lost with its worker pool: {exc!r}"
                     )
+                    if owner is pool:
+                        pool.shutdown(cancel_futures=True)
+                        pool = None
+                except Exception as exc:
+                    lost = exc
                 else:
-                    failures = {}
-                deliver(results, failures)
+                    deliver(_ShardResults(blob), failures)
+                    continue
+                deliver(None, dict.fromkeys(range(cells), lost))
         finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
 
 def resolve_backend(

@@ -527,16 +527,12 @@ def run_with_manifest(
                 by_hash[record.spec_hash] = ResultEnvelope.load(
                     root / record.path
                 )
-            except FileNotFoundError:
-                # the file vanished under the manifest — re-execute
-                record.status = STATUS_PENDING
-                record.path = None
-                pending.append(spec)
             except ConfigurationError as exc:
-                # a torn envelope write: the manifest says done but the
-                # bytes are bad — quarantine the evidence, demote the cell
-                # and heal the store by re-executing
-                quarantine_file(root, root / record.path, reason=str(exc))
+                # the manifest says done but the file vanished or its bytes
+                # are bad (a torn write): quarantine bad bytes as evidence,
+                # demote the cell and heal the store by re-executing
+                if not isinstance(exc.__cause__, FileNotFoundError):
+                    quarantine_file(root, root / record.path, reason=str(exc))
                 record.status = STATUS_PENDING
                 record.path = None
                 pending.append(spec)

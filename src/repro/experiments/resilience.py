@@ -159,7 +159,10 @@ class RunHealth:
     Callers pass a fresh instance into :meth:`Session.run_batch` (or read
     ``session.last_health`` afterwards); the service attaches the report to
     the job record so ``GET /jobs/<id>`` surfaces it, and the CLI prints
-    :meth:`summary` when anything non-trivial happened.
+    :meth:`summary` when anything non-trivial happened.  The counters
+    count cells: ``retries`` and ``fallbacks`` the cells re-run on the
+    primary backend and in-process, ``crashes`` and ``timeouts`` the cell
+    failures of those classes (each cell of a shard a sharded pool lost).
     """
 
     retries: int = 0
@@ -187,7 +190,7 @@ class RunHealth:
         )
 
     def count(self, exc: BaseException) -> None:
-        """Tally one observed failure by class (crash/timeout breakdown)."""
+        """Tally one cell's failure by class (crash/timeout breakdown)."""
         if isinstance(exc, WorkerCrashError):
             self.crashes += 1
         elif isinstance(exc, CellTimeoutError):
@@ -196,15 +199,6 @@ class RunHealth:
     def record_failure(self, failure: CellFailure) -> None:
         """Record one cell that exhausted the ladder."""
         self.failures.append(failure)
-
-    def merge(self, other: "RunHealth") -> None:
-        """Fold another report into this one (service jobs over sub-runs)."""
-        self.retries += other.retries
-        self.fallbacks += other.fallbacks
-        self.crashes += other.crashes
-        self.timeouts += other.timeouts
-        self.wall_clock_lost_s += other.wall_clock_lost_s
-        self.failures.extend(other.failures)
 
     def summary(self) -> str:
         """One greppable line: ``2 retries, 1 fallback, 0 failed, 0.31s lost``."""

@@ -412,7 +412,10 @@ class Session:
         :class:`~repro.experiments.resilience.RetryPolicy`, its dict form,
         or the session default), and crash/timeout victims that exhaust
         their retries get one final in-process serial attempt (the
-        degradation ladder).  A cell that still fails is *terminal*:
+        degradation ladder).  Backends only report failures (a sharded
+        worker that dies or hangs fails every cell of its shard), so this
+        ladder is the one recovery path.  A cell that still fails is
+        *terminal*:
         ``on_error="raise"`` (the default) finishes the surviving siblings,
         then raises :class:`~repro.errors.SimulationError` naming every
         failed cell; ``on_error="collect"`` returns the batch with ``None``
@@ -487,7 +490,6 @@ class Session:
             fail=fail,
             attempt=1,
             cell_timeout=policy.cell_timeout,
-            health=report,
         )
 
         # --- retry ladder -------------------------------------------------
@@ -521,7 +523,6 @@ class Session:
                 fail=fail_sub,
                 attempt=attempt,
                 cell_timeout=policy.cell_timeout,
-                health=report,
             )
             for index in indices:
                 attempts[index] += 1

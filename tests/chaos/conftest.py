@@ -8,10 +8,11 @@ without aborting its siblings.
 
 The suite executes through whatever backend ``REPRO_BACKEND`` selects
 (the chaos-smoke CI job runs the ``vectorized`` and ``sharded`` legs),
-so the same fault classes exercise in-parent execution and shard redo
-paths without per-backend test duplication; the crash and hang tests
-also pin a :class:`~repro.experiments.backends.ShardedBackend` so a real
-worker pool is exercised on every leg.
+so the same fault classes exercise in-parent execution and the sharded
+pool's failure reporting without per-backend test duplication; the crash
+and hang tests also pin a
+:class:`~repro.experiments.backends.ShardedBackend` so a real worker pool
+is exercised on every leg.
 """
 
 import pytest

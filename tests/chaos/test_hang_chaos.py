@@ -1,10 +1,11 @@
-"""Hung cells: deadlines detect them; a retry or a shard redo recovers them.
+"""Hung cells: deadlines detect them; the retry ladder recovers them.
 
 The ``hang`` fault sleeps inside the cell's execution path.  The sharded
-backend, armed with ``cell_timeout``, abandons a shard that runs past
-``cell_timeout`` x its cell count and redoes it in the parent (the one-shot
-rule does not re-fire on the redo's attempt 2); in-parent backends simply
-ride the sleep out.  Either way the run completes byte-identically.
+backend, armed with ``cell_timeout``, fails every cell of a shard that runs
+past ``cell_timeout`` x its cell count with ``CellTimeoutError`` and
+abandons its pool; ``Session.run_batch`` retries them (the one-shot rule
+does not re-fire on attempt 2).  In-parent backends simply ride the sleep
+out.  Either way the run completes byte-identically.
 """
 
 from chaoslib import grid, model_session
@@ -51,5 +52,5 @@ class TestHangRecovery:
         health = session.last_health
         assert health.ok
         assert health.timeouts >= 1
-        # the shard is redone in the parent, not retried after a backoff
-        assert health.fallbacks >= 1
+        # the timed-out cell is retried on the sharded backend
+        assert health.retries >= 1

@@ -1,6 +1,7 @@
 """Run-manifest semantics: indexing, checkpointing, interrupt and resume."""
 
 import json
+import warnings
 
 import pytest
 
@@ -203,6 +204,38 @@ class TestRunWithManifest:
         resumed = [e.to_json() for e in load_envelopes(broken)]
         reference = [e.to_json() for e in load_envelopes(clean)]
         assert resumed == reference
+
+    def test_a_deleted_done_file_is_re_executed_without_quarantine(
+        self, tmp_path, monkeypatch
+    ):
+        store, clean = tmp_path / "store", tmp_path / "clean"
+        _, manifest = run_with_manifest(model_session(), SWEEP, store)
+        run_with_manifest(model_session(), SWEEP, clean)  # reference
+        victim = SWEEP.expand()[1]
+        (store / manifest.cells[victim.spec_hash()].path).unlink()
+        executed = []
+        real = session_module.execute_spec
+
+        def counting(machine, spec):
+            executed.append(spec)
+            return real(machine, spec)
+
+        monkeypatch.setattr(session_module, "execute_spec", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # serial: patched counters in worker processes would be invisible
+            run_with_manifest(model_session(), SWEEP, store, backend="serial")
+        assert executed == [victim]
+        assert not (store / ".quarantine").exists()
+
+        def files(root):
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        assert files(store) == files(clean)
 
     def test_load_done_false_returns_only_executed_cells(self, tmp_path):
         with pytest.raises(Interrupt):

@@ -4,7 +4,8 @@ Covers the streaming execution path end to end: multi-shard byte-identity
 against the serial reference (including sampled-numerics GEMM cells,
 whose verification check runs inside the worker), a sweep streamed
 through the parent in one expansion pass, ordered delivery, cache
-semantics, worker-crash propagation that names the failing cell, the
+semantics, worker-crash propagation that names the failing cell, failure
+reporting (a bad cell fails alone; a lost pool is replaced), the
 undelivered-cell guard in ``Session.run_batch``, and the wire: workers
 ship only result dicts, and the parent stamps deferred envelopes over them.
 """
@@ -13,10 +14,16 @@ import pickle
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    SimulationError,
+    UnknownImplementationError,
+)
 from repro.experiments import (
     BACKEND_NAMES,
+    FaultPlan,
     GemmSpec,
+    RetryPolicy,
     Session,
     SweepSpec,
 )
@@ -184,8 +191,8 @@ class TestWorkerCrashPropagation:
     GOOD = GemmSpec(chip="M1", impl_key="gpu-mps", n=64)
 
     def test_sharded_backend_names_the_failing_cell(self):
-        # the failing shard degrades to an in-parent redo; the cell fails
-        # there too (a bad spec, not a bad worker) and is named terminally
+        # the worker reports the cell (a bad spec, not a bad worker), which
+        # is not retryable and is named terminally
         with pytest.raises(SimulationError) as excinfo:
             model_session().run_batch(
                 [self.GOOD, self.BAD],
@@ -218,6 +225,69 @@ class TestWorkerCrashPropagation:
         good = model_session().run_batch([self.GOOD])
         assert health[0].to_json() == good[0].to_json()
         assert health[1] is None
+
+
+class TestFailureReporting:
+    """The backend reports failed cells; ``run_batch``'s ladder recovers them."""
+
+    BAD = GemmSpec(chip="M1", impl_key="no-such-impl", n=64)
+
+    def test_a_bad_cell_fails_alone_without_a_fallback(self):
+        sweep = SweepSpec(
+            kind="spmv",
+            chips=("M1",),
+            targets=("cpu",),
+            sizes=tuple(range(256, 511)),
+            repeats=150,
+            numerics="model-only",
+        )
+        good = list(sweep.expand())
+        assert len(good) == 255
+        session = model_session()
+        envelopes = session.run_batch(
+            good + [self.BAD],
+            backend=ShardedBackend(2, shard_size=256),
+            on_error="collect",
+        )
+        health = session.last_health
+        assert [(f.error, f.spec_hash) for f in health.failures] == [
+            ("UnknownImplementationError", self.BAD.spec_hash())
+        ]
+        assert health.fallbacks == 0
+        assert envelopes[-1] is None
+        reference = model_session().run_batch(good, backend="vectorized")
+        assert [e.to_json() for e in envelopes[:-1]] == [
+            e.to_json() for e in reference
+        ]
+
+    def test_a_lost_pool_is_replaced_for_the_shards_after_it(self):
+        specs = [
+            GemmSpec(chip="M1", impl_key="gpu-mps", n=64 + 16 * i)
+            for i in range(12)
+        ]
+        reference = model_session().run_batch(specs, backend="serial")
+        session = model_session(
+            fault_plan=FaultPlan.single("crash", [specs[0].spec_hash()], times=None)
+        )
+        backend = ShardedBackend(2, shard_size=1)
+        envelopes = session.run_batch(
+            specs, backend=backend, retry=RetryPolicy(max_retries=0)
+        )
+        assert [e.to_json() for e in envelopes] == [e.to_json() for e in reference]
+        health = session.last_health
+        assert health.ok and health.crashes >= 1
+        # only the crashed pool's in-flight window reaches the in-process rung
+        assert 1 <= health.fallbacks <= backend.max_workers + 2
+
+    def test_without_a_failure_channel_the_first_error_is_raised(self):
+        finished = []
+        with pytest.raises(UnknownImplementationError):
+            ShardedBackend(2, shard_size=1).run(
+                model_session(),
+                [GemmSpec(chip="M1", impl_key="gpu-mps", n=64), self.BAD],
+                lambda index, envelope: finished.append(index),
+            )
+        assert finished == [0]
 
 
 class DroppingBackend(SerialBackend):
@@ -295,7 +365,10 @@ class TestShardWire:
     def test_a_shard_blob_holds_one_result_dict_per_cell(self, kind):
         sweep = small_sweep(kind)
         session = model_session()
-        blob = _execute_shard_payload(shard_of(sweep), _session_payload(session))
+        blob, failures = _execute_shard_payload(
+            shard_of(sweep), _session_payload(session)
+        )
+        assert failures == {}
         items = pickle.loads(blob)
         reference = session.run_batch(sweep, backend="vectorized")
         assert items == [env.to_dict()["result"] for env in reference]
@@ -313,9 +386,10 @@ class TestShardWire:
 
         monkeypatch.setattr(Session, "cache_key", forbidden)
         monkeypatch.setattr(ResultEnvelope, "create", classmethod(forbidden))
-        items = _run_shard(
+        items, failures = _run_shard(
             shard_of(small_sweep("spmv")), _session_payload(model_session()), 1
         )
+        assert failures == {}
         assert items and all(item["type"] == "spmv" for item in items)
 
     @staticmethod
