@@ -6,15 +6,14 @@ six study implementations, five repetitions each, best-of-repeats GFLOPS.
 
 import pytest
 
-from benchmarks.conftest import model_session
-from repro.analysis.figures import figure2_data
+from benchmarks.conftest import figure_series, model_session
 from repro.calibration import paper
 
 
 @pytest.mark.parametrize("chip", list(paper.CHIPS))
 def test_figure2_panel(benchmark, chip):
     def run():
-        return figure2_data((chip,), session=model_session())[chip]
+        return figure_series("figure2", (chip,), model_session())[chip]
 
     panel = benchmark.pedantic(run, rounds=2, iterations=1)
 
@@ -49,12 +48,13 @@ def test_figure2_generational_scaling(benchmark):
         session = model_session()
         peaks = {}
         for chip in paper.CHIPS:
-            data = figure2_data(
+            data = figure_series(
+                "figure2",
                 (chip,),
+                session,
                 sizes=(16384,),
                 impl_keys=("gpu-mps", "cpu-accelerate"),
                 repeats=2,
-                session=session,
             )[chip]
             peaks[chip] = {k: max(v.values()) for k, v in data.items()}
         return peaks

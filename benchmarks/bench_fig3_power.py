@@ -6,15 +6,14 @@ protocol (start / warm-up / SIGINFO reset / run / SIGINFO / parse).
 
 import pytest
 
-from benchmarks.conftest import model_session, print_series
-from repro.analysis.figures import figure3_data
+from benchmarks.conftest import figure_series, model_session, print_series
 from repro.calibration import paper
 
 
 @pytest.mark.parametrize("chip", list(paper.CHIPS))
 def test_figure3_panel(benchmark, chip):
     def run():
-        return figure3_data((chip,), repeats=3, session=model_session())[chip]
+        return figure_series("figure3", (chip,), model_session(), repeats=3)[chip]
 
     panel = benchmark.pedantic(run, rounds=2, iterations=1)
     print_series(f"Figure 3 — {chip}", {chip: panel}, "mW")
@@ -33,12 +32,13 @@ def test_figure3_m4_cutlass_peak(benchmark):
     """M4 GPU-CUTLASS is the study's power maximum (~20 W)."""
 
     def run():
-        return figure3_data(
+        return figure_series(
+            "figure3",
             ("M4",),
+            model_session(),
             sizes=(16384,),
             impl_keys=("gpu-cutlass",),
             repeats=3,
-            session=model_session(),
         )["M4"]["gpu-cutlass"][16384]
 
     mw = benchmark.pedantic(run, rounds=2, iterations=1)
@@ -53,12 +53,13 @@ def test_figure3_laptops_below_desktops(benchmark):
         session = model_session()
         peaks = {}
         for chip in paper.CHIPS:
-            data = figure3_data(
+            data = figure_series(
+                "figure3",
                 (chip,),
+                session,
                 sizes=(16384,),
                 impl_keys=("gpu-cutlass", "gpu-mps", "gpu-naive"),
                 repeats=2,
-                session=session,
             )[chip]
             peaks[chip] = max(v for s in data.values() for v in s.values())
         return peaks

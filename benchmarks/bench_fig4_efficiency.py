@@ -2,15 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import model_session, print_series
-from repro.analysis.figures import figure4_data
+from benchmarks.conftest import figure_series, model_session, print_series
 from repro.calibration import paper
 
 
 @pytest.mark.parametrize("chip", list(paper.CHIPS))
 def test_figure4_panel(benchmark, chip):
     def run():
-        return figure4_data((chip,), repeats=3, session=model_session())[chip]
+        return figure_series("figure4", (chip,), model_session(), repeats=3)[chip]
 
     panel = benchmark.pedantic(run, rounds=2, iterations=1)
     print_series(f"Figure 4 — {chip}", {chip: panel}, "GFLOPS/W")
@@ -39,12 +38,13 @@ def test_figure4_green500_perspective(benchmark):
     """HPC perspective: the M2 CPU's 200 GFLOPS/W vs Green500's 72."""
 
     def run():
-        return figure4_data(
+        return figure_series(
+            "figure4",
             ("M2",),
+            model_session(),
             sizes=(16384,),
             impl_keys=("cpu-accelerate",),
             repeats=3,
-            session=model_session(),
         )["M2"]["cpu-accelerate"][16384]
 
     efficiency = benchmark.pedantic(run, rounds=2, iterations=1)

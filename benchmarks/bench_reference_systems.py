@@ -1,7 +1,6 @@
 """Literature reference points the paper quotes (sections 5.3 and 7)."""
 
-from benchmarks.conftest import model_session
-from repro.analysis.figures import figure4_data
+from benchmarks.conftest import figure_series, model_session
 from repro.analysis.reference_systems import REFERENCE_SYSTEMS, render_reference_table
 from repro.calibration import paper
 
@@ -16,12 +15,13 @@ def test_m_series_vs_literature_efficiency(benchmark):
     """Situate simulated M-series efficiency among the quoted systems."""
 
     def run():
-        return figure4_data(
+        return figure_series(
+            "figure4",
             ("M3",),
+            model_session(),
             sizes=(16384,),
             impl_keys=("gpu-mps",),
             repeats=2,
-            session=model_session(),
         )["M3"]["gpu-mps"][16384]
 
     m3_eff = benchmark.pedantic(run, rounds=2, iterations=1)

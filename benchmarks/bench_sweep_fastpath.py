@@ -11,6 +11,7 @@ below in-process vectorized.  The end-to-end benchmark, with per-layer
 timings, is ``perfbench/run.py``.
 """
 
+import statistics
 import time
 
 from benchmarks.conftest import model_session
@@ -81,14 +82,22 @@ def test_sharded_keeps_up_with_vectorized():
     would put most of the grid in one worker.  An untimed vectorized pass
     first memoizes every spec's serialization, so both timed runs see the
     same warm grid instead of vectorized paying that one-time cost alone.
+    One run of either backend takes well under a second, and single runs
+    of the same backend vary by more than half on a small host, so the
+    gate is the median ratio of three alternating (vectorized, sharded)
+    pairs.
     """
     specs = fastpath_grid(6000)
     cells_per_second("vectorized", specs)
-    vectorized = cells_per_second("vectorized", specs)
-    sharded = cells_per_second(ShardedBackend(4, shard_size=400), specs)
-    ratio = sharded / vectorized
-    print(
-        f"\nvectorized {vectorized:,.0f} cells/s -> sharded {sharded:,.0f} "
-        f"cells/s ({ratio:.2f}x)"
-    )
+    ratios = []
+    for _ in range(3):
+        vectorized = cells_per_second("vectorized", specs)
+        sharded = cells_per_second(ShardedBackend(4, shard_size=400), specs)
+        ratios.append(sharded / vectorized)
+        print(
+            f"\nvectorized {vectorized:,.0f} cells/s -> sharded {sharded:,.0f} "
+            f"cells/s ({ratios[-1]:.2f}x)"
+        )
+    ratio = statistics.median(ratios)
+    print(f"median ratio {ratio:.2f}x")
     assert ratio >= 1.0

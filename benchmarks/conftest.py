@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.experiments import Session
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsConfig
+from repro.study import get_figure, run_study
 
 
 def model_machine(chip: str, *, seed: int = 0) -> Machine:
@@ -23,6 +24,19 @@ def model_session(*, seed: int = 0, **kwargs) -> Session:
     """A fresh model-only session (one per benchmark round, so the result
     cache never short-circuits the measured work)."""
     return Session(numerics="model-only", seed=seed, **kwargs)
+
+
+def figure_series(name: str, chips, session, *, impl_keys=None, **axes) -> dict:
+    """Figure ``name``'s series from a study of its grid run on ``session``.
+
+    ``impl_keys`` restricts both the grid and the series' scaffold; the
+    other keyword arguments override the figure's axis defaults.
+    """
+    figure = get_figure(name)
+    if impl_keys is not None:
+        axes["impl_keys"] = tuple(impl_keys)
+    frame = run_study(figure.study(chips, seed=session.seed, **axes), session=session)
+    return figure.series(frame, chips=chips, impl_keys=impl_keys)
 
 
 def print_series(title: str, data: dict, unit: str) -> None:

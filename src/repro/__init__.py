@@ -9,13 +9,6 @@ Quickstart (declarative API)::
     envelope = session.run(repro.GemmSpec(chip="M4", impl_key="gpu-mps", n=4096))
     print(envelope.result.best_gflops)
 
-or imperatively, on one machine::
-
-    machine = repro.Machine.for_chip("M4")
-    runner = repro.ExperimentRunner(machine)
-    result = runner.run_gemm("gpu-mps", n=4096)
-    print(result.best_gflops)
-
 The package layers:
 
 * :mod:`repro.soc` — chip/device models (Tables 1 and 3);
@@ -30,17 +23,13 @@ The package layers:
 * :mod:`repro.study` — declarative study grids (:class:`StudySpec`) and the
   envelope query layer (:class:`ResultFrame`): figures, tables and
   efficiency reports as data;
-* :mod:`repro.analysis` — figure/table regeneration and paper comparison
-  (facades over the study definitions).
+* :mod:`repro.analysis` — table rendering, paper comparison, charts and
+  export.
 """
 
 from repro._version import PAPER_ARXIV, PAPER_TITLE, __version__
 from repro.analysis import (
     compare_to_paper,
-    figure1_data,
-    figure2_data,
-    figure3_data,
-    figure4_data,
     render_table1,
     render_table2,
     render_table3,
@@ -54,7 +43,6 @@ from repro.calibrate import (
     synthesize_trace,
 )
 from repro.calibration import paper
-from repro.core import ExperimentRunner
 from repro.core.gemm import get_implementation, implementation_keys
 from repro.core.results import (
     GemmResult,
@@ -128,7 +116,6 @@ __all__ = [
     "Machine",
     "NumericsConfig",
     "NumericsPolicy",
-    "ExperimentRunner",
     "GemmResult",
     "StreamResult",
     "PowerMeasurement",
@@ -166,10 +153,6 @@ __all__ = [
     "implementation_keys",
     "run_stream",
     "paper",
-    "figure1_data",
-    "figure2_data",
-    "figure3_data",
-    "figure4_data",
     "render_table1",
     "render_table2",
     "render_table3",

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from repro._version import PAPER_ARXIV, PAPER_TITLE, __version__
 from repro.analysis.compare import compare_to_paper, render_comparison, shape_checks
-from repro.analysis.figures import make_session
 from repro.calibration import paper
 from repro.cuda import CublasHandle, CudaMathMode, GH200Machine, run_gh200_stream
 from repro.cuda.cublas import CUBLAS_OP_N, cublas_sgemm
 from repro.sim.policy import NumericsConfig
-from repro.study import figure_series_bundle, paper_study, run_study
+from repro.study import figure_series_bundle, paper_study, run_study, study_session
 
 __all__ = ["generate_experiments_report"]
 
@@ -93,8 +92,8 @@ def _calibration_section(*, seed: int = 0) -> list[str]:
 
 def generate_experiments_report(*, seed: int = 0) -> str:
     """Run the full reproduction (one declarative study) and render the report."""
-    session = make_session(fast=True, seed=seed)
-    frame = run_study(paper_study(seed=seed), session=session)
+    study = paper_study(seed=seed)
+    frame = run_study(study, session=study_session(study, fast=True))
     series = figure_series_bundle(frame, chips=paper.CHIPS)
     fig1 = series["figure1"]
     fig2 = series["figure2"]

@@ -30,17 +30,6 @@ from typing import Sequence
 from repro._version import PAPER_ARXIV, PAPER_TITLE, __version__
 from repro.analysis.compare import compare_to_paper, render_comparison, shape_checks
 from repro.analysis.export import figure_series_to_rows, rows_to_csv
-from repro.analysis.figures import (
-    figure1_data,
-    figure1_from_envelopes,
-    figure2_data,
-    figure2_from_envelopes,
-    figure3_data,
-    figure3_from_envelopes,
-    figure4_data,
-    figure4_from_envelopes,
-    make_session,
-)
 from repro.analysis.reference_systems import render_reference_table
 from repro.analysis.tables import (
     render_table1,
@@ -68,12 +57,14 @@ from repro.study import (
     TABLES,
     ResultFrame,
     compare_study,
+    figure_series_bundle,
     get_figure,
     get_table,
     paper_study,
     render_efficiency_report,
     render_figure_text,
     run_study,
+    study_session,
 )
 from repro.workloads import all_workloads, get_workload, workload_kinds
 
@@ -98,29 +89,36 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(name, help=help_text)
 
+    # a figure command's defaults; `all` renders its figures with them too
+    figure_defaults = {
+        "chips": list(paper.CHIPS),
+        "seed": 0,
+        "workers": 1,
+        "from_dir": None,
+    }
+
     def add_figure(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(**figure_defaults)
         p.add_argument(
             "--chips",
             nargs="+",
-            default=list(paper.CHIPS),
             choices=list(paper.CHIPS),
             help="chips to run (default: all four)",
         )
         p.add_argument(
             "--fast",
             action="store_true",
-            help="model-only numerics and trimmed repetitions",
+            help="model-only numerics (the figure's full grid)",
         )
         p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
         p.add_argument(
             "--chart", action="store_true", help="draw an ASCII chart of the figure"
         )
-        p.add_argument("--seed", type=int, default=0, help="measurement noise seed")
+        p.add_argument("--seed", type=int, help="measurement noise seed")
         p.add_argument(
             "--workers",
             type=int,
-            default=1,
             help="parallel experiment cells (default: sequential)",
         )
         p.add_argument(
@@ -132,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--from",
             dest="from_dir",
-            default=None,
             metavar="DIR",
             help="render from envelopes saved in DIR instead of running",
         )
@@ -601,29 +598,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     alls = sub.add_parser("all", help="everything, in paper order")
     alls.add_argument("--fast", action="store_true")
+    alls.set_defaults(**figure_defaults)
     return parser
 
 
-def _figure_session(args) -> Session:
-    return make_session(fast=args.fast, seed=args.seed)
+def _figure_frame(args, figures, *, fast: bool = False) -> ResultFrame:
+    """The frame a figure command renders: DIR's store (``--from``), or one
+    study over ``figures``' grids (``None``: all four).
 
-
-def _figure_envelopes(args):
-    """Envelopes for --from rendering, or None when the figure should run."""
-    if args.from_dir is None:
-        return None
-    return load_envelopes(args.from_dir)
-
-
-def _figure1_series(args) -> dict:
-    """Figure-1 data from envelopes (--from) or a live session run."""
-    envelopes = _figure_envelopes(args)
-    if envelopes is not None:
-        return figure1_from_envelopes(envelopes, chips=args.chips)
-    session = _figure_session(args)
-    data = figure1_data(args.chips, session=session, max_workers=args.workers)
-    _flush_sink(args, session)
-    return data
+    ``args.fast`` selects model-only numerics; ``fast`` also trims the grid
+    to the smoke axes, as ``repro study render --fast`` does.  With
+    ``--out DIR`` the run's envelopes are saved to DIR.
+    """
+    if args.from_dir is not None:
+        return ResultFrame.from_store(args.from_dir)
+    study = paper_study(
+        tuple(args.chips) if args.chips else None,
+        seed=args.seed,
+        fast=fast,
+        figures=figures,
+    )
+    session = study_session(study, fast=args.fast)
+    frame = run_study(study, session=session, max_workers=args.workers)
+    if getattr(args, "out", None):
+        paths = save_envelopes(args.out, session.cached_envelopes())
+        print(f"[wrote {len(paths)} envelopes to {args.out}]", file=sys.stderr)
+    return frame
 
 
 def _figure1_csv_rows(data: dict) -> list[dict]:
@@ -642,28 +642,15 @@ def _figure1_csv_rows(data: dict) -> list[dict]:
     return rows
 
 
-def _flush_sink(args, session: Session) -> None:
-    """Persist the session's computed envelopes when --out was given."""
-    if getattr(args, "out", None):
-        paths = save_envelopes(args.out, session.cached_envelopes())
-        print(f"[wrote {len(paths)} envelopes to {args.out}]", file=sys.stderr)
+def _print_figure(name: str, frame: ResultFrame, chips, args) -> None:
+    """One figure's series from ``frame``: an ASCII chart (``--chart``,
+    figures 1 and 2), CSV, or the text the service also serves."""
+    data = get_figure(name).series(frame, chips=chips)
+    if getattr(args, "chart", False) and name in ("figure1", "figure2"):
+        from repro.analysis import plots
 
-
-def _figure_series(args, builder, from_builder) -> dict:
-    envelopes = _figure_envelopes(args)
-    if envelopes is not None:
-        return from_builder(envelopes, chips=args.chips)
-    session = _figure_session(args)
-    data = builder(
-        args.chips, fast=args.fast, session=session, max_workers=args.workers
-    )
-    _flush_sink(args, session)
-    return data
-
-
-def _print_figure(name: str, data: dict, as_csv: bool) -> None:
-    """One figure's series as CSV or as the text the service also serves."""
-    if not as_csv:
+        print(getattr(plots, f"{name}_chart")(data))
+    elif not args.csv:
         print(render_figure_text(name, data))
     elif name == "figure1":
         print(rows_to_csv(_figure1_csv_rows(data)), end="")
@@ -901,17 +888,13 @@ def _study_list() -> None:
         print(f"  {workload.kind:14s} {names}")
 
 
-def _study_session(args) -> Session:
-    return make_session(fast=args.fast, seed=args.seed)
-
-
 def _study_run(args) -> None:
     """The ``repro study run`` subcommand: one declarative grid, optionally
     persisted to a resumable, manifest-indexed store."""
     study = paper_study(
         tuple(args.chips), seed=args.seed, fast=args.fast, figures=args.figures
     )
-    session = _study_session(args)
+    session = study_session(study, fast=args.fast)
     progress, executed = _run_progress(args)
     frame = run_study(
         study,
@@ -931,22 +914,6 @@ def _study_run(args) -> None:
         _emit_envelopes(args, frame.envelopes)
 
 
-def _study_frame(args) -> ResultFrame:
-    """The frame a ``repro study render`` reads: a store, or a live run."""
-    if args.from_dir is not None:
-        return ResultFrame.from_store(args.from_dir)
-    figures = [args.name] if args.name in FIGURES else None
-    study = paper_study(
-        tuple(args.chips) if args.chips else None,
-        seed=args.seed,
-        fast=args.fast,
-        figures=figures,
-    )
-    return run_study(
-        study, session=_study_session(args), max_workers=args.workers
-    )
-
-
 def _study_render(args) -> None:
     """The ``repro study render`` subcommand: any view, from store or live."""
     if args.name in TABLES:
@@ -961,7 +928,8 @@ def _study_render(args) -> None:
         else:
             print(get_table(args.name).render())
         return
-    frame = _study_frame(args)
+    figures = [args.name] if args.name in FIGURES else None
+    frame = _figure_frame(args, figures, fast=args.fast)
     chips = tuple(args.chips) if args.chips else None
     if args.name == "efficiency":
         if args.csv:
@@ -974,8 +942,7 @@ def _study_render(args) -> None:
     if args.name == "compare":
         print(render_comparison(compare_study(frame, chips=chips)))
         return
-    data = get_figure(args.name).series(frame, chips=chips)
-    _print_figure(args.name, data, args.csv)
+    _print_figure(args.name, frame, chips, args)
 
 
 def _run_serve(args) -> None:
@@ -1254,48 +1221,15 @@ def _dispatch(args) -> int:
         print(render_reference_table())
     elif command == "workloads":
         print(render_workloads_table())
-    elif command == "figure1":
-        if args.chart:
-            from repro.analysis.plots import figure1_chart
-
-            print(figure1_chart(_figure1_series(args)))
-        else:
-            _print_figure("figure1", _figure1_series(args), args.csv)
-    elif command == "figure2":
-        data = _figure_series(args, figure2_data, figure2_from_envelopes)
-        if args.chart:
-            from repro.analysis.plots import figure2_chart
-
-            print(figure2_chart(data))
-        else:
-            _print_figure("figure2", data, args.csv)
-    elif command == "figure3":
-        data = _figure_series(args, figure3_data, figure3_from_envelopes)
-        _print_figure("figure3", data, args.csv)
-    elif command == "figure4":
-        data = _figure_series(args, figure4_data, figure4_from_envelopes)
-        _print_figure("figure4", data, args.csv)
+    elif command in FIGURES:
+        _print_figure(command, _figure_frame(args, [command]), args.chips, args)
     elif command == "compare":
-        envelopes = _figure_envelopes(args)
-        if envelopes is not None:
-            fig1 = figure1_from_envelopes(envelopes, chips=args.chips)
-            fig2 = figure2_from_envelopes(envelopes, chips=args.chips)
-            fig4 = figure4_from_envelopes(envelopes, chips=args.chips)
-        else:
-            session = _figure_session(args)
-            fig1 = figure1_data(
-                args.chips, session=session, max_workers=args.workers
-            )
-            fig2 = figure2_data(
-                args.chips, session=session, max_workers=args.workers
-            )
-            fig4 = figure4_data(
-                args.chips, session=session, max_workers=args.workers
-            )
-            _flush_sink(args, session)
-        print(render_comparison(compare_to_paper(fig1=fig1, fig2=fig2, fig4=fig4)))
+        frame = _figure_frame(args, ["figure1", "figure2", "figure4"])
+        series = figure_series_bundle(frame, chips=args.chips)
+        figs = {f"fig{n}": series[f"figure{n}"] for n in (1, 2, 4)}
+        print(render_comparison(compare_to_paper(**figs)))
         print()
-        for name, ok in shape_checks(fig1=fig1, fig2=fig2, fig4=fig4).items():
+        for name, ok in shape_checks(**figs).items():
             print(f"  [{'ok' if ok else 'FAIL'}] {name}")
     elif command == "run":
         return _run_sweep(args)
@@ -1347,14 +1281,8 @@ def _dispatch(args) -> int:
         for block in (render_table1(), render_table2(), render_table3()):
             print(block)
             print()
-        session = make_session(fast=args.fast)
-        for name, builder in (
-            ("figure1", figure1_data),
-            ("figure2", figure2_data),
-            ("figure3", figure3_data),
-            ("figure4", figure4_data),
-        ):
-            data = builder(list(paper.CHIPS), session=session)
+        frame = _figure_frame(args, None)
+        for name, data in figure_series_bundle(frame, chips=args.chips).items():
             print(render_figure_text(name, data))
             print()
         _run_gh200(args.fast)

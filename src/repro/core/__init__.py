@@ -3,13 +3,13 @@
 * :mod:`repro.core.stream` — STREAM for CPU (OpenMP sweep) and GPU (Metal);
 * :mod:`repro.core.gemm` — the six GEMM implementations of Table 2 plus the
   extension paths (ANE FP16, emulated FP64);
-* :mod:`repro.core.power` — the powermetrics measurement protocol of §3.3;
-* :mod:`repro.core.harness` — the experiment runner of §4 (sizes, repeats,
-  chrono timing, verification).
+* :mod:`repro.core.power` — the powermetrics measurement protocol of §3.3.
+
+The experiment protocol of §4 (sizes, repeats, chrono timing,
+verification) runs through :class:`repro.experiments.Session`.
 """
 
 from repro.core.data import PageAlignedAllocation, aligned_alloc, make_matrix
-from repro.core.harness import ExperimentRunner
 from repro.core.results import (
     GemmRepetition,
     GemmResult,
@@ -23,7 +23,6 @@ __all__ = [
     "aligned_alloc",
     "make_matrix",
     "PageAlignedAllocation",
-    "ExperimentRunner",
     "GemmRepetition",
     "GemmResult",
     "StreamKernelResult",

@@ -583,7 +583,9 @@ class ShardedBackend(ExecutionBackend):
         ``deliver(results, failures)`` receives each shard's result dicts
         (a :class:`_ShardResults`, indexable by position) and the
         ``{position: exception}`` map of its cells that failed.  A shard
-        the pool loses fails every cell: with :class:`WorkerCrashError`
+        with no specs (every cell a cache hit) is delivered in its turn
+        as ``(None, {})`` and starts no pool.  A shard the pool loses
+        fails every cell: with :class:`WorkerCrashError`
         when its worker died, with :class:`CellTimeoutError` when it ran
         past its deadline (``cell_timeout`` × its cells).  The losing pool
         is shut down and a new one serves the shards after it; a pool
@@ -603,6 +605,10 @@ class ShardedBackend(ExecutionBackend):
                     shard = next(shards, None)
                     if shard is None:
                         break
+                    if not shard["specs"]:  # all cache hits: nothing to run
+                        in_flight[next_submit] = (None, shard, None)
+                        next_submit += 1
+                        continue
                     if pool is None:
                         pool = concurrent.futures.ProcessPoolExecutor(
                             max_workers=self.max_workers
@@ -619,6 +625,9 @@ class ShardedBackend(ExecutionBackend):
                     f"shard {next_deliver} ({shard['label']}, attempt {attempt})"
                 )
                 next_deliver += 1
+                if future is None:
+                    deliver(None, {})
+                    continue
                 cells = len(shard["specs"])
                 deadline = (
                     None if cell_timeout is None else cell_timeout * max(1, cells)

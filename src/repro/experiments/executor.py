@@ -1,15 +1,14 @@
 """Single-spec execution: one experiment cell on one machine.
 
-This is the engine room shared by :class:`~repro.experiments.session.Session`
-(which hands every spec a *fresh* machine, making execution a pure function
-of the spec) and the legacy :class:`~repro.core.harness.ExperimentRunner`
-facade (which keeps its historical shared-machine semantics).  The bodies
-are the section-4 protocols — five chrono-timed repetitions per GEMM cell,
-the piggybacked powermetrics protocol for the power study, and the STREAM
-thread sweep / 20-repetition GPU runs — each evaluated from its workload's
-lowering (:mod:`repro.workloads`), the one definition of a cell's timing
-that the vectorized backend evaluates in bulk too.  Numerics are a
-memoized check inside the lowering, never part of the timed path.
+This is the engine room of :class:`~repro.experiments.session.Session`,
+which hands every spec a *fresh* machine, making execution a pure function
+of the spec.  The bodies are the section-4 protocols — five chrono-timed
+repetitions per GEMM cell, the piggybacked powermetrics protocol for the
+power study, and the STREAM thread sweep / 20-repetition GPU runs — each
+evaluated from its workload's lowering (:mod:`repro.workloads`), the one
+definition of a cell's timing that the vectorized backend evaluates in bulk
+too.  Numerics are a memoized check inside the lowering, never part of the
+timed path.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ class Session:
         ``"model-only"`` or a :class:`NumericsConfig`.  A spec's own
         ``numerics`` field overrides it per cell.
     seed:
-        Default seed figure builders stamp into the specs they construct.
+        Default seed for the specs callers build against this session.
         A spec's own ``seed`` always wins at execution time.
     noise_sigma:
         Measurement-jitter level of constructed machines (0 disables noise).
@@ -609,21 +609,6 @@ class Session:
                 + (f" (and {more} more)" if more else "")
             ) from first_exc
         return list(results)
-
-    def runner(self, chip: str, *, seed: int | None = None):
-        """A legacy :class:`ExperimentRunner` bound to a fresh session machine.
-
-        Convenience bridge for imperative code that wants the old API with
-        this session's machine configuration.
-        """
-        from repro.core.harness import ExperimentRunner
-        from repro.experiments.specs import StreamSpec
-
-        effective_seed = self.seed if seed is None else seed
-        machine = self.machine_for(
-            StreamSpec(chip=chip, seed=effective_seed, target="cpu")
-        )
-        return ExperimentRunner(machine, seed=effective_seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

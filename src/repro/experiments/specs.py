@@ -158,8 +158,7 @@ class ExperimentSpec:
 class GemmSpec(ExperimentSpec):
     """One Figure-2 cell: ``repeats`` timed multiplications of one size.
 
-    ``verify=None`` verifies whenever numerics ran (FULL or SAMPLED policy),
-    mirroring the historical ``ExperimentRunner.run_gemm`` default.
+    ``verify=None`` verifies whenever numerics ran (FULL or SAMPLED policy).
     """
 
     impl_key: str = ""

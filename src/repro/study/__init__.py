@@ -15,7 +15,7 @@ This package makes that literal:
   on-disk stores;
 * :mod:`~repro.study.defs` — Figures 1-4 and Tables 1-3 as data
   (:data:`FIGURES`/:data:`TABLES`): a study factory plus a frame query per
-  figure, which the legacy ``figureN_data`` functions facade;
+  figure, which every ``repro figureN`` command renders;
 * :mod:`~repro.study.report` — efficiency pivots and paper comparison as
   frame queries (``repro study render efficiency``).
 

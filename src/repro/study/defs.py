@@ -4,10 +4,9 @@ Each entry of :data:`FIGURES` pairs a declarative grid (a
 :class:`~repro.study.spec.StudySpec` factory) with a
 :class:`~repro.study.frame.ResultFrame` query producing the plottable
 series — adding a figure, a chip or an efficiency view means adding data
-here, not writing another assembly loop.  The legacy ``figureN_data`` /
-``figureN_from_envelopes`` functions in :mod:`repro.analysis.figures` are
-thin facades over these definitions and remain byte-identical to their
-hand-assembled ancestors (enforced by ``tests/study/test_equivalence.py``).
+here, not writing another assembly loop.  The queries stay byte-identical
+to the hand-assembled loops they replaced (enforced by
+``tests/study/test_equivalence.py``).
 
 :data:`TABLES` does the same for Tables 1-3: each holds a builder from the
 system inventory (:mod:`repro.soc`, :mod:`repro.core.gemm.registry`) to

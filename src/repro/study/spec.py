@@ -175,9 +175,9 @@ def study_session(
 ) -> Session:
     """A session matching ``study``'s shared axes (seed; figure numerics).
 
-    ``fast=True`` selects model-only numerics — the figure builders'
-    trimmed mode; the default is the paper's sampled profile.  Extra
-    keyword arguments pass straight to :class:`Session`.
+    ``fast=True`` selects model-only numerics (the CLI's ``--fast``); the
+    default is the paper's sampled profile.  Extra keyword arguments pass
+    straight to :class:`Session`.
     """
     kwargs.setdefault("numerics", "model-only" if fast else "sampled")
     return Session(seed=study.seed, **kwargs)

@@ -12,19 +12,13 @@ from repro.analysis.compare import (
     shape_checks,
 )
 from repro.analysis.export import figure_series_to_rows, rows_to_csv, to_json
-from repro.analysis.figures import (
-    figure1_data,
-    figure2_data,
-    figure3_data,
-    figure4_data,
-    make_session,
-)
-from repro.calibration import paper
-from repro.errors import ConfigurationError
 from repro.experiments import GemmSpec, Session
 from repro.sim.machine import Machine
 from repro.soc.catalog import M4
 from repro.soc.device import device_for_chip
+from repro.study import get_figure, run_study, study_session
+
+from tests.conftest import figure_series
 
 
 CHIPS = ("M1", "M4")
@@ -32,22 +26,22 @@ CHIPS = ("M1", "M4")
 
 @pytest.fixture(scope="module")
 def session():
-    return make_session(fast=True, seed=0)
+    return Session(numerics="model-only", seed=0)
 
 
 @pytest.fixture(scope="module")
 def fig1(session):
-    return figure1_data(CHIPS, session=session)
+    return figure_series("figure1", CHIPS, session)
 
 
 @pytest.fixture(scope="module")
 def fig2(session):
-    return figure2_data(CHIPS, sizes=(32, 1024, 16384), repeats=2, session=session)
+    return figure_series("figure2", CHIPS, session, sizes=(32, 1024, 16384), repeats=2)
 
 
 @pytest.fixture(scope="module")
 def fig4(session):
-    return figure4_data(CHIPS, sizes=(2048, 16384), repeats=2, session=session)
+    return figure_series("figure4", CHIPS, session, sizes=(2048, 16384), repeats=2)
 
 
 class TestFigureData:
@@ -63,12 +57,13 @@ class TestFigureData:
             assert 16384 in fig2[chip]["gpu-mps"]
 
     def test_figure3_reports_milliwatts(self, session):
-        fig3 = figure3_data(
+        fig3 = figure_series(
+            "figure3",
             CHIPS,
+            session,
             sizes=(16384,),
             impl_keys=("gpu-mps",),
             repeats=1,
-            session=session,
         )
         for chip in fig3:
             mw = fig3[chip]["gpu-mps"][16384]
@@ -88,44 +83,45 @@ class TestFigureData:
                 chip, device, seed=seed, numerics=numerics
             ),
         )
-        data = figure1_data((chip.name,), session=session, n_elements=1 << 14)
+        data = figure_series("figure1", (chip.name,), session, n_elements=1 << 14)
         assert set(data) == {chip.name}
         assert data[chip.name]["cpu"]  # executed, not rejected by the catalog
-
-    def test_machine_mapping_is_rejected(self):
-        machines = {"M1": Machine.for_chip("M1", seed=7)}
-        with pytest.raises(ConfigurationError, match="chip names"):
-            figure2_data(machines, sizes=(64,), impl_keys=("gpu-mps",))
 
 
 GEMM_AXES = dict(sizes=(64,), impl_keys=("gpu-mps",), repeats=1)
 
-BUILDERS = {
-    "figure1": (figure1_data, dict(n_elements=1 << 14)),
-    "figure2": (figure2_data, GEMM_AXES),
-    "figure3": (figure3_data, GEMM_AXES),
-    "figure4": (figure4_data, GEMM_AXES),
+FIGURE_AXES = {
+    "figure1": dict(n_elements=1 << 14),
+    "figure2": GEMM_AXES,
+    "figure3": GEMM_AXES,
+    "figure4": GEMM_AXES,
 }
 
 
 class TestSessionStyle:
-    """Chip names plus ``session=``: the one way to call a figure builder."""
+    """A figure's study runs on the caller's session: its seed, numerics
+    and machines."""
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(FIGURE_AXES))
     def test_builder_emits_no_deprecation_warning(self, name):
-        build, axes = BUILDERS[name]
+        # the path every figure command takes: the figure's study on its
+        # study_session, then the FigureDef query over the frame
+        figure = get_figure(name)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            data = build(("M1",), fast=True, **axes)
+            study = figure.study(("M1",), **FIGURE_AXES[name])
+            frame = run_study(study, session=study_session(study, fast=True))
+            data = figure.series(frame, chips=("M1",))
         assert set(data) == {"M1"}
 
     def test_chip_names_match_an_explicit_session_run(self):
-        data = figure2_data(
+        data = figure_series(
+            "figure2",
             ("M3",),
+            Session(numerics="model-only", seed=7),
             sizes=(4096,),
             impl_keys=("gpu-mps",),
             repeats=2,
-            session=Session(numerics="model-only", seed=7),
         )
         envelope = Session(numerics="model-only", seed=7).run(
             GemmSpec(chip="M3", impl_key="gpu-mps", n=4096, repeats=2, seed=7)
@@ -141,14 +137,14 @@ class TestSessionStyle:
 
         session = Session(numerics="model-only", seed=7, machine_factory=factory)
         axes = dict(sizes=(64, 2048), impl_keys=("cpu-accelerate",), repeats=2)
-        data = figure2_data(("M1", "M4"), session=session, **axes)
+        data = figure_series("figure2", ("M1", "M4"), session, **axes)
         assert {name for name, _, _ in calls} == {"M1", "M4"}
         assert {(seed, numerics) for _, seed, numerics in calls} == {
             (7, session.numerics)
         }
         # catalog machines through a factory match the catalog session
         catalog = Session(numerics="model-only", seed=7)
-        assert data == figure2_data(("M1", "M4"), session=catalog, **axes)
+        assert data == figure_series("figure2", ("M1", "M4"), catalog, **axes)
 
 
 class TestCompare:

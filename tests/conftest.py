@@ -35,6 +35,21 @@ def make_model_machine(chip: str = "M1") -> Machine:
     )
 
 
+def figure_series(name: str, chips, session, *, impl_keys=None, **axes) -> dict:
+    """Figure ``name``'s series from a study of its grid run on ``session``.
+
+    ``impl_keys`` restricts both the grid and the series' scaffold; the
+    other keyword arguments override the figure's axis defaults.
+    """
+    from repro.study import get_figure, run_study
+
+    figure = get_figure(name)
+    if impl_keys is not None:
+        axes["impl_keys"] = tuple(impl_keys)
+    frame = run_study(figure.study(chips, seed=session.seed, **axes), session=session)
+    return figure.series(frame, chips=chips, impl_keys=impl_keys)
+
+
 def window_pairs(starts, ends) -> tuple[tuple[float, float], ...]:
     """A sequence ``assemble`` that checks the ``(starts, ends)`` rows — two
     1-D float64 arrays of one length — and returns them as clock windows."""

@@ -1,59 +1,66 @@
-"""The section-4 experiment runner."""
+"""The section-4 experiment protocol, run through sessions."""
 
 import pytest
 
 from repro.calibration import paper
-from repro.core.harness import ExperimentRunner
 from repro.errors import UnsupportedProblemError
+from repro.experiments import GemmSpec, PoweredGemmSpec, Session, StreamSpec, SweepSpec
+from repro.experiments.executor import run_gemm_spec, run_stream_spec
 
-from tests.conftest import make_exact_machine, make_model_machine, make_study_machine
+from tests.conftest import make_study_machine
+
+
+def model_session() -> Session:
+    """Noise-free and model-only, like ``tests.conftest.make_model_machine``."""
+    return Session(numerics="model-only", noise_sigma=0.0)
+
+
+def gemm(session: Session, impl_key: str, n: int, *, chip: str = "M1", **kwargs):
+    return session.run(GemmSpec(chip=chip, impl_key=impl_key, n=n, **kwargs)).result
+
+
+def sweep(chip: str, impl_key: str, sizes, **kwargs) -> dict:
+    """One Figure-2 line: the sizes the implementation supports, by size."""
+    envelopes = model_session().run_batch(
+        SweepSpec(
+            kind="gemm", chips=(chip,), impl_keys=(impl_key,), sizes=sizes, **kwargs
+        )
+    )
+    return {env.spec.n: env.result for env in envelopes}
 
 
 class TestRunGemm:
     def test_five_repetitions_by_default(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
-        result = runner.run_gemm("gpu-mps", 256)
+        result = gemm(model_session(), "gpu-mps", 256)
         assert len(result.repetitions) == paper.GEMM_REPEATS
 
     def test_flop_count_formula(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
-        result = runner.run_gemm("gpu-mps", 128)
+        result = gemm(model_session(), "gpu-mps", 128)
         assert result.flop_count == 128 * 128 * 255
 
     def test_verification_runs_when_numerics_do(self):
-        runner = ExperimentRunner(make_exact_machine("M1"))
-        result = runner.run_gemm("cpu-accelerate", 64)
+        session = Session(numerics="full", noise_sigma=0.0)
+        result = gemm(session, "cpu-accelerate", 64)
         assert result.verified is True
 
     def test_no_verification_in_model_only(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
-        result = runner.run_gemm("cpu-accelerate", 64)
+        result = gemm(model_session(), "cpu-accelerate", 64)
         assert result.verified is None
 
     def test_unsupported_size_raises(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
         with pytest.raises(UnsupportedProblemError):
-            runner.run_gemm("cpu-single", 16384)
-
-    def test_accepts_instance_or_key(self):
-        from repro.core.gemm.registry import get_implementation
-
-        runner = ExperimentRunner(make_model_machine("M1"))
-        by_key = runner.run_gemm("gpu-naive", 256)
-        by_obj = runner.run_gemm(get_implementation("gpu-naive"), 256)
-        assert by_key.impl_key == by_obj.impl_key == "gpu-naive"
+            gemm(model_session(), "cpu-single", 16384)
 
     def test_repeats_have_distinct_timings_with_noise(self):
-        runner = ExperimentRunner(make_study_machine("M2"))
-        result = runner.run_gemm("gpu-mps", 2048)
+        result = gemm(Session(), "gpu-mps", 2048, chip="M2")
         elapsed = sorted(r.elapsed_ns for r in result.repetitions)
         # one draw per repetition: every pair differs by more than the 1 ns
         # a shared draw's rounding on the advancing clock could explain
         assert all(b - a > 1 for a, b in zip(elapsed, elapsed[1:]))
 
     def test_seeded_runs_reproduce(self):
-        r1 = ExperimentRunner(make_study_machine("M2", seed=11)).run_gemm("gpu-mps", 512)
-        r2 = ExperimentRunner(make_study_machine("M2", seed=11)).run_gemm("gpu-mps", 512)
+        r1 = gemm(Session(), "gpu-mps", 512, chip="M2", seed=11)
+        r2 = gemm(Session(), "gpu-mps", 512, chip="M2", seed=11)
         assert [x.elapsed_ns for x in r1.repetitions] == [
             x.elapsed_ns for x in r2.repetitions
         ]
@@ -61,57 +68,53 @@ class TestRunGemm:
 
 class TestSweep:
     def test_sweep_skips_excluded_sizes(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
-        sweep = runner.run_gemm_sweep("cpu-omp", sizes=(512, 4096, 8192, 16384))
-        assert set(sweep) == {512, 4096}
+        line = sweep("M1", "cpu-omp", (512, 4096, 8192, 16384))
+        assert set(line) == {512, 4096}
 
     def test_sweep_covers_all_sizes_for_gpu(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
-        sweep = runner.run_gemm_sweep("gpu-mps", sizes=(32, 1024, 16384), repeats=2)
-        assert set(sweep) == {32, 1024, 16384}
+        line = sweep("M1", "gpu-mps", (32, 1024, 16384), repeats=2)
+        assert set(line) == {32, 1024, 16384}
 
     def test_gflops_increase_with_size_for_gpu(self):
-        runner = ExperimentRunner(make_model_machine("M4"))
-        sweep = runner.run_gemm_sweep("gpu-mps", sizes=(32, 512, 4096, 16384), repeats=1)
-        series = [sweep[n].best_gflops for n in (32, 512, 4096, 16384)]
+        line = sweep("M4", "gpu-mps", (32, 512, 4096, 16384), repeats=1)
+        series = [line[n].best_gflops for n in (32, 512, 4096, 16384)]
         assert series == sorted(series)
 
 
 class TestPoweredRuns:
+    def powered(self, chip: str, impl_key: str, n: int, **kwargs):
+        spec = PoweredGemmSpec(chip=chip, impl_key=impl_key, n=n, **kwargs)
+        return model_session().run(spec).result
+
     def test_powered_gemm_returns_matched_measurements(self):
-        runner = ExperimentRunner(make_model_machine("M4"))
-        powered = runner.run_powered_gemm("gpu-mps", 2048, repeats=3)
+        powered = self.powered("M4", "gpu-mps", 2048, repeats=3)
         assert len(powered.measurements) == 3
         assert len(powered.gemm.repetitions) == 3
 
     def test_powered_efficiency_in_figure4_ballpark(self):
-        runner = ExperimentRunner(make_model_machine("M3"))
-        powered = runner.run_powered_gemm("gpu-mps", 16384, repeats=2)
+        powered = self.powered("M3", "gpu-mps", 16384, repeats=2)
         target = paper.FIG4_EFFICIENCY_GFLOPS_PER_W["gpu-mps"]["M3"]
         assert powered.efficiency_gflops_per_w == pytest.approx(target, rel=0.08)
 
     def test_powered_unsupported_size(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
         with pytest.raises(UnsupportedProblemError):
-            runner.run_powered_gemm("cpu-omp", 16384)
+            self.powered("M1", "cpu-omp", 16384)
 
 
 class TestStreamDelegation:
     def test_run_stream(self):
-        runner = ExperimentRunner(make_model_machine("M1"))
-        result = runner.run_stream("cpu", n_elements=1 << 14, repeats=2)
-        assert result.chip_name == "M1"
+        spec = StreamSpec(chip="M1", target="cpu", n_elements=1 << 14, repeats=2)
+        assert model_session().run(spec).result.chip_name == "M1"
 
     def test_gpu_stream_after_other_work_equals_a_fresh_machine_run(self):
         # GPU dispatch noise keys come from the cell's lowering and GEMM
-        # work draws other keys, so earlier calls cannot shift their
-        # counters; only the later clock origin rounds the windows differently
-        from repro.experiments import Session, StreamSpec
-
-        runner = ExperimentRunner(make_study_machine("M2"))
-        runner.run_gemm("gpu-mps", 256)
-        after_gemm = runner.run_stream("gpu", n_elements=1 << 16, repeats=3)
+        # work draws other keys, so earlier work on the same machine cannot
+        # shift their counters; only the later clock origin rounds the
+        # windows differently
+        machine = make_study_machine("M2")
+        run_gemm_spec(machine, GemmSpec(chip="M2", impl_key="gpu-mps", n=256))
         spec = StreamSpec(chip="M2", target="gpu", n_elements=1 << 16, repeats=3)
+        after_gemm = run_stream_spec(machine, spec)
         fresh = Session().run(spec).result
         assert after_gemm.kernels.keys() == fresh.kernels.keys()
         for kernel, result in fresh.kernels.items():

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.calibration import paper
-from repro.core.harness import ExperimentRunner
 from repro.core.stream.cpu import CpuStreamBenchmark
 from repro.core.stream.gpu import GpuStreamBenchmark
 from repro.core.stream.runner import figure1_row, run_stream
 from repro.errors import ConfigurationError
+from repro.experiments import GemmSpec, StreamSpec
+from repro.experiments.executor import run_gemm_spec, run_stream_spec
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsConfig
 
@@ -133,29 +134,31 @@ class TestRunner:
         [NumericsConfig.full(), NumericsConfig.sampled(), NumericsConfig.model_only()],
         ids=["full", "sampled", "model-only"],
     )
-    def test_run_stream_equals_experiment_runner_on_used_machines(self, numerics):
+    def test_run_stream_equals_the_spec_executor_on_used_machines(self, numerics):
         """Both entry points run the STREAM lowering, so on identically
         pre-used machines (clock advanced, noise counters consumed) they
         agree result for result and leave the same clock behind."""
 
         def used() -> Machine:
             machine = Machine.for_chip("M2", seed=9, numerics=numerics)
-            ExperimentRunner(machine).run_gemm("gpu-mps", 256, repeats=2)
+            gemm = GemmSpec(chip="M2", impl_key="gpu-mps", n=256, repeats=2)
+            run_gemm_spec(machine, gemm)
             GpuStreamBenchmark(machine, n_elements=SMALL, ntimes=2).run()
             return machine
 
-        direct, runner = used(), used()
+        direct, executor = used(), used()
         for target, n_elements, repeats in (
             ("gpu", SMALL, 2),
             ("cpu", SMALL, 3),
             ("gpu", SMALL, None),
         ):
+            spec = StreamSpec(
+                chip="M2", target=target, n_elements=n_elements, repeats=repeats
+            )
             assert run_stream(
                 direct, target, n_elements=n_elements, repeats=repeats
-            ) == ExperimentRunner(runner).run_stream(
-                target, n_elements=n_elements, repeats=repeats
-            )
-        assert direct.now_s() == runner.now_s()
+            ) == run_stream_spec(executor, spec)
+        assert direct.now_s() == executor.now_s()
 
     def test_figure1_row_shape(self):
         row = figure1_row(make_model_machine("M3"), n_elements=SMALL, repeats=2)

@@ -493,6 +493,13 @@ class TestFigureFromEnvelopes:
         kinds = {e.kind for e in envelopes}
         assert kinds == {"stream", "gemm", "powered-gemm"}
 
+    def test_compare_from_its_out_store_prints_the_same(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--fast", "--chips", "M1", "--out", str(out)]) == 0
+        live = capsys.readouterr().out
+        assert main(["compare", "--from", str(out)]) == 0
+        assert capsys.readouterr().out == live
+
     def test_missing_from_directory_is_a_clean_error(self, tmp_path, capsys):
         code = main(
             ["figure2", "--fast", "--chips", "M1", "--from", str(tmp_path / "no")]

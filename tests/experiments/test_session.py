@@ -1,8 +1,7 @@
-"""Session semantics: purity, caching, batching, and runner equivalence."""
+"""Session semantics: purity, caching, batching, and executor equivalence."""
 
 import pytest
 
-from repro.core.harness import ExperimentRunner
 from repro.errors import ConfigurationError, UnsupportedProblemError
 from repro.experiments import (
     GemmSpec,
@@ -11,6 +10,7 @@ from repro.experiments import (
     StreamSpec,
     SweepSpec,
 )
+from repro.experiments.executor import run_gemm_spec, run_stream_spec
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsConfig
 
@@ -171,32 +171,22 @@ class TestBatch:
         assert [e.result for e in seq] == [e.result for e in par]
 
 
-class TestRunnerEquivalence:
-    def test_session_matches_experiment_runner(self):
-        """One spec through the session == the legacy runner on a fresh
-        machine with the same configuration (shared executor underneath)."""
+class TestExecutorEquivalence:
+    def test_session_matches_the_executor_on_a_fresh_machine(self):
+        """One spec through the session == the spec executor on a fresh
+        machine with the same configuration."""
         spec = GemmSpec(chip="M3", impl_key="gpu-mps", n=2048, seed=5)
         env = model_session().run(spec)
         machine = Machine.for_chip(
             "M3", seed=5, numerics=NumericsConfig.model_only()
         )
-        legacy = ExperimentRunner(machine, seed=5).run_gemm("gpu-mps", 2048)
-        assert legacy == env.result
+        assert run_gemm_spec(machine, spec) == env.result
 
-    def test_session_runner_bridge(self):
-        runner = model_session().runner("M1", seed=3)
-        assert isinstance(runner, ExperimentRunner)
-        assert runner.machine.chip.name == "M1"
-        assert runner.seed == 3
-
-    def test_stream_matches_runner(self):
+    def test_stream_matches_the_executor(self):
         spec = StreamSpec(chip="M2", target="gpu", n_elements=1 << 16, repeats=2)
         env = model_session().run(spec)
         machine = Machine.for_chip("M2", numerics=NumericsConfig.model_only())
-        legacy = ExperimentRunner(machine).run_stream(
-            "gpu", n_elements=1 << 16, repeats=2
-        )
-        assert legacy == env.result
+        assert run_stream_spec(machine, spec) == env.result
 
 
 class TestMachineFactory:

@@ -164,6 +164,34 @@ class TestShardedCaching:
         )
         assert [e.spec for e in envs] == specs
 
+    def test_an_all_hit_rerun_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        session = model_session()
+        sweep = SweepSpec(kind="spmv", chips=("M1",))
+        first = session.run_batch(sweep, backend=ShardedBackend(2, shard_size=4))
+        assert len(started) == 1
+        again = session.run_batch(sweep, backend=ShardedBackend(2, shard_size=4))
+        assert len(started) == 1
+        assert [e.to_json() for e in again] == [e.to_json() for e in first]
+
+    def test_an_all_hit_shard_before_a_miss_shard_keeps_grid_order(self):
+        specs = list(SweepSpec(kind="spmv", chips=("M1",)).expand())
+        session = model_session()
+        session.run_batch(specs[:4], backend="vectorized")
+        envs = session.run_batch(specs, backend=ShardedBackend(2, shard_size=4))
+        assert session.cache_info()["hits"] == 4
+        reference = model_session().run_batch(specs, backend="vectorized")
+        assert [e.to_json() for e in envs] == [e.to_json() for e in reference]
+
     def test_uncached_miss_counters_match_serial(self):
         sweep = small_sweep("spmv")
         counts = {}

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.calibration import paper
 from repro.calibration.gemm import KNOWN_IMPL_KEYS, build_gemm_operation
+from repro.experiments import Session
 from repro.soc.catalog import CHIP_NAMES, get_chip
 from repro.soc.power import PowerComponent
 
-from tests.conftest import make_model_machine
+from tests.conftest import figure_series, make_model_machine
 
 chips = st.sampled_from(list(CHIP_NAMES))
 impls = st.sampled_from([k for k in KNOWN_IMPL_KEYS])
@@ -111,29 +112,27 @@ class TestPowermetricsConservation:
 
 class TestDeterminism:
     def test_identical_seeds_identical_figures(self):
-        from repro.analysis.figures import figure2_data, make_session
-
         def run():
-            return figure2_data(
+            return figure_series(
+                "figure2",
                 ("M1",),
+                Session(numerics="model-only", seed=123),
                 sizes=(512, 4096),
                 impl_keys=("gpu-mps",),
                 repeats=3,
-                session=make_session(fast=True, seed=123),
             )
 
         assert run() == run()
 
     def test_different_seeds_differ(self):
-        from repro.analysis.figures import figure2_data, make_session
-
         def run(seed):
-            return figure2_data(
+            return figure_series(
+                "figure2",
                 ("M1",),
+                Session(numerics="model-only", seed=seed),
                 sizes=(4096,),
                 impl_keys=("gpu-mps",),
                 repeats=3,
-                session=make_session(fast=True, seed=seed),
             )
 
         assert run(1) != run(2)

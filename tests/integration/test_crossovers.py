@@ -9,17 +9,17 @@ the paper's quoted peaks.
 import pytest
 
 from repro.calibration import paper
-from repro.core.harness import ExperimentRunner
+from repro.experiments import Session, SweepSpec
 
 from tests.conftest import make_model_machine
 
 
 def sweep(chip: str, impl: str) -> dict[int, float]:
-    runner = ExperimentRunner(make_model_machine(chip))
-    return {
-        n: r.best_gflops
-        for n, r in runner.run_gemm_sweep(impl, repeats=2).items()
-    }
+    """One Figure-2 line, noise-free: best GFLOPS by supported size."""
+    envelopes = Session(numerics="model-only", noise_sigma=0.0).run_batch(
+        SweepSpec(kind="gemm", chips=(chip,), impl_keys=(impl,), repeats=2)
+    )
+    return {env.spec.n: env.result.best_gflops for env in envelopes}
 
 
 class TestMpsVsAccelerateCrossover:

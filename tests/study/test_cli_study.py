@@ -185,6 +185,26 @@ class TestStudyRender:
             assert main(["study", "render", name]) == 0
             assert f"Table {name[-1]}" in capsys.readouterr().out
 
+    def test_fast_trims_the_grid_only_under_study_render(self, capsys):
+        # `repro figure2 --fast` is model-only numerics over the figure's
+        # full grid; `repro study render figure2 --fast` also trims it to
+        # the smoke axes
+        def gpu_mps_sizes(argv):
+            assert main(argv + ["--fast", "--chips", "M1", "--csv"]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            return tuple(
+                int(row.split(",")[2])
+                for row in rows
+                if row.split(",")[1] == "gpu-mps"
+            )
+
+        figure = FIGURES["figure2"]
+        assert gpu_mps_sizes(["figure2"]) == figure.axis().sizes
+        assert gpu_mps_sizes(["study", "render", "figure2"]) == (
+            figure.axis(fast=True).sizes
+        )
+        assert len(figure.axis(fast=True).sizes) < len(figure.axis().sizes)
+
     def test_live_figure_render(self, capsys):
         code = main(
             [

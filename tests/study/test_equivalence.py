@@ -2,7 +2,8 @@
 
 The pinned reference implementations below are verbatim copies of the
 hand-assembled loops the analysis layer shipped before the study API
-(PR-1's ``_assemble_series`` and the ``figureN_from_envelopes`` bodies).
+(its ``_assemble_series`` and per-figure envelope loops), held against
+each figure's :meth:`FigureDef.series` query.
 Every assertion serializes both sides *without* key sorting, so key
 insertion order — which the legacy loops fixed via scaffold + envelope
 order — is part of the contract, not just the values.
@@ -16,22 +17,13 @@ import json
 
 import pytest
 
-from repro.analysis.figures import (
-    figure1_data,
-    figure1_from_envelopes,
-    figure2_data,
-    figure2_from_envelopes,
-    figure3_data,
-    figure3_from_envelopes,
-    figure4_data,
-    figure4_from_envelopes,
-    make_session,
-)
 from repro.analysis.tables import render_table1, render_table2, render_table3
 from repro.core.gemm.registry import paper_implementation_keys
 from repro.experiments import Session, load_envelopes, save_envelopes
 from repro.study import ResultFrame, get_figure, get_table
 from repro.workloads import get_workload, workload_kinds
+
+from tests.conftest import figure_series
 
 CHIPS = ("M1", "M4")
 
@@ -97,26 +89,18 @@ LEGACY_BUILDERS = {
     ),
 }
 
-FROM_ENVELOPES = {
-    "figure1": figure1_from_envelopes,
-    "figure2": figure2_from_envelopes,
-    "figure3": figure3_from_envelopes,
-    "figure4": figure4_from_envelopes,
-}
+def from_envelopes(name, envelopes, chips=None):
+    """Figure ``name``'s query over an envelope collection."""
+    return get_figure(name).series(
+        ResultFrame.from_envelopes(envelopes), chips=chips
+    )
 
-FIGURE_DATA = {
-    "figure1": lambda session, **kw: figure1_data(
-        CHIPS, session=session, n_elements=1 << 14
-    ),
-    "figure2": lambda session, **kw: figure2_data(
-        CHIPS, session=session, sizes=(32, 1024, 16384), repeats=2
-    ),
-    "figure3": lambda session, **kw: figure3_data(
-        CHIPS, session=session, sizes=(2048, 16384), repeats=1
-    ),
-    "figure4": lambda session, **kw: figure4_data(
-        CHIPS, session=session, sizes=(2048, 16384), repeats=1
-    ),
+
+FIGURE_AXES = {
+    "figure1": dict(n_elements=1 << 14),
+    "figure2": dict(sizes=(32, 1024, 16384), repeats=2),
+    "figure3": dict(sizes=(2048, 16384), repeats=1),
+    "figure4": dict(sizes=(2048, 16384), repeats=1),
 }
 
 
@@ -129,9 +113,9 @@ def figure_runs():
     through the session cache.
     """
     runs = {}
-    for name, build in FIGURE_DATA.items():
-        session = make_session(fast=True)
-        series = build(session)
+    for name, axes in FIGURE_AXES.items():
+        session = Session(numerics="model-only")
+        series = figure_series(name, CHIPS, session, **axes)
         runs[name] = (series, session.cached_envelopes())
     return runs
 
@@ -140,7 +124,7 @@ def figure_runs():
 class TestFigureEquivalence:
     def test_live_series_matches_legacy_assembly(self, figure_runs, name):
         series, envelopes = figure_runs[name]
-        # figureN_data scaffolds with the requested chips; the pinned
+        # the live series scaffolds with the requested chips; the pinned
         # reference does the same when handed them explicitly.
         if name == "figure1":
             reference = LEGACY_BUILDERS[name](envelopes, chips=CHIPS)
@@ -161,9 +145,19 @@ class TestFigureEquivalence:
     def test_from_envelopes_matches_legacy_assembly(self, figure_runs, name):
         _, envelopes = figure_runs[name]
         for chips in (None, CHIPS, ("M4",), ("M4", "M1")):
-            new = FROM_ENVELOPES[name](envelopes, chips=chips)
+            new = from_envelopes(name, envelopes, chips=chips)
             old = LEGACY_BUILDERS[name](envelopes, chips=chips)
             assert stamp(new) == stamp(old), chips
+
+    def test_cached_envelopes_query_matches_the_live_series(
+        self, figure_runs, name
+    ):
+        # what ``--out`` saves is the session's cache; the query over it
+        # must give the live run's series, key order included
+        series, envelopes = figure_runs[name]
+        frame = ResultFrame.from_envelopes(envelopes)
+        queried = get_figure(name).series(frame, chips=CHIPS)
+        assert stamp(queried) == stamp(series)
 
     def test_store_round_trip_is_byte_identical(
         self, figure_runs, name, tmp_path
@@ -171,7 +165,7 @@ class TestFigureEquivalence:
         series, envelopes = figure_runs[name]
         save_envelopes(tmp_path / name, envelopes)
         loaded = load_envelopes(tmp_path / name)
-        reloaded = FROM_ENVELOPES[name](loaded, chips=CHIPS)
+        reloaded = from_envelopes(name, loaded, chips=CHIPS)
         # Same contract as the legacy loops: byte-identical to the pinned
         # assembly over the *loaded* envelope order, and value-identical to
         # the live series (stores sort by path, so leaf insertion order may
@@ -180,12 +174,6 @@ class TestFigureEquivalence:
         assert json.dumps(reloaded, sort_keys=True, default=str) == json.dumps(
             series, sort_keys=True, default=str
         )
-
-    def test_study_query_matches_facade(self, figure_runs, name):
-        series, envelopes = figure_runs[name]
-        frame = ResultFrame.from_envelopes(envelopes)
-        queried = get_figure(name).series(frame, chips=CHIPS)
-        assert stamp(queried) == stamp(series)
 
 
 class TestTableEquivalence:

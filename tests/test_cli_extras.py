@@ -59,3 +59,23 @@ class TestAllCommand:
             "Green500",
         ):
             assert marker in out, marker
+
+    def test_all_is_the_single_commands_in_paper_order(self, capsys):
+        """``all --fast`` prints exactly what the single commands print,
+        one blank line between them."""
+        parts = []
+        for argv in (
+            ["table1"],
+            ["table2"],
+            ["table3"],
+            ["figure1", "--fast"],
+            ["figure2", "--fast"],
+            ["figure3", "--fast"],
+            ["figure4", "--fast"],
+            ["gh200", "--fast"],
+            ["references"],
+        ):
+            assert main(argv) == 0
+            parts.append(capsys.readouterr().out)
+        assert main(["all", "--fast"]) == 0
+        assert capsys.readouterr().out == "\n".join(parts)
