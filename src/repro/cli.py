@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         "from_dir": None,
     }
 
-    def add_figure(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_figure(
+        name: str, help_text: str, *, csv: bool = True, chart: bool = False
+    ) -> argparse.ArgumentParser:
+        # only the flags the command renders: argparse refuses the others
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(**figure_defaults)
         p.add_argument(
@@ -111,10 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="model-only numerics (the figure's full grid)",
         )
-        p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
-        p.add_argument(
-            "--chart", action="store_true", help="draw an ASCII chart of the figure"
-        )
+        if csv:
+            p.add_argument(
+                "--csv", action="store_true", help="emit CSV instead of text"
+            )
+        if chart:
+            p.add_argument(
+                "--chart", action="store_true", help="draw an ASCII chart of the figure"
+            )
         p.add_argument("--seed", type=int, help="measurement noise seed")
         p.add_argument(
             "--workers",
@@ -135,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    add_figure("figure1", "STREAM bandwidths (Figure 1)")
-    add_figure("figure2", "GEMM GFLOPS sweep (Figure 2)")
+    add_figure("figure1", "STREAM bandwidths (Figure 1)", chart=True)
+    add_figure("figure2", "GEMM GFLOPS sweep (Figure 2)", chart=True)
     add_figure("figure3", "power dissipation (Figure 3)")
     add_figure("figure4", "power efficiency (Figure 4)")
-    add_figure("compare", "paper-vs-measured summary across figures")
+    add_figure("compare", "paper-vs-measured summary across figures", csv=False)
 
     run = sub.add_parser(
         "run", help="execute a declarative experiment sweep (spec grid)"
@@ -646,7 +653,7 @@ def _print_figure(name: str, frame: ResultFrame, chips, args) -> None:
     """One figure's series from ``frame``: an ASCII chart (``--chart``,
     figures 1 and 2), CSV, or the text the service also serves."""
     data = get_figure(name).series(frame, chips=chips)
-    if getattr(args, "chart", False) and name in ("figure1", "figure2"):
+    if getattr(args, "chart", False):
         from repro.analysis import plots
 
         print(getattr(plots, f"{name}_chart")(data))

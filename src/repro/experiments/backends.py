@@ -8,10 +8,10 @@ the cells of a batch execute:
   semantics every other backend must reproduce bit-identically, and the
   only backend that honours a custom ``machine_factory``);
 * ``vectorized`` — the batch fast path: cells of workloads that declare a
-  ``vectorized_body`` are lowered onto shared chip templates and evaluated
-  in bulk NumPy array operations (:mod:`repro.sim.vectorized`) instead of
-  per-operation Python loops, with automatic per-cell fallback to the
-  scalar executor for workloads registered without a lowering;
+  ``lower_group`` are lowered a group at a time onto shared chip templates
+  and evaluated in bulk NumPy array operations (:mod:`repro.sim.vectorized`)
+  instead of per-operation Python loops, with automatic per-cell fallback
+  to the scalar executor for workloads registered without a lowering;
 * ``sharded`` — vectorized inside worker processes, for grids too large
   for one core: the parent pulls the batch — any iterable of specs — in
   contiguous shards, ships each shard's cache misses to a worker process
@@ -233,10 +233,11 @@ def _session_payload(session: "Session") -> dict[str, Any]:
 class VectorizedBackend(ExecutionBackend):
     """Bulk NumPy evaluation of the whole batch (the sweep fast path).
 
-    Cache misses of workloads that declare a ``vectorized_body`` are lowered
-    onto shared chip templates and evaluated together in a handful of array
-    operations through :func:`repro.sim.vectorized.evaluate_sequences`;
-    cells of workloads without a vectorized body fall back to the scalar
+    Cache misses of workloads that declare a ``lower_group`` are grouped by
+    (kind, chip, numerics config, variant, repeats), lowered one group at a
+    time onto shared chip templates, and evaluated together in a handful of
+    array operations through :func:`repro.sim.vectorized.evaluate_groups`;
+    cells of workloads without a lowering fall back to the scalar
     executor, per cell, inside the same batch.  Either way the arithmetic is
     the scalar engine's, operation for operation, so envelopes are
     byte-identical to the ``serial`` reference — the cross-backend
@@ -300,69 +301,121 @@ def _evaluate_specs(
     fail: "FailCallback | None" = None,
     attempt: int = 1,
 ) -> None:
-    """Lower and evaluate ``specs``, handing each result to ``deliver``.
+    """Lower and evaluate ``specs`` group by group, handing each result to
+    ``deliver``.
 
     The execution body the vectorized backend and the sharded workers
     share: ``deliver(position, result)`` receives each cell's result record
-    by its position in ``specs``, and a failing cell goes to
-    ``fail(position, exc, spec)`` (raised when ``fail`` is ``None``).  It
-    resolves no cache and stamps no envelope — callers do what they need
-    with the result.
+    by its position in ``specs``, in input order, and a failing cell goes
+    to ``fail(position, exc, spec)``.  With ``fail=None`` nothing is
+    delivered when a lowered cell fails: the first failing cell's error is
+    raised.  It resolves no cache and stamps no envelope — callers do what
+    they need with the result.
+
+    Pending specs that share (kind, chip, numerics config, variant,
+    repeats) form one group, lowered by one ``lower_group`` call and
+    evaluated with every other group in one
+    :func:`~repro.sim.vectorized.evaluate_groups` call.  A group whose
+    lowering raises is lowered again member by member, and when the bulk
+    evaluation raises, each group is evaluated alone and a raising group
+    member by member, so only the bad cells fail; a group's bytes do not
+    depend on the other groups of its batch.
     """
     from repro import workloads
-    from repro.sim.vectorized import evaluate_sequences, vector_context
+    from repro.sim.vectorized import evaluate_groups, vector_context
+    from repro.workloads.base import spec_variant
 
     plan = session.fault_plan
-    sequences: list[tuple[int, Any]] = []
+    failures: dict[int, BaseException] = {}
+    members: dict[tuple, list[int]] = {}
     fallback: list[tuple[int, Any]] = []
     for position, spec in enumerate(specs):
-        workload = workloads.workload_for_spec(spec)
-        try:
-            # Lowering is this body's per-cell execution point, so
-            # cell-targeted faults (transient/crash/hang) fire here.
-            if plan is not None:
+        if plan is not None:
+            # Fault rules fire per cell, before its group is lowered.
+            try:
                 plan.invoke("execute", spec.spec_hash(), attempt)
-            lowered = None
-            if workload.vectorized_body is not None:
-                context = vector_context(
-                    spec.chip,
-                    session.thermal_enabled,
-                    session.numerics_for(spec),
-                )
-                lowered = workload.vectorized_body(context, spec)
-        except Exception as exc:
-            _report_cell_failure(fail, position, exc, spec)
-            continue
-        if lowered is None:
-            # a workload registered without a vectorized body (no
-            # built-in workload declines a cell) — scalar fallback
+            except Exception as exc:
+                failures[position] = exc
+                continue
+        workload = workloads.workload_for_spec(spec)
+        if workload.lower_group is None:
+            # a workload registered without a lowering (no built-in
+            # workload declines a cell) — scalar fallback
             fallback.append((position, workload))
-        else:
-            sequences.append((position, lowered))
+            continue
+        # the spec's own numerics profile (None: the session's) stands for
+        # the config it resolves to, which the group resolves once
+        key = (
+            workload.kind,
+            spec.chip,
+            spec.numerics,
+            spec_variant(spec),
+            getattr(spec, "repeats", None),
+        )
+        members.setdefault(key, []).append(position)
+
+    def lower(key: tuple, positions: list[int]) -> Any:
+        kind, chip = key[:2]
+        cells = [specs[position] for position in positions]
+        context = vector_context(
+            chip, session.thermal_enabled, session.numerics_for(cells[0])
+        )
+        return workloads.get_workload(kind).lower_group(context, cells)
+
+    groups: list[tuple[tuple, list[int], Any]] = []
+    for key, positions in members.items():
+        try:
+            groups.append((key, positions, lower(key, positions)))
+        except Exception as exc:
+            if len(positions) == 1:
+                failures[positions[0]] = exc
+                continue
+            for position in positions:
+                try:
+                    groups.append((key, [position], lower(key, [position])))
+                except Exception as exc:
+                    failures[position] = exc
+    del members
 
     sigma = session.noise_sigma
+    results: dict[int, Any] = {}
     try:
-        evaluated = evaluate_sequences(
-            [lowered for _, lowered in sequences], default_sigma=sigma
+        evaluated = evaluate_groups(
+            [group for _, _, group in groups], default_sigma=sigma
         )
     except Exception:
-        if fail is None:
-            raise
         evaluated = None
-    if evaluated is not None:
-        for (position, _), result in zip(sequences, evaluated):
-            deliver(position, result)
-    else:
-        # The bulk call raised: evaluate each member alone and report only
-        # the cells that raise.  One call is one cell for noise and clock,
-        # so the others' bytes are those of the bulk call.
-        for position, lowered in sequences:
-            try:
-                result = evaluate_sequences([lowered], default_sigma=sigma)[0]
-            except Exception as exc:
-                fail(position, exc, specs[position])
+    for index, (key, positions, group) in enumerate(groups):
+        if evaluated is not None:
+            results.update(zip(positions, evaluated[index]))
+            continue
+        try:
+            results.update(
+                zip(positions, evaluate_groups([group], default_sigma=sigma)[0])
+            )
+            continue
+        except Exception as exc:
+            if len(positions) == 1:
+                failures[positions[0]] = exc
                 continue
-            deliver(position, result)
+        for position in positions:
+            try:
+                [[result]] = evaluate_groups(
+                    [lower(key, [position])], default_sigma=sigma
+                )
+            except Exception as exc:
+                failures[position] = exc
+                continue
+            results[position] = result
+    del groups, evaluated
+
+    if fail is None and failures:
+        raise failures[min(failures)]
+    for position in range(len(specs)):
+        if position in failures:
+            fail(position, failures[position], specs[position])
+        elif position in results:
+            deliver(position, results.pop(position))
     # Scalar-fallback cells run last, delivered one by one — they are
     # the slow ones (one Python round trip per operation), so per-cell
     # completion keeps manifest checkpoints and progress reporting
@@ -589,7 +642,8 @@ class ShardedBackend(ExecutionBackend):
         when its worker died, with :class:`CellTimeoutError` when it ran
         past its deadline (``cell_timeout`` × its cells).  The losing pool
         is shut down and a new one serves the shards after it; a pool
-        holding a hung worker is never joined.  No cell runs in the parent:
+        holding a hung worker is abandoned (:func:`_abandon`), so shards
+        still in flight on it fail as lost.  No cell runs in the parent:
         recovering the failed cells is ``Session.run_batch``'s job.
         """
         from concurrent.futures.process import BrokenProcessPool
@@ -638,8 +692,8 @@ class ShardedBackend(ExecutionBackend):
                     lost = CellTimeoutError(
                         f"{where} exceeded its {deadline:g}s deadline"
                     )
-                    if owner is pool:  # its hung worker would block a join
-                        pool.shutdown(wait=False, cancel_futures=True)
+                    if owner is pool:
+                        _abandon(pool)
                         pool = None
                 except (BrokenProcessPool, concurrent.futures.CancelledError) as exc:
                     lost = WorkerCrashError(
@@ -657,6 +711,21 @@ class ShardedBackend(ExecutionBackend):
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
+
+
+def _abandon(pool: "concurrent.futures.ProcessPoolExecutor") -> None:
+    """Shut down a pool that holds a hung worker, without joining it.
+
+    Its worker processes are terminated first: ``concurrent.futures``'
+    exit hook joins every worker a pool ever started, so a worker left
+    sleeping would hold the interpreter open until it woke.  Python 3.11
+    has no public way to terminate a pool's workers, so this reads the
+    executor's ``_processes`` map.  Futures still running on the pool then
+    fail with ``BrokenProcessPool``, as on any lost pool.
+    """
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def resolve_backend(

@@ -5,9 +5,9 @@ which hands every spec a *fresh* machine, making execution a pure function
 of the spec.  The bodies are the section-4 protocols — five chrono-timed
 repetitions per GEMM cell, the piggybacked powermetrics protocol for the
 power study, and the STREAM thread sweep / 20-repetition GPU runs — each
-evaluated from its workload's lowering (:mod:`repro.workloads`), the one
-definition of a cell's timing that the vectorized backend evaluates in bulk
-too.  Numerics are a memoized check inside the lowering, never part of the
+evaluated from its workload's group lowering as a group of one
+(:mod:`repro.workloads`), the one definition of a cell's timing that the
+vectorized backend evaluates in bulk too.  Numerics are a memoized check inside the lowering, never part of the
 timed path.
 """
 
@@ -33,9 +33,12 @@ __all__ = [
 
 def run_gemm_spec(machine: Machine, spec: GemmSpec) -> GemmResult:
     """Execute one Figure-2 cell on ``machine``."""
-    from repro.workloads.gemm import lower_gemm_spec
+    from repro.workloads.base import lowered_cell
+    from repro.workloads.gemm import lower_gemm_group
 
-    return run_lowered_sequence(machine, lower_gemm_spec(machine, spec))
+    return run_lowered_sequence(
+        machine, lowered_cell(lower_gemm_group, machine, spec)
+    )
 
 
 def run_powered_gemm_spec(
@@ -46,16 +49,22 @@ def run_powered_gemm_spec(
     "The power measurement occurs during the run in which CPU/GPU
     performance is measured ... it too sees five repetitions."
     """
-    from repro.workloads.powered_gemm import lower_powered_gemm_spec
+    from repro.workloads.base import lowered_cell
+    from repro.workloads.powered_gemm import lower_powered_gemm_group
 
-    return run_lowered_sequence(machine, lower_powered_gemm_spec(machine, spec))
+    return run_lowered_sequence(
+        machine, lowered_cell(lower_powered_gemm_group, machine, spec)
+    )
 
 
 def run_stream_spec(machine: Machine, spec: StreamSpec) -> StreamResult:
     """Execute one Figure-1 bar: the STREAM study on one target processor."""
-    from repro.workloads.stream import lower_stream_spec
+    from repro.workloads.base import lowered_cell
+    from repro.workloads.stream import lower_stream_group
 
-    return run_lowered_sequence(machine, lower_stream_spec(machine, spec))
+    return run_lowered_sequence(
+        machine, lowered_cell(lower_stream_group, machine, spec)
+    )
 
 
 def execute_spec(machine: Machine, spec: ExperimentSpec):

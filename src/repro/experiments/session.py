@@ -65,19 +65,28 @@ _PROFILE_TO_CONFIG: dict[str, Callable[[], NumericsConfig]] = {
     "model-only": NumericsConfig.model_only,
 }
 
+#: One config per profile name, built on first use.  Configs are frozen,
+#: so every spec naming a profile shares one instance, and the lowering
+#: contexts and backend groups keyed on it see one object.
+_PROFILE_CONFIGS: dict[str, NumericsConfig] = {}
+
 
 def _numerics_config(profile: str | NumericsConfig | None) -> NumericsConfig:
-    if profile is None:
-        return NumericsConfig.sampled()
     if isinstance(profile, NumericsConfig):
         return profile
-    try:
-        return _PROFILE_TO_CONFIG[profile]()
-    except KeyError:
-        raise ConfigurationError(
-            f"numerics profile must be one of {NUMERICS_PROFILES} "
-            f"or a NumericsConfig, got {profile!r}"
-        ) from None
+    if profile is None:
+        profile = "sampled"
+    config = _PROFILE_CONFIGS.get(profile)
+    if config is None:
+        try:
+            factory = _PROFILE_TO_CONFIG[profile]
+        except KeyError:
+            raise ConfigurationError(
+                f"numerics profile must be one of {NUMERICS_PROFILES} "
+                f"or a NumericsConfig, got {profile!r}"
+            ) from None
+        config = _PROFILE_CONFIGS[profile] = factory()
+    return config
 
 
 def _retry_policy(

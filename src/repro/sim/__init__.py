@@ -28,11 +28,15 @@ from repro.sim.machine import (
     machine_template,
 )
 from repro.sim.vectorized import (
+    LoweredGroup,
     LoweredSequence,
+    OpColumns,
     VectorContext,
     effective_draw_w,
+    evaluate_groups,
     evaluate_sequences,
     run_lowered_sequence,
+    single_sequence,
     vector_context,
 )
 
@@ -63,10 +67,14 @@ __all__ = [
     "MachineTemplate",
     "engine_peak_flops",
     "machine_template",
+    "LoweredGroup",
     "LoweredSequence",
+    "OpColumns",
     "VectorContext",
     "vector_context",
     "run_lowered_sequence",
+    "single_sequence",
+    "evaluate_groups",
     "evaluate_sequences",
     "effective_draw_w",
 ]

@@ -43,6 +43,8 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "DeterministicNoise",
+    "draw_layout",
+    "layout_states",
     "lognormal_factors",
     "noise_entropies",
     "noise_entropy",
@@ -93,6 +95,65 @@ def _counter_offsets(count: int) -> np.ndarray:
     return offsets
 
 
+def draw_layout(keys: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The seed-free half of the rule for one cell's draws, in order.
+
+    Returns the distinct keys in first-appearance order, each draw's index
+    into them, and each draw's counter offset ``_states(0, k)`` (the k-th
+    occurrence of a key is counter k).  Every cell that draws the same
+    keys in the same order shares this layout, so a group computes it once
+    and only the entropies (:func:`layout_states`) are per cell.
+    """
+    n = len(keys)
+    if n and keys.count(keys[0]) == n:
+        # one key repeated: the shape of every repetition-grid cell
+        return [keys[0]], np.zeros(n, dtype=np.intp), _counter_offsets(n)
+    index_of: dict[str, int] = {}
+    counts: list[int] = []
+    index: list[int] = []
+    counters: list[int] = []
+    for key in keys:
+        j = index_of.get(key)
+        if j is None:
+            j = index_of[key] = len(counts)
+            counts.append(0)
+        index.append(j)
+        counters.append(counts[j])
+        counts[j] += 1
+    offsets = _states(np.uint64(0), np.array(counters, dtype=np.uint64))
+    return list(index_of), np.array(index, dtype=np.intp), offsets
+
+
+def layout_states(
+    seeds: Sequence[int],
+    cell_keys: Sequence[Sequence[str]],
+    index: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """The ``(cells, draws)`` states of cells that share one draw layout.
+
+    Cell i hashes each of its own distinct keys ``cell_keys[i]`` once with
+    its seed (one :func:`noise_entropy` per (cell seed, key)); its draws
+    gather those entropies by ``index`` and add the layout's shared
+    ``offsets``, both from :func:`draw_layout`.
+    """
+    count = len(seeds)
+    width = len(cell_keys[0]) if count else 0
+    if width == 1:
+        # one key per cell: its entropy broadcasts over every draw
+        entropies = np.fromiter(
+            (noise_entropy(seed, keys[0]) for seed, keys in zip(seeds, cell_keys)),
+            np.uint64,
+            count,
+        )
+        return entropies[:, None] + offsets
+    entropies = np.array(
+        [[noise_entropy(seed, key) for key in keys] for seed, keys in zip(seeds, cell_keys)],
+        dtype=np.uint64,
+    ).reshape(count, width)
+    return entropies[:, index] + offsets
+
+
 def noise_entropies(seed: int, keys: Iterable[str]) -> np.ndarray:
     """The state of every draw of one cell, under the rule.
 
@@ -101,26 +162,12 @@ def noise_entropies(seed: int, keys: Iterable[str]) -> np.ndarray:
     cell: the counters never carry over between calls, so two cells that
     share a seed and a key (GEMM cells differing only in ``repeats``) draw
     the same leading factors.  Returns one uint64 state per key, for
-    :func:`lognormal_factors`.
+    :func:`lognormal_factors`; a group of cells draws through
+    :func:`draw_layout` and :func:`layout_states`, which this composes.
     """
     keys = keys if isinstance(keys, (tuple, list)) else list(keys)
-    n = len(keys)
-    if n and keys.count(keys[0]) == n:
-        # one key repeated: the shape of every repetition-grid cell
-        return _counter_offsets(n) + np.uint64(noise_entropy(seed, keys[0]))
-    streams: dict[str, list[int]] = {}
-    entropies: list[int] = []
-    counters: list[int] = []
-    for key in keys:
-        stream = streams.get(key)
-        if stream is None:
-            stream = streams[key] = [noise_entropy(seed, key), 0]
-        entropies.append(stream[0])
-        counters.append(stream[1])
-        stream[1] += 1
-    return _states(
-        np.array(entropies, dtype=np.uint64), np.array(counters, dtype=np.uint64)
-    )
+    distinct, index, offsets = draw_layout(keys)
+    return layout_states([seed], [distinct], index, offsets)[0]
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

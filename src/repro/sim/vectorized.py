@@ -11,59 +11,51 @@ NumPy operations.
 
 The contract has three parts:
 
-* **Lowering** — a workload's ``vectorized_body`` hook (see
-  :class:`~repro.workloads.base.Workload`) maps ``(machine-like, spec)`` to
-  a :class:`LoweredSequence`: the ordered
-  :class:`~repro.sim.engine.Operation` objects the cell executes on one
-  cumulative clock (optionally each preceded by one fixed clock advance,
-  the powermetrics warm-up sleep) and an ``assemble`` closure that turns
-  two float64 rows — every operation's clock start and clock end — back
-  into the workload's result record.  A repetition grid (SpMV, stencil,
-  batched GEMM, a GEMM cell) is one op repeated, ``(op,) * repeats``;
-  protocol-shaped cells (the STREAM thread sweep, the powered-GEMM
-  measurement protocol) order heterogeneous ops, built by the dispatch
-  builders in :mod:`repro.calibration` that the benchmark classes execute
-  too.  The scalar executor runs the *same* lowering through
+* **Lowering** — a workload's ``lower_group`` hook (see
+  :class:`~repro.workloads.base.Workload`) maps ``(machine-like, specs)``
+  to a :class:`LoweredGroup`: cells of one clock shape (same kind, chip,
+  numerics config, variant and repetition count), their op parameters
+  and an ``assemble`` that turns the group's ``(m, L)`` clock-start and
+  clock-end blocks back into ``m`` result records.  A repetition grid
+  (SpMV, stencil, batched GEMM) gives its op parameters as arrays over its
+  cells, an :class:`OpColumns`, each cell repeating its one op ``L`` times;
+  GEMM, powered-GEMM and STREAM give each cell a row of the memoized
+  :class:`~repro.sim.engine.Operation` tuples the dispatch builders in
+  :mod:`repro.calibration` build for the executing classes too.  A group
+  of one is a single cell: :func:`single_sequence` views it as a
+  :class:`LoweredSequence`, and the scalar executor runs that view through
   :func:`run_lowered_sequence` — each op a real ``machine.execute`` — so
-  the two paths cannot drift.
-* **Evaluation** — :func:`evaluate_sequences` replicates the scalar
-  engine's arithmetic over the whole batch: roofline time, thermal
-  clamp/stretch, bulk noise factors (each sequence's keys through
-  :func:`repro.sim.noise.noise_entropies` — one hash per distinct key, the
-  k-th draw of a key at counter k, as a fresh machine counts — then
-  :func:`repro.sim.noise.lognormal_factors`, the scalar path's own draw;
-  ops whose sigma resolves to 0 are neither hashed nor drawn) and the
-  virtual clock's cumulative float adds.  Every step is the same IEEE-754
-  double operation the scalar path performs, so results are
-  byte-identical, not merely close.
+  the two paths consume one lowering and cannot drift.
+* **Evaluation** — :func:`evaluate_groups` replicates the scalar engine's
+  arithmetic over a batch of groups: roofline time and thermal stretch
+  once per distinct op, noise by the :mod:`repro.sim.noise` rule with one
+  :func:`~repro.sim.noise.noise_entropy` per (cell seed, key) plus the
+  layout's shared counter offsets and one
+  :func:`~repro.sim.noise.lognormal_factors` call per group (ops whose
+  sigma resolves to 0 are neither hashed nor drawn), then the virtual
+  clock's cumulative float adds.  Every step is the same IEEE-754 double
+  operation the scalar path performs, so results are byte-identical, not
+  merely close.  :func:`evaluate_sequences` evaluates per-cell views
+  through the same engine, each sequence a cell of a group.
 * **Fallback** — every built-in workload lowers every cell, under every
   numerics profile: numerics are a memoized check inside the lowering,
   never part of the timed path.  A runtime-registered workload may declare
-  no ``vectorized_body`` at all; its cells simply execute on the scalar
+  no ``lower_group`` at all; its cells simply execute on the scalar
   engine, and the batch-level entry point in
   :class:`~repro.experiments.backends.VectorizedBackend` mixes the paths
   per cell.
 
-A lowering builds one operation per *distinct* dispatch and repeats that
-object at every position it occupies — ``(op,) * repeats`` for a
-repetition grid, one op per (thread-count, kernel) repeated ``ntimes`` for
-a CPU STREAM sweep.  :func:`evaluate_sequences` computes everything that
-depends only on the op once per distinct object (per sequence thermal
-model) and gathers it back to positions; noise keys and counters still
-advance per position, so sharing an object never changes a byte.  A
-sequence that repeats one op (or equal copies of it) is handled per
-sequence, never per position: one slot, one sigma and one
-``noise_entropies`` call on its repeated key.  The clock runs column-wise:
-sequences of one length share one ``np.cumsum``, whose strictly
-left-to-right adds are the scalar clock's own, and each assembler reads
-its rows with array expressions instead of per-window Python tuples.
+The clock runs column-wise: groups of one clock shape (a length, with or
+without a pre-advance) stack their ``(m, L)`` blocks into one array and
+share one ``np.cumsum``, whose strictly left-to-right adds are the scalar
+clock's own; each group's ``assemble`` then reads its blocks with array
+expressions, and the array is released before the next shape is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import operator
 from typing import Any, Callable, Mapping, Sequence
 
@@ -73,19 +65,25 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine, MachineTemplate, machine_template
 from repro.sim.noise import (
+    draw_layout,
+    layout_states,
     lognormal_factors,
-    noise_entropies,
     resolve_sigma,
 )
 from repro.sim.policy import NumericsConfig
+from repro.sim.roofline import OpCost
 from repro.soc.power import PowerComponent
 from repro.soc.thermal import ThermalModel
 
 __all__ = [
+    "LoweredGroup",
     "LoweredSequence",
+    "OpColumns",
     "VectorContext",
     "vector_context",
     "run_lowered_sequence",
+    "single_sequence",
+    "evaluate_groups",
     "evaluate_sequences",
     "effective_draw_w",
 ]
@@ -110,18 +108,18 @@ def effective_draw_w(
 class LoweredSequence:
     """One experiment cell lowered to an ordered operation sequence.
 
-    Every cell executes its operations on one cumulative machine clock: a
-    repetition grid (SpMV, stencil, batched GEMM, a GEMM cell) repeats one
-    op, ``(op,) * repeats``; a protocol (a STREAM thread sweep, the
-    powered-GEMM measurement loop) orders *heterogeneous* ones.  ``ops``
-    are the very :class:`~repro.sim.engine.Operation` objects the scalar
-    executors run.  ``assemble`` is called as ``assemble(starts, ends)``
-    with two 1-D float64 arrays of ``len(ops)`` entries — each op's clock
-    start and end, the exact floats the scalar clock would produce — and
-    rebuilds the workload's result record, replaying any executor-side
-    arithmetic (nanosecond rounding or truncation, bandwidth division,
-    powermetrics formatting) on top of them.  The rows may be views into a
-    batch-wide array: read them, never write them.
+    The per-cell view of a lowering (:func:`single_sequence`): the form the
+    scalar engine runs (:func:`run_lowered_sequence`) and
+    :func:`evaluate_sequences` accepts.  Every cell executes its operations
+    on one cumulative machine clock: a repetition grid repeats one op,
+    ``(op,) * repeats``; a protocol (a STREAM thread sweep, the powered-GEMM
+    measurement loop) orders *heterogeneous* ones.  ``ops`` are the very
+    :class:`~repro.sim.engine.Operation` objects the scalar executors run.
+    ``assemble`` is called as ``assemble(starts, ends)`` with two 1-D
+    float64 arrays of ``len(ops)`` entries — each op's clock start and end,
+    the exact floats the scalar clock would produce — and rebuilds the
+    workload's result record.  The rows may be views into a batch-wide
+    array: read them, never write them.
 
     ``pre_advance_s`` models a ``machine.sleep`` the scalar executor
     performs before issuing *each* op (the powermetrics warm-up): it shifts
@@ -130,14 +128,6 @@ class LoweredSequence:
     Every op must carry an explicit noise key: the scalar engine would key
     a keyless op by chip and label, which the bulk engine never hashes, so
     such a sequence is rejected rather than left to diverge.
-
-    ``ops`` may be shared between sequences that differ only in ``seed``
-    (or in ``thermal``): lowering a seed-ensemble grid can build the tuple
-    once per distinct cell shape and reuse it, which is what makes
-    million-cell grids cheap to lower.  Within a tuple, every repetition of
-    one dispatch should be the same op object; the bulk evaluator then
-    computes it once, and a tuple of one repeated op costs it one slot and
-    one noise call however long it is.
     """
 
     seed: int
@@ -168,10 +158,143 @@ def _repeats_one_op(ops: tuple[Operation, ...]) -> bool:
 
     One C-level tuple comparison: identical objects compare without
     ``__eq__``, and a tuple of distinct dispatches stops at its first
-    unequal op.  Equal ops evaluate alike, so either way the sequence needs
+    unequal op.  Equal ops evaluate alike, so either way the row needs
     one slot.
     """
     return ops == (ops[0],) * len(ops)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class OpColumns:
+    """The distinct ops of a repetition-grid group, as columns.
+
+    Entry ``j`` of every array field is slot ``j``; a scalar field is shared
+    by every slot, and ``power_draws_w`` is one mapping or one per slot.
+    The slot count is ``len(noise_keys)``.  The evaluator reads the columns
+    directly; :meth:`op` builds slot ``j``'s :class:`Operation` from the
+    same values, with ``label(j)``, for the per-cell view.
+    """
+
+    engine: EngineKind
+    label: Callable[[int], str]
+    noise_keys: Sequence[str]
+    flops: "float | np.ndarray"
+    bytes_read: "float | np.ndarray"
+    bytes_written: "float | np.ndarray"
+    peak_flops: float
+    peak_bytes_per_s: float
+    compute_efficiency: "float | np.ndarray"
+    memory_efficiency: "float | np.ndarray"
+    overhead_s: "float | np.ndarray"
+    power_draws_w: "Mapping[PowerComponent, float] | Sequence[Mapping[PowerComponent, float]]"
+    noise_sigma: float | None = None
+    noise_gain: float = 1.0
+
+    def op(self, slot: int) -> Operation:
+        """Slot ``slot`` as the :class:`Operation` the scalar engine runs."""
+
+        def pick(value):
+            return value[slot].item() if np.ndim(value) else value
+
+        draws = self.power_draws_w
+
+        return Operation(
+            engine=self.engine,
+            label=self.label(slot),
+            cost=OpCost(
+                flops=pick(self.flops),
+                bytes_read=pick(self.bytes_read),
+                bytes_written=pick(self.bytes_written),
+            ),
+            peak_flops=self.peak_flops,
+            peak_bytes_per_s=self.peak_bytes_per_s,
+            compute_efficiency=pick(self.compute_efficiency),
+            memory_efficiency=pick(self.memory_efficiency),
+            overhead_s=pick(self.overhead_s),
+            power_draws_w=draws if isinstance(draws, Mapping) else draws[slot],
+            noise_key=self.noise_keys[slot],
+            noise_sigma=self.noise_sigma,
+            noise_gain=self.noise_gain,
+        )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class LoweredGroup:
+    """Cells of one clock shape lowered together: ``m`` cells of ``length``
+    dispatches each, every cell on its own cumulative clock.
+
+    ``seeds`` holds one noise seed per cell.  ``ops`` is either an
+    :class:`OpColumns` — cell ``i`` then repeats slot ``slots[i]`` at every
+    position — or a sequence of op rows, tuples of ``length``
+    :class:`Operation` objects, cell ``i`` following row ``slots[i]``.
+    ``slots=None`` maps cell ``i`` to entry ``i``.  Rows should be the
+    memoized tuples of the dispatch builders, each repeating one object
+    per distinct dispatch: the evaluator maps ops by identity, computes
+    each distinct op once and walks each distinct row once.
+
+    ``assemble(starts, ends)`` receives two ``(m, length)`` float64 blocks
+    — row ``i`` is cell ``i``'s clock starts and ends, the exact floats the
+    scalar clock would produce — and returns the ``m`` result records in
+    cell order.  The blocks are views into a batch-wide array: read them,
+    never write them.  ``pre_advance_s`` is a sleep before *each* op (the
+    powermetrics warm-up), as in :class:`LoweredSequence`, and a row group
+    whose rows share one dispatch pattern may name it as ``layout``.
+    """
+
+    seeds: Sequence[int]
+    thermal: ThermalModel
+    ops: "OpColumns | Sequence[tuple[Operation, ...]]"
+    length: int
+    assemble: Callable[[np.ndarray, np.ndarray], Sequence[Any]]
+    slots: "Sequence[int] | np.ndarray | None" = None
+    pre_advance_s: float = 0.0
+    #: Row groups only, optional: the position pattern every row follows,
+    #: position ``p`` holding the row's ``layout[p]``-th distinct op object
+    #: (numbered in first-appearance order), so the evaluator reads each
+    #: row's distinct ops at their first positions instead of walking it.
+    layout: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not len(self.seeds):
+            raise ConfigurationError("a lowered group needs at least one cell")
+        if self.length < 1:
+            raise ConfigurationError(
+                "a lowered sequence needs at least one operation"
+            )
+        if self.pre_advance_s < 0.0:
+            raise ConfigurationError("pre-advance must be non-negative")
+        if self.slots is not None and len(self.slots) != len(self.seeds):
+            raise ConfigurationError("a lowered group needs one slot per cell")
+        if not isinstance(self.ops, OpColumns) and any(
+            len(row) != self.length for row in self.ops
+        ):
+            raise ConfigurationError(
+                f"every op row of a lowered group holds {self.length} ops"
+            )
+
+
+def single_sequence(group: LoweredGroup) -> LoweredSequence:
+    """A group of one cell as its :class:`LoweredSequence` (the per-cell view).
+
+    A repetition grid's view repeats its slot's :meth:`OpColumns.op`; a
+    row group's view holds the row itself.  ``assemble`` takes the cell's
+    1-D rows and calls the group's on a ``(1, length)`` block.
+    """
+    if len(group.seeds) != 1:
+        raise ConfigurationError("a per-cell view needs a group of one cell")
+    entry = 0 if group.slots is None else int(group.slots[0])
+    if isinstance(group.ops, OpColumns):
+        ops = (group.ops.op(entry),) * group.length
+    else:
+        ops = group.ops[entry]
+    assemble = group.assemble
+    return LoweredSequence(
+        seed=group.seeds[0],
+        thermal=group.thermal,
+        ops=ops,
+        assemble=lambda starts, ends: assemble(starts[None], ends[None])[0],
+        pre_advance_s=group.pre_advance_s,
+    )
 
 
 class VectorContext:
@@ -244,33 +367,23 @@ def run_lowered_sequence(machine: Machine, sequence: LoweredSequence) -> Any:
     return sequence.assemble(np.array(starts), np.array(ends))
 
 
-def _validated_arrays(ops: Sequence[Operation]) -> dict[str, np.ndarray]:
-    """Stack the per-op roofline parameters, with scalar-parity validation.
+#: The roofline parameters of a slot table, in :func:`_roofline_s` order.
+_COLUMNS = (
+    "flops", "total_bytes", "peak_flops", "peak_bytes", "ceff", "meff", "overhead",
+)
+
+
+def _validate(arr: dict[str, np.ndarray]) -> None:
+    """Scalar-parity validation of a slot table's roofline parameters.
 
     A misbehaving third-party lowering fails with the same
     :class:`ConfigurationError` *messages*
-    :func:`~repro.sim.roofline.roofline_time` raises.  Note the checks run
+    :func:`~repro.sim.roofline.roofline_time` raises.  The checks run
     check-major over the whole batch (not op-major), so when several ops
     are invalid in different ways, *which* message surfaces first may
     differ from serial execution — but an invalid batch never evaluates
     under either engine.
     """
-    n = len(ops)
-    arr = {
-        "flops": np.fromiter((c.cost.flops for c in ops), np.float64, n),
-        "total_bytes": np.fromiter(
-            (c.cost.total_bytes for c in ops), np.float64, n
-        ),
-        "peak_flops": np.fromiter((c.peak_flops for c in ops), np.float64, n),
-        "peak_bytes": np.fromiter(
-            (c.peak_bytes_per_s for c in ops), np.float64, n
-        ),
-        "ceff": np.fromiter(
-            (c.compute_efficiency for c in ops), np.float64, n
-        ),
-        "meff": np.fromiter((c.memory_efficiency for c in ops), np.float64, n),
-        "overhead": np.fromiter((c.overhead_s for c in ops), np.float64, n),
-    }
     if np.any((arr["peak_flops"] <= 0.0) & (arr["flops"] > 0.0)):
         raise ConfigurationError("compute work requires a positive peak FLOP rate")
     if np.any((arr["peak_bytes"] <= 0.0) & (arr["total_bytes"] > 0.0)):
@@ -284,11 +397,10 @@ def _validated_arrays(ops: Sequence[Operation]) -> dict[str, np.ndarray]:
             )
     if np.any(arr["overhead"] < 0.0):
         raise ConfigurationError("overhead must be non-negative")
-    return arr
 
 
 def _roofline_s(arr: dict[str, np.ndarray]) -> np.ndarray:
-    """Per-row roofline time: the elementwise arithmetic of roofline_time()."""
+    """Per-slot roofline time: the elementwise arithmetic of roofline_time()."""
     compute_s = np.zeros(len(arr["flops"]))
     np.divide(
         arr["flops"],
@@ -307,11 +419,9 @@ def _roofline_s(arr: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _stretch_factor(
-    memo: dict[tuple[int, float], float],
-    thermal: ThermalModel,
-    draws: Mapping[PowerComponent, float],
+    memo: dict[tuple[int, float], float], thermal: ThermalModel, requested: float
 ) -> float:
-    """The thermal time stretch of one op under one model, memoized.
+    """The thermal time stretch of one requested draw under one model, memoized.
 
     The very same :class:`ThermalModel` methods the scalar engine calls
     (``**`` stays CPython's pow), keyed on (model, requested draw): the
@@ -319,7 +429,6 @@ def _stretch_factor(
     Multiplying by exactly 1.0 is an IEEE identity, so applying the stretch
     unconditionally matches the scalar branch.
     """
-    requested = sum(draws.values())
     key = (id(thermal), requested)
     factor = memo.get(key)
     if factor is None:
@@ -331,188 +440,429 @@ def _stretch_factor(
     return factor
 
 
-def _apply_noise(
-    durations: np.ndarray,
-    sequences: Sequence[LoweredSequence],
-    order: Sequence[int],
-    rows: "Sequence[int | list[int]]",
-    entries: np.ndarray,
-    spans: np.ndarray,
-    table: Sequence[Operation],
-    default_sigma: float,
-) -> None:
-    """Multiply the batch's noise factors into ``durations``, in place.
+@dataclasses.dataclass(eq=False)
+class _Plan:
+    """One group as the evaluator walks it, in batch-wide slot ids.
 
-    ``durations`` holds the sequences' positions in ``order``; entry ``e``
-    of ``entries`` is the slot of ``spans[e]`` consecutive positions.  Each
-    sequence applies the draw rule to the keys of its active ops (every op
-    is keyed, see :class:`LoweredSequence`), a one-op sequence (an int row)
-    through one ``noise_entropies`` call on its repeated key; an op whose
-    sigma resolves to 0 keeps a factor of exactly 1.0 and is neither hashed
-    nor drawn.  The per-position sigma, active and gain arrays live only
-    inside this call, and only when some slot needs them.
+    ``cell_slots`` (one slot per cell) when every cell repeats one op;
+    otherwise ``rows`` (one slot per position of each distinct row) and
+    ``cell_rows`` (each cell's row).  ``noisy`` when some slot draws.
     """
-    slot_sigmas = [resolve_sigma(default_sigma, op.noise_sigma) for op in table]
-    if not any(slot_sigmas):
-        return
-    keys = [op.noise_key for op in table]
-    per_sequence = []
-    for i in order:
-        row, seed = rows[i], sequences[i].seed
-        if type(row) is not int:
-            active_keys = [keys[slot] for slot in row if slot_sigmas[slot]]
-            if active_keys:
-                per_sequence.append(noise_entropies(seed, active_keys))
-        elif slot_sigmas[row]:
-            repeats = len(sequences[i].ops)
-            per_sequence.append(noise_entropies(seed, [keys[row]] * repeats))
-    states = np.concatenate(per_sequence)
-    del per_sequence
-    sigmas = np.repeat(np.asarray(slot_sigmas)[entries], spans)
-    active = None if all(slot_sigmas) else np.flatnonzero(sigmas)
-    if active is not None:
-        sigmas = sigmas[active]
-    gains = None
-    slot_gains = [op.noise_gain for op in table]
-    if any(gain != 1.0 for gain in slot_gains):
-        gains = np.repeat(np.asarray(slot_gains)[entries], spans)
-        if active is not None:
-            gains = gains[active]
-    factors = lognormal_factors(states, sigmas, gains)
-    if active is None:
-        durations *= factors
+
+    cell_slots: list[int] | None = None
+    rows: "list[list[int] | np.ndarray] | None" = None
+    cell_rows: list[int] | None = None
+    noisy: bool = False
+
+
+class _Table:
+    """The batch's slot table, filled group by group.
+
+    Every :class:`OpColumns` group's arrays come first, in group order,
+    then every row group's distinct op objects: one slot per distinct
+    (op object, group), so an op shared by groups of different thermal
+    models stretches under each.  Per slot it keeps the noise key, the
+    resolved sigma, the gain and the thermal stretch; the roofline
+    parameters are gathered once for the whole batch (:meth:`columns`).
+    """
+
+    def __init__(self, groups: Sequence[LoweredGroup], default_sigma: float) -> None:
+        self.default_sigma = default_sigma
+        self.arrays: dict[str, list] = {name: [] for name in _COLUMNS}
+        self.ops: list[Operation] = []
+        self.keys: list[str] = []
+        self.sigmas: list[float] = []
+        self.gains: list[float] = []
+        self.stretch: list[float] = []
+        self._op_thermals: list[ThermalModel] = []
+        self._memo: dict[tuple[int, float], float] = {}
+        #: id(layout) -> each distinct op's first position
+        self._firsts: dict[int, list[int]] = {}
+        self._columns = 0
+        #: the first row-group slot: every column group's slots precede it
+        self._first_op = sum(
+            len(group.ops.noise_keys)
+            for group in groups
+            if isinstance(group.ops, OpColumns)
+        )
+
+    def plan(self, group: LoweredGroup) -> _Plan:
+        """Add a group's slots; return its layout in table slot ids."""
+        if isinstance(group.ops, OpColumns):
+            return self._plan_columns(group)
+        return self._plan_rows(group)
+
+    def _plan_columns(self, group: LoweredGroup) -> _Plan:
+        columns = group.ops
+        size = len(columns.noise_keys)
+        arrays = self.arrays
+        arrays["flops"].append(_column(columns.flops, size))
+        arrays["total_bytes"].append(
+            _column(np.add(columns.bytes_read, columns.bytes_written), size)
+        )
+        arrays["peak_flops"].append(_column(columns.peak_flops, size))
+        arrays["peak_bytes"].append(_column(columns.peak_bytes_per_s, size))
+        arrays["ceff"].append(_column(columns.compute_efficiency, size))
+        arrays["meff"].append(_column(columns.memory_efficiency, size))
+        arrays["overhead"].append(_column(columns.overhead_s, size))
+        sigma = resolve_sigma(self.default_sigma, columns.noise_sigma)
+        self.keys += columns.noise_keys
+        self.sigmas += [sigma] * size
+        self.gains += [columns.noise_gain] * size
+        draws = columns.power_draws_w
+        thermal = group.thermal
+        memo = self._memo
+        if isinstance(draws, Mapping):
+            self.stretch += [_stretch_factor(memo, thermal, sum(draws.values()))] * size
+        else:
+            self.stretch += [
+                _stretch_factor(memo, thermal, sum(d.values())) for d in draws
+            ]
+        offset = self._columns
+        self._columns += size
+        slots = (
+            range(offset, offset + len(group.seeds))
+            if group.slots is None
+            else (np.asarray(group.slots, dtype=np.intp) + offset).tolist()
+        )
+        return _Plan(cell_slots=list(slots), noisy=sigma != 0.0)
+
+    def _plan_rows(self, group: LoweredGroup) -> _Plan:
+        slot_of: dict[int, int] = {}  # id(op) -> slot, within this group
+        fresh: list[Operation] = []  # the group's distinct ops, in order
+        first = self._first_op + len(self.ops)
+        # the distinct rows, by identity, in first-appearance order
+        row_index: dict[int, int] = {}
+        row_slots: list = []
+        cell_rows: list[int] = []
+        layout = group.layout
+        firsts = None
+        if layout is not None:
+            firsts = self._firsts.get(id(layout))
+            if firsts is None:
+                firsts = np.unique(layout, return_index=True)[1].tolist()
+                self._firsts[id(layout)] = firsts
+        entries = range(len(group.seeds)) if group.slots is None else group.slots
+        for entry in entries:
+            row = group.ops[entry]
+            r = row_index.get(id(row))
+            if r is None:
+                r = row_index[id(row)] = len(row_slots)
+                if firsts is not None:
+                    known = [row[p] for p in firsts]
+                    if not any(id(op) in slot_of for op in known):
+                        # a fresh row of the shared pattern: its distinct
+                        # ops take consecutive slots in pattern order
+                        start = first + len(fresh)
+                        slot_of.update(
+                            zip(map(id, known), range(start, start + len(known)))
+                        )
+                        fresh += known
+                        row_slots.append(layout + start)
+                        cell_rows.append(r)
+                        continue
+                ids = None if _repeats_one_op(row) else list(map(id, row))
+                distinct = {id(row[0]): row[0]} if ids is None else dict(zip(ids, row))
+                if slot_of:
+                    distinct = {
+                        key: op for key, op in distinct.items() if key not in slot_of
+                    }
+                start = first + len(fresh)
+                slot_of.update(zip(distinct, range(start, start + len(distinct))))
+                fresh += distinct.values()
+                row_slots.append(
+                    slot_of[id(row[0])]
+                    if ids is None
+                    else list(map(slot_of.__getitem__, ids))
+                )
+            cell_rows.append(r)
+
+        self.ops += fresh
+        self._op_thermals += [group.thermal] * len(fresh)
+        default_sigma = self.default_sigma
+        noisy = default_sigma != 0.0 and any(
+            resolve_sigma(default_sigma, op.noise_sigma) for op in fresh
+        )
+        if all(type(s) is int for s in row_slots):
+            return _Plan(cell_slots=[row_slots[r] for r in cell_rows], noisy=noisy)
+        # a row that repeats one op becomes a constant row of its slot
+        length = group.length
+        return _Plan(
+            rows=[[s] * length if type(s) is int else s for s in row_slots],
+            cell_rows=cell_rows,
+            noisy=noisy,
+        )
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every slot's roofline parameters; closes the per-slot lists."""
+        ops = self.ops
+        count = len(ops)
+        gathered = {
+            "flops": (op.cost.flops for op in ops),
+            "total_bytes": (op.cost.total_bytes for op in ops),
+            "peak_flops": (op.peak_flops for op in ops),
+            "peak_bytes": (op.peak_bytes_per_s for op in ops),
+            "ceff": (op.compute_efficiency for op in ops),
+            "meff": (op.memory_efficiency for op in ops),
+            "overhead": (op.overhead_s for op in ops),
+        }
+        default_sigma, memo = self.default_sigma, self._memo
+        self.keys += [op.noise_key for op in ops]
+        self.sigmas += (
+            [resolve_sigma(default_sigma, op.noise_sigma) for op in ops]
+            if default_sigma
+            else [0.0] * count
+        )
+        self.gains += [op.noise_gain for op in ops]
+        self.stretch += [
+            _stretch_factor(memo, thermal, sum(op.power_draws_w.values()))
+            for op, thermal in zip(ops, self._op_thermals)
+        ]
+        if not all(self.keys):
+            raise ConfigurationError(
+                "lowered-sequence ops need explicit noise keys "
+                "(content-addressed, never the chip/label fallback)"
+            )
+        return {
+            name: np.concatenate(
+                [*self.arrays[name], np.fromiter(values, np.float64, count)]
+            )
+            for name, values in gathered.items()
+        }
+
+
+def _column(value: Any, size: int) -> np.ndarray:
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), (size,))
+
+
+def _draw_noise(
+    plan: _Plan,
+    seeds: Sequence[int],
+    length: int,
+    block: np.ndarray,
+    keys: Sequence[str],
+    sigmas: np.ndarray,
+    gains: np.ndarray,
+) -> None:
+    """Multiply a group's noise factors into its ``(m, length)`` block.
+
+    The rule of :mod:`repro.sim.noise`, cell by cell: a cell that repeats
+    one op draws counters 0..length-1 of its key; a row's cells draw its
+    active positions' keys in order.  Each cell hashes each of its keys
+    once (:func:`~repro.sim.noise.layout_states`) over a layout computed
+    once per group or row (:func:`~repro.sim.noise.draw_layout`), and the
+    group draws every factor in one :func:`lognormal_factors` call.  An op
+    whose sigma resolves to 0 keeps a factor of exactly 1.0 and is neither
+    hashed nor drawn.  ``keys``, ``sigmas`` and ``gains`` are the batch
+    table's, per slot.
+    """
+    # per piece: its states, sigmas and gains, and where its factors go
+    pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, Any]] = []
+    if plan.cell_slots is not None:
+        slots = np.array(plan.cell_slots, dtype=np.intp)
+        cell_sigmas = sigmas[slots]
+        target: Any = None
+        if not cell_sigmas.all():
+            target = np.flatnonzero(cell_sigmas)
+            if not len(target):
+                return
+            slots, cell_sigmas = slots[target], cell_sigmas[target]
+            seeds = [seeds[i] for i in target.tolist()]
+        cell_keys = [[keys[s]] for s in slots.tolist()]
+        _, index, offsets = draw_layout(cell_keys[0] * length)
+        pieces.append(
+            (
+                layout_states(seeds, cell_keys, index, offsets),
+                np.repeat(cell_sigmas, length),
+                np.repeat(gains[slots], length),
+                target,
+            )
+        )
     else:
-        durations[active] *= factors
+        cell_rows = np.array(plan.cell_rows, dtype=np.intp)
+        for r, row in enumerate(plan.rows):
+            positions = np.array(row, dtype=np.intp)
+            cells = np.flatnonzero(cell_rows == r)
+            position_sigmas = sigmas[positions]
+            active = np.flatnonzero(position_sigmas)
+            if not len(active):
+                continue
+            distinct, index, offsets = draw_layout(
+                [keys[s] for s in positions[active].tolist()]
+            )
+            count = len(cells)
+            pieces.append(
+                (
+                    layout_states(
+                        [seeds[i] for i in cells.tolist()],
+                        [distinct] * count,
+                        index,
+                        offsets,
+                    ),
+                    np.tile(position_sigmas[active], count),
+                    np.tile(gains[positions[active]], count),
+                    np.ix_(cells, active),
+                )
+            )
+    if not pieces:
+        return
+    piece_gains = np.concatenate([piece[2] for piece in pieces])
+    factors = lognormal_factors(
+        np.concatenate([piece[0].ravel() for piece in pieces]),
+        np.concatenate([piece[1] for piece in pieces]),
+        piece_gains if (piece_gains != 1.0).any() else None,
+    )
+    del piece_gains
+    offset = 0
+    for states, _, _, target in pieces:
+        piece = factors[offset : offset + states.size].reshape(states.shape)
+        offset += states.size
+        if target is None:
+            block *= piece
+        else:
+            block[target] *= piece
+
+
+def evaluate_groups(
+    groups: Sequence[LoweredGroup], *, default_sigma: float = 0.015
+) -> list[Sequence[Any]]:
+    """Evaluate a batch of lowered groups in bulk, byte-identical to scalar.
+
+    ``default_sigma`` is the session noise level a fresh machine would have
+    been constructed with; ``0.0`` disables jitter globally, exactly like
+    ``Machine(..., noise_sigma=0.0)``.  Returns, per group, its ``m``
+    result records in cell order.
+
+    Every group's slots join one table (:class:`_Table`), so validation
+    and the roofline run once per batch, over one entry per distinct op of
+    each group, and the thermal stretch once per (group thermal model,
+    requested draw).  Groups of one clock shape then stack their cells
+    into one clock array, filled with their slots' durations in one
+    gather; each noisy group multiplies its noise in (:func:`_draw_noise`),
+    one ``np.cumsum`` runs every clock of the shape, and each group's
+    ``assemble`` reads its start and end blocks.  Without a pre-advance a
+    clock row is ``[0, d1, d2, ...]`` and its column views are the starts
+    and ends; with one it interleaves ``[pre, d1, pre, d2, ...]``.
+    ``add.accumulate`` adds strictly left to right, so every start is the
+    scalar clock's ``clock + pre`` and every end its ``start + d``, in the
+    scalar order.  Each shape's array is released before the next one is
+    built.
+    """
+    if not groups:
+        return []
+    table = _Table(groups, default_sigma)
+    plans = [table.plan(group) for group in groups]
+    columns = table.columns()
+    _validate(columns)
+    base = _roofline_s(columns)
+    del columns
+    base *= np.array(table.stretch)
+    sigmas = np.array(table.sigmas)
+    gains = np.array(table.gains)
+
+    shapes: dict[tuple[int, bool], list[int]] = {}
+    for g, group in enumerate(groups):
+        shapes.setdefault((group.length, group.pre_advance_s != 0.0), []).append(g)
+    results: list[Sequence[Any]] = [()] * len(groups)
+    for (length, pre_advanced), members in shapes.items():
+        counts = [len(groups[g].seeds) for g in members]
+        if pre_advanced:
+            clock = np.empty((sum(counts), 2 * length))
+            clock[:, 0::2] = np.repeat(
+                [groups[g].pre_advance_s for g in members], counts
+            )[:, None]
+            durations = clock[:, 1::2]
+        else:
+            clock = np.empty((sum(counts), length + 1))
+            clock[:, 0] = 0.0
+            durations = clock[:, 1:]
+        # two gathers fill the shape: one slot per cell that repeats one
+        # op (a row cell takes slot 0 there), one slot per position of
+        # every row cell
+        index: list[int] = []
+        row_cells: list[int] = []
+        row_positions: list[list[int]] = []
+        spans: list[tuple[int, int, int]] = []
+        row = 0
+        for g, count in zip(members, counts):
+            plan = plans[g]
+            if plan.rows is None:
+                index += plan.cell_slots
+            else:
+                index += [0] * count
+                row_cells += range(row, row + count)
+                row_positions += [plan.rows[r] for r in plan.cell_rows]
+            spans.append((g, row, row + count))
+            row += count
+        durations[...] = base[index][:, None]
+        if row_cells:
+            durations[row_cells] = base[np.array(row_positions, dtype=np.intp)]
+        del index, row_cells, row_positions
+        for g, lo, hi in spans:
+            if plans[g].noisy:
+                _draw_noise(
+                    plans[g], groups[g].seeds, length, durations[lo:hi],
+                    table.keys, sigmas, gains,
+                )
+        del durations
+        np.cumsum(clock, axis=1, out=clock)
+        for g, lo, hi in spans:
+            if pre_advanced:
+                starts, ends = clock[lo:hi, 0::2], clock[lo:hi, 1::2]
+            else:
+                starts, ends = clock[lo:hi, :-1], clock[lo:hi, 1:]
+            got = groups[g].assemble(starts, ends)
+            if len(got) != hi - lo:
+                raise ConfigurationError(
+                    f"a group of {hi - lo} cells assembled {len(got)} results"
+                )
+            results[g] = got
+        del clock, starts, ends
+    return results
+
+
+def _assemble_each(
+    sequences: Sequence[LoweredSequence], starts: np.ndarray, ends: np.ndarray
+) -> list[Any]:
+    return [
+        sequence.assemble(start_row, end_row)
+        for sequence, start_row, end_row in zip(sequences, starts, ends)
+    ]
 
 
 def evaluate_sequences(
     sequences: Sequence[LoweredSequence], *, default_sigma: float = 0.015
 ) -> list[Any]:
-    """Evaluate a batch of lowered sequences in bulk, byte-identical to scalar.
+    """Evaluate per-cell views in bulk, through :func:`evaluate_groups`.
 
-    ``default_sigma`` is the session noise level a fresh machine would have
-    been constructed with; ``0.0`` disables jitter globally, exactly like
-    ``Machine(..., noise_sigma=0.0)``.
-
-    One pass maps each op object, by identity, to a slot of a table kept in
-    first-appearance order — one slot per distinct (op, sequence thermal
-    model) pair, so an ops tuple shared by sequences with different thermal
-    models still stretches under each model; validation, the roofline and
-    the thermal stretch run once per slot.  A sequence that repeats one op
-    (or equal copies) is one slot with no Python pass over its positions.
-    Noise follows :func:`_apply_noise`, the clock one ``np.cumsum`` per
-    clock shape, and every ``assemble`` receives its ops' exact clock start
+    Sequences that share a thermal model, a length and a pre-advance are
+    the cells of one row group, each its own row (shared ops tuples are
+    walked once); each sequence's ``assemble`` receives its own 1-D start
     and end rows.  Returns one result record per sequence, in input order.
     """
-    if not sequences:
-        return []
-    table: list[Operation] = []
-    table_thermals: list[ThermalModel] = []
-    slot_maps: dict[int, dict[int, int]] = {}  # id(model) -> id(op) -> slot
-    # per sequence: the slot of its one op (an int), or one slot per position
-    rows: list[int | list[int]] = []
-    # the sequences of one clock shape: length, and whether a pre-advance
-    # interleaves
-    groups: dict[tuple[int, bool], list[int]] = {}
+    members: dict[tuple, list[int]] = {}
     for i, sequence in enumerate(sequences):
-        thermal = sequence.thermal
-        slot_of = slot_maps.setdefault(id(thermal), {})
-        ops = sequence.ops
-        if _repeats_one_op(ops):
-            op = ops[0]
-            slot = slot_of.get(id(op))
-            if slot is None:
-                slot = slot_of[id(op)] = len(table)
-                table.append(op)
-                table_thermals.append(thermal)
-            rows.append(slot)
-        else:
-            ids = list(map(id, ops))
-            # the sequence's distinct ops, in first-appearance order
-            for key, op in dict(zip(ids, ops)).items():
-                if key not in slot_of:
-                    slot_of[key] = len(table)
-                    table.append(op)
-                    table_thermals.append(thermal)
-            rows.append(list(map(slot_of.__getitem__, ids)))
-        groups.setdefault((len(ops), sequence.pre_advance_s != 0.0), []).append(i)
-
-    # Roofline and thermal stretch, per slot.
-    base = _roofline_s(_validated_arrays(table))
-    thermal_memo: dict[tuple[int, float], float] = {}
-    base *= np.fromiter(
-        (
-            _stretch_factor(thermal_memo, thermal, op.power_draws_w)
-            for op, thermal in zip(table, table_thermals)
-        ),
-        np.float64,
-        len(table),
-    )
-
-    # Positions are laid out group-major, in input order within a group, so
-    # each group's durations are one reshaped block.  An entry is a slot and
-    # the run of positions it covers (a one-op sequence is one entry), and
-    # per-entry values repeat over their spans: no per-position slot array
-    # is built.
-    order = list(itertools.chain.from_iterable(groups.values()))
-    entries: list[int] = []
-    spans: list[int] = []
-    for i in order:
-        row = rows[i]
-        if type(row) is int:
-            entries.append(row)
-            spans.append(len(sequences[i].ops))
-        else:
-            entries += row
-            spans += [1] * len(row)
-    entry_slots = np.array(entries, dtype=np.intp)
-    entry_spans = np.array(spans, dtype=np.intp)
-    del entries, spans
-    durations = np.repeat(base[entry_slots], entry_spans)
-    _apply_noise(
-        durations, sequences, order, rows, entry_slots, entry_spans, table,
-        default_sigma,
-    )
-
-    # Virtual clock, one cumsum per group.  Without a pre-advance a group's
-    # clock is one (members, L + 1) array [0, d1, d2, ...], whose column
-    # views are the starts and ends; with one it interleaves
-    # [pre, d1, pre, d2, ...].  add.accumulate adds strictly left to right,
-    # so every start is the scalar clock's ``clock + pre`` and every end its
-    # ``start + d``, in the scalar order.  Assembly then runs in input
-    # order, so a batch with several failing cells raises the first one's
-    # error.
-    # two lists of row views, not a tuple per sequence: fewer objects for
-    # the collector to track in a large batch
-    start_rows: list[Any] = [None] * len(sequences)
-    end_rows: list[Any] = [None] * len(sequences)
-    offset = 0
-    for (length, pre_advanced), members in groups.items():
-        m = len(members)
-        block = durations[offset : offset + m * length].reshape(m, length)
-        offset += m * length
-        if pre_advanced:
-            clock = np.empty((m, 2 * length))
-            clock[:, 0::2] = np.fromiter(
-                (sequences[i].pre_advance_s for i in members), np.float64, m
-            )[:, None]
-            clock[:, 1::2] = block
-            np.cumsum(clock, axis=1, out=clock)
-            starts, ends = clock[:, 0::2], clock[:, 1::2]
-        else:
-            clock = np.empty((m, length + 1))
-            clock[:, 0] = 0.0
-            clock[:, 1:] = block
-            np.cumsum(clock, axis=1, out=clock)
-            starts, ends = clock[:, :-1], clock[:, 1:]
-        for i, start_row, end_row in zip(members, starts, ends):
-            start_rows[i] = start_row
-            end_rows[i] = end_row
-    del durations, block  # the clocks hold copies: free the column early
-    return [
-        sequence.assemble(start_row, end_row)
-        for sequence, start_row, end_row in zip(sequences, start_rows, end_rows)
-    ]
+        key = (id(sequence.thermal), len(sequence.ops), sequence.pre_advance_s)
+        members.setdefault(key, []).append(i)
+    groups = []
+    for indices in members.values():
+        cells = [sequences[i] for i in indices]
+        groups.append(
+            LoweredGroup(
+                seeds=[cell.seed for cell in cells],
+                thermal=cells[0].thermal,
+                ops=[cell.ops for cell in cells],
+                length=len(cells[0].ops),
+                assemble=functools.partial(_assemble_each, cells),
+                pre_advance_s=cells[0].pre_advance_s,
+            )
+        )
+    results: list[Any] = [None] * len(sequences)
+    evaluated = evaluate_groups(groups, default_sigma=default_sigma)
+    for indices, got in zip(members.values(), evaluated):
+        for i, result in zip(indices, got):
+            results[i] = result
+    return results
 
 
 # perfbench's replay still imports these two names; no lowering builds a LoweredCell.

@@ -15,8 +15,10 @@ call, with zero edits to the executor, session, envelope, store or CLI.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +33,10 @@ __all__ = [
     "best_elapsed_s",
     "elapsed_ns_from_list",
     "iter_axes",
+    "lowered_cell",
     "modelled_power_metrics",
     "rounded_elapsed_ns",
+    "spec_column",
     "spec_size",
     "spec_variant",
     "variant_grid",
@@ -44,20 +48,46 @@ def best_elapsed_s(result: Any) -> float:
     return min(result.elapsed_ns) * 1e-9
 
 
-def rounded_elapsed_ns(starts: np.ndarray, ends: np.ndarray) -> tuple[int, ...]:
+def rounded_elapsed_ns(starts: np.ndarray, ends: np.ndarray) -> Any:
     """Each clock window's nanoseconds, ``max(1, round((end - start) * 1e9))``.
 
     The shared assembly rule of the repetition-grid workloads (SpMV,
-    stencil, batched GEMM) over a lowered sequence's start and end rows.
-    Every step is the scalar rule's double operation, and ``np.rint``
-    rounds half to even as ``round`` does, so the integers are the ones a
-    per-window Python loop would produce.
+    stencil, batched GEMM), rounding a whole group at once: given a
+    group's ``(m, L)`` start and end blocks it returns one tuple per cell,
+    given one cell's 1-D rows that cell's tuple.  Every step is the scalar
+    rule's double operation, and ``np.rint`` rounds half to even as
+    ``round`` does, so the integers are the ones a per-window Python loop
+    would produce.
     """
     ns = ends - starts
     ns *= 1e9
     np.rint(ns, out=ns)
     np.maximum(ns, 1.0, out=ns)
-    return tuple(ns.astype(np.int64).tolist())
+    windows = ns.astype(np.int64).tolist()
+    return tuple(windows) if ns.ndim == 1 else list(map(tuple, windows))
+
+
+def spec_column(specs: "Sequence[Any]", field: str) -> np.ndarray:
+    """One spec field over a lowered group, as a column of Python numbers.
+
+    The column has ``object`` dtype, so arithmetic on it is the scalar
+    cost model's own Python arithmetic, element by element — exact integer
+    products of any size, then the same int-to-float conversions — and a
+    lowering can write its cost model once, over the whole group.
+    """
+    return np.array(list(map(operator.attrgetter(field), specs)), dtype=object)
+
+
+def lowered_cell(lower_group: Callable, machine: Any, spec: Any) -> Any:
+    """One spec's group-of-one lowering, as its per-cell
+    :class:`~repro.sim.vectorized.LoweredSequence` view.
+
+    The scalar executors run this view on a real machine, so the byte
+    reference and the vectorized backend consume one lowering.
+    """
+    from repro.sim.vectorized import single_sequence
+
+    return single_sequence(lower_group(machine, (spec,)))
 
 
 def spec_variant(spec: Any) -> str:
@@ -234,19 +264,24 @@ class Workload:
         "not available for this cell" (e.g. power metrics on a legacy
         envelope).  Fields the spec or result expose directly need no
         extractor — the frame falls back to attribute access.
-    vectorized_body:
-        Optional lowering hook ``(machine_like, spec) ->``
-        :class:`~repro.sim.vectorized.LoweredSequence` behind the
-        ``vectorized`` execution backend (a repetition grid lowers to
-        ``(op,) * repeats``).  ``machine_like`` is either a real
+    lower_group:
+        Optional lowering hook ``(machine_like, specs) ->``
+        :class:`~repro.sim.vectorized.LoweredGroup` behind the
+        ``vectorized`` and ``sharded`` execution backends.  The backends
+        call it once per group of pending specs that share (kind, chip,
+        numerics config, variant, repeats), so its cells share one clock
+        shape; ``machine_like`` is either a real
         :class:`~repro.sim.machine.Machine` or a
-        :class:`~repro.sim.vectorized.VectorContext`; a workload that
+        :class:`~repro.sim.vectorized.VectorContext`.  A repetition grid
+        gives its op parameters as arrays over the group
+        (:class:`~repro.sim.vectorized.OpColumns`).  A workload that
         declares this hook should implement its scalar ``execute`` as
-        ``run_lowered_sequence(machine, vectorized_body(machine, spec))``
-        so the two paths share one lowering and stay byte-identical by
-        construction.  Every built-in workload declares one and lowers
-        every cell; workloads that leave it ``None`` execute on the scalar
-        engine even inside a vectorized batch — the fallback is per cell.
+        ``run_lowered_sequence(machine, lowered_cell(lower_group, machine,
+        spec))`` — the group of one, on the real machine — so the two paths
+        share one lowering and stay byte-identical by construction.  Every
+        built-in workload declares one and lowers every cell; workloads
+        that leave it ``None`` execute on the scalar engine even inside a
+        vectorized batch — the fallback is per cell.
     """
 
     kind: str
@@ -263,7 +298,7 @@ class Workload:
     summary_line: Callable[["ExperimentSpec", Any], str]
     impl_keys: tuple[str, ...] = ()
     sample_variants: Callable[[int, int], tuple] | None = None
-    vectorized_body: "Callable[[Any, ExperimentSpec], Any] | None" = None
+    lower_group: "Callable[[Any, Sequence[ExperimentSpec]], Any] | None" = None
     metrics: Mapping[str, Callable[["ExperimentSpec", Any], Any]] = (
         dataclasses.field(default_factory=dict)
     )
@@ -276,6 +311,19 @@ class Workload:
                 f"workload kind {self.kind!r} does not match its spec class "
                 f"tag {getattr(self.spec_cls, 'kind', None)!r}"
             )
+
+    @property
+    def vectorized_body(self) -> "Callable[[Any, ExperimentSpec], Any] | None":
+        """The per-cell view of :attr:`lower_group`, ``(machine_like, spec)
+        -> LoweredSequence`` (:func:`lowered_cell`), or ``None``.
+
+        One spec lowered as a group of one: what the scalar executors run,
+        and the surface per-cell tools (the benchmark's traced replay, op
+        counts) read.  It is a view, not a second lowering.
+        """
+        if self.lower_group is None:
+            return None
+        return functools.partial(lowered_cell, self.lower_group)
 
     @property
     def result_tag(self) -> str:

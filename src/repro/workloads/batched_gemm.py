@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,18 +34,24 @@ from repro.core.results import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
-from repro.sim.engine import EngineKind, Operation
+from repro.sim.engine import EngineKind
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredSequence, effective_draw_w, run_lowered_sequence
+from repro.sim.vectorized import (
+    LoweredGroup,
+    OpColumns,
+    effective_draw_w,
+    run_lowered_sequence,
+)
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
     elapsed_ns_from_list,
     iter_axes,
+    lowered_cell,
     modelled_power_metrics,
     rounded_elapsed_ns,
+    spec_column,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -54,7 +60,7 @@ __all__ = [
     "BATCHED_GEMM_IMPL_KEYS",
     "BatchedGemmSpec",
     "BatchedGemmResult",
-    "lower_batched_gemm_spec",
+    "lower_batched_gemm_group",
     "run_batched_gemm_spec",
     "BATCHED_GEMM_WORKLOAD",
 ]
@@ -194,17 +200,6 @@ class BatchedGemmResult:
         return min(1.0, self.overhead_s * 1e9 / self.best_elapsed_ns)
 
 
-def _batch_cost(spec: BatchedGemmSpec) -> OpCost:
-    """Roofline cost of one repetition: the whole batch's FLOPs and traffic."""
-    n = spec.n
-    matrix_bytes = float(_ELEMENT_BYTES * n * n)
-    return OpCost(
-        flops=float(spec.batch * n * n * (2 * n - 1)),
-        bytes_read=spec.batch * 2.0 * matrix_bytes * _TRAFFIC_READ_FACTOR,
-        bytes_written=spec.batch * matrix_bytes,
-    )
-
-
 def _numerics_verified(spec: BatchedGemmSpec) -> bool:
     """Multiply a capped seeded sub-batch two ways and compare."""
     n = min(spec.n, _NUMERICS_MAX_N)
@@ -217,61 +212,94 @@ def _numerics_verified(spec: BatchedGemmSpec) -> bool:
     )
 
 
-def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredSequence:
-    """Lower one batched-GEMM cell to its repetition grid.
+def lower_batched_gemm_group(
+    machine, specs: Sequence[BatchedGemmSpec]
+) -> LoweredGroup:
+    """Lower batched-GEMM cells of one (chip, variant, repeats) group.
 
-    ``machine`` is a :class:`~repro.sim.machine.Machine` or a
+    Matrix sizes and batch counts are columns over the group: a
+    repetition's FLOPs and traffic are the whole batch's, its dispatch
+    overhead the variant's setup plus a per-matrix cost, and its draw the
+    GEMM draw at the matrix size.  ``machine`` is a
+    :class:`~repro.sim.machine.Machine` or a
     :class:`~repro.sim.vectorized.VectorContext`; both the scalar executor
-    and the vectorized backend evaluate this one lowering.
+    (a group of one) and the vectorized backend evaluate this one lowering.
     """
-    impl = _IMPLS[spec.impl_key]
+    impl_key, repeats = specs[0].impl_key, specs[0].repeats
+    impl = _IMPLS[impl_key]
     chip = machine.chip
-    cost = _batch_cost(spec)
-    overhead = (
-        impl.setup_overhead_s + impl.per_matrix_overhead_s * spec.batch
+    n = spec_column(specs, "n")
+    batch = spec_column(specs, "batch")
+    matrix_bytes = (_ELEMENT_BYTES * n * n).astype(np.float64)
+    flops = (batch * n * n * (2 * n - 1)).astype(np.float64)
+    bytes_read = (batch * 2.0 * matrix_bytes * _TRAFFIC_READ_FACTOR).astype(np.float64)
+    bytes_written = (batch * matrix_bytes).astype(np.float64)
+    overhead = (impl.setup_overhead_s + impl.per_matrix_overhead_s * batch).astype(
+        np.float64
     )
-    efficiency = impl.peak_efficiency * spec.n / (spec.n + impl.n_half)
+    efficiency = (impl.peak_efficiency * n / (n + impl.n_half)).astype(np.float64)
 
-    verified: bool | None = None
+    verified: list = [None] * len(specs)
     if machine.numerics.policy is not NumericsPolicy.MODEL_ONLY:
-        verified = _numerics_verified(spec)
+        verified = [_numerics_verified(spec) for spec in specs]
 
-    draws = gemm_power_draws(chip, impl.power_impl_key, spec.n)
-    power_w = effective_draw_w(machine.thermal, draws)
-
-    def assemble(starts, ends) -> BatchedGemmResult:
-        return BatchedGemmResult(
-            chip_name=chip.name,
-            impl_key=spec.impl_key,
-            n=spec.n,
-            batch=spec.batch,
-            flop_count=int(cost.flops),
-            overhead_s=overhead,
-            elapsed_ns=rounded_elapsed_ns(starts, ends),
-            verified=verified,
-            power_w=power_w,
-        )
-
-    op = Operation(
-        engine=impl.engine,
-        label=f"batched-gemm/{spec.impl_key}/n={spec.n}/b={spec.batch}",
-        cost=cost,
-        peak_flops=machine.peak_flops(impl.engine),
-        peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
-        compute_efficiency=efficiency,
-        memory_efficiency=_MEMORY_EFFICIENCY[impl.engine],
-        overhead_s=overhead,
-        power_draws_w=draws,
-        noise_key=(
-            f"batched-gemm/{chip.name}/{spec.impl_key}/n={spec.n}/b={spec.batch}"
-        ),
-        noise_sigma=_NOISE_SIGMA,
+    # one draws mapping (and modelled draw) per distinct matrix size
+    sizes = n.tolist()
+    by_size = {
+        size: gemm_power_draws(chip, impl.power_impl_key, size)
+        for size in dict.fromkeys(sizes)
+    }
+    power = {
+        size: effective_draw_w(machine.thermal, draws)
+        for size, draws in by_size.items()
+    }
+    chip_name = chip.name
+    cells = list(
+        zip(sizes, batch.tolist(), flops.tolist(), overhead.tolist(), verified)
     )
 
-    return LoweredSequence(
-        seed=spec.seed,
+    def assemble(starts, ends) -> list[BatchedGemmResult]:
+        return [
+            BatchedGemmResult(
+                chip_name=chip_name,
+                impl_key=impl_key,
+                n=size,
+                batch=count,
+                flop_count=int(work),
+                overhead_s=dispatch_s,
+                elapsed_ns=elapsed_ns,
+                verified=checked,
+                power_w=power[size],
+            )
+            for (size, count, work, dispatch_s, checked), elapsed_ns in zip(
+                cells, rounded_elapsed_ns(starts, ends)
+            )
+        ]
+
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
         thermal=machine.thermal,
-        ops=(op,) * spec.repeats,
+        ops=OpColumns(
+            engine=impl.engine,
+            label=lambda slot: (
+                f"batched-gemm/{impl_key}/n={specs[slot].n}/b={specs[slot].batch}"
+            ),
+            noise_keys=[
+                f"batched-gemm/{chip_name}/{impl_key}/n={spec.n}/b={spec.batch}"
+                for spec in specs
+            ],
+            flops=flops,
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
+            peak_flops=machine.peak_flops(impl.engine),
+            peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
+            compute_efficiency=efficiency,
+            memory_efficiency=_MEMORY_EFFICIENCY[impl.engine],
+            overhead_s=overhead,
+            power_draws_w=[by_size[size] for size in sizes],
+            noise_sigma=_NOISE_SIGMA,
+        ),
+        length=repeats,
         assemble=assemble,
     )
 
@@ -279,8 +307,10 @@ def lower_batched_gemm_spec(machine, spec: BatchedGemmSpec) -> LoweredSequence:
 def run_batched_gemm_spec(
     machine: Machine, spec: BatchedGemmSpec
 ) -> BatchedGemmResult:
-    """Execute one batched-GEMM cell on ``machine``."""
-    return run_lowered_sequence(machine, lower_batched_gemm_spec(machine, spec))
+    """Execute one batched-GEMM cell on ``machine`` (its group-of-one lowering)."""
+    return run_lowered_sequence(
+        machine, lowered_cell(lower_batched_gemm_group, machine, spec)
+    )
 
 
 def _result_to_dict(result: BatchedGemmResult) -> dict[str, Any]:
@@ -375,7 +405,7 @@ BATCHED_GEMM_WORKLOAD: Workload = register_workload(
         ),
         impl_keys=BATCHED_GEMM_IMPL_KEYS,
         sample_variants=_sample_variants,
-        vectorized_body=lower_batched_gemm_spec,
+        lower_group=lower_batched_gemm_group,
         metrics={
             "gflops": lambda spec, r: r.best_gflops,
             "mean_gflops": lambda spec, r: r.mean_gflops,

@@ -10,9 +10,9 @@ rendering — and registers them under ``kind="gemm"``.
 Timing never depends on the numbers, so every Table-2 implementation
 executes exactly one
 :func:`~repro.calibration.gemm.gemm_dispatch_operation` per repetition,
-and :func:`lower_gemm_spec` — the one definition of a cell's timing, under
-every numerics profile — repeats that same operation in a
-:class:`~repro.sim.vectorized.LoweredSequence` (chrono-truncated
+and :func:`lower_gemm_group` — the one definition of a cell's timing, under
+every numerics profile — gives each cell a row repeating that same
+operation in a :class:`~repro.sim.vectorized.LoweredGroup` (chrono-truncated
 nanoseconds per repetition window, identical
 :class:`~repro.errors.UnsupportedProblemError` for excluded cells).  The
 ``verified`` flag comes from a separate check that runs the real Table-2
@@ -22,7 +22,9 @@ kernel reads (DESIGN.md §7).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.calibration import paper
 from repro.calibration.gemm import gemm_dispatch_operation
@@ -36,7 +38,7 @@ from repro.experiments.specs import GemmSpec, SweepSpec
 from repro.sim.engine import Operation
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.vectorized import LoweredSequence
+from repro.sim.vectorized import LoweredGroup
 from repro.soc.catalog import chip_memo
 from repro.units import NS_PER_S
 from repro.workloads.base import (
@@ -53,7 +55,8 @@ __all__ = [
     "gemm_result_to_dict",
     "gemm_result_from_dict",
     "gemm_repetition_ops",
-    "lower_gemm_spec",
+    "gemm_rows",
+    "lower_gemm_group",
 ]
 
 
@@ -162,54 +165,94 @@ def _numerics_verified(machine, impl: GemmImplementation, spec) -> bool:
     return _VERIFIED[key]
 
 
-def lower_gemm_spec(machine, spec: GemmSpec) -> LoweredSequence:
-    """Lower one Figure-2 cell to its operation sequence.
+def gemm_rows(machine, impl: GemmImplementation, specs: Sequence) -> tuple[list, list]:
+    """The distinct repetition-op rows of same-(chip, impl, repeats) cells.
 
+    Returns one memoized :func:`gemm_repetition_ops` tuple per distinct size
+    and each cell's row index.  Unsupported sizes raise the same
+    :class:`UnsupportedProblemError` the Table-2 classes raise.
+    """
+    repeats = specs[0].repeats
+    index: dict[int, int] = {}
+    rows: list = []
+    for spec in specs:
+        if spec.n not in index:
+            if not impl.supports(machine, spec.n):
+                raise UnsupportedProblemError(
+                    f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
+                )
+            index[spec.n] = len(rows)
+            rows.append(gemm_repetition_ops(machine.chip, impl.key, spec.n, repeats))
+    return rows, [index[spec.n] for spec in specs]
+
+
+def _truncated_ns(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, ...]]:
+    """``measure_ns``'s windows over ``(m, L)`` blocks, one tuple per cell.
+
+    ``measure_ns`` brackets each repetition with ``int(now * NS_PER_S)``
+    reads of the cumulative clock — truncation, not rounding — and
+    subtracts the two readings as Python ints, which no clock reading can
+    overflow.
+    """
+    return [
+        tuple(
+            int(end * NS_PER_S) - int(start * NS_PER_S)
+            for start, end in zip(start_row, end_row)
+        )
+        for start_row, end_row in zip(starts.tolist(), ends.tolist())
+    ]
+
+
+def lower_gemm_group(machine, specs: Sequence[GemmSpec]) -> LoweredGroup:
+    """Lower Figure-2 cells of one (chip, implementation, repeats) group.
+
+    Each cell repeats the one memoized dispatch op of its size.
     ``machine`` is a :class:`~repro.sim.machine.Machine` or a
-    :class:`~repro.sim.vectorized.VectorContext`; the scalar executor and
-    the vectorized backend both evaluate this one lowering, whatever the
-    numerics profile.  Unsupported cells raise the same
-    :class:`UnsupportedProblemError` the Table-2 classes raise.  The cell
-    verifies when ``spec.verify`` says so, else whenever numerics run
+    :class:`~repro.sim.vectorized.VectorContext`; the scalar executor (a
+    group of one) and the vectorized backend both evaluate this one
+    lowering, whatever the numerics profile.  A cell verifies when
+    ``spec.verify`` says so, else whenever numerics run
     (:func:`_numerics_verified`).
     """
-    impl = get_implementation(spec.impl_key)
-    if not impl.supports(machine, spec.n):
-        raise UnsupportedProblemError(
-            f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
+    impl = get_implementation(specs[0].impl_key)
+    rows, slots = gemm_rows(machine, impl, specs)
+    numerics = machine.numerics
+    verified = [
+        _numerics_verified(machine, impl, spec)
+        if (
+            spec.verify
+            if spec.verify is not None
+            else numerics.effective_policy(spec.n) is not NumericsPolicy.MODEL_ONLY
         )
-    want_verify = (
-        spec.verify
-        if spec.verify is not None
-        else machine.numerics.effective_policy(spec.n)
-        is not NumericsPolicy.MODEL_ONLY
-    )
-    verified = _numerics_verified(machine, impl, spec) if want_verify else None
-    ops = gemm_repetition_ops(machine.chip, impl.key, spec.n, spec.repeats)
-
+        else None
+        for spec in specs
+    ]
     impl_key = impl.key
     chip_name = machine.chip.name
-    n = spec.n
-    flop_count = paper.gemm_flop_count(spec.n)
+    sizes = [spec.n for spec in specs]
 
-    def assemble(starts, ends) -> GemmResult:
-        # measure_ns brackets each repetition with int(now * NS_PER_S)
-        # reads of the cumulative clock — truncation, not rounding, on
-        # Python ints, which no clock reading can overflow.
-        return GemmResult(
-            impl_key=impl_key,
-            chip_name=chip_name,
-            n=n,
-            flop_count=flop_count,
-            elapsed_ns=tuple(
-                int(end * NS_PER_S) - int(start * NS_PER_S)
-                for start, end in zip(starts.tolist(), ends.tolist())
-            ),
-            verified=verified,
-        )
+    def assemble(starts, ends) -> list[GemmResult]:
+        return [
+            GemmResult(
+                impl_key=impl_key,
+                chip_name=chip_name,
+                n=n,
+                flop_count=paper.gemm_flop_count(n),
+                elapsed_ns=elapsed_ns,
+                verified=checked,
+            )
+            for n, checked, elapsed_ns in zip(
+                sizes, verified, _truncated_ns(starts, ends)
+            )
+        ]
 
-    return LoweredSequence(
-        seed=spec.seed, thermal=machine.thermal, ops=ops, assemble=assemble
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
+        thermal=machine.thermal,
+        ops=rows,
+        length=specs[0].repeats,
+        assemble=assemble,
+        slots=slots,
     )
 
 
@@ -271,7 +314,7 @@ GEMM_WORKLOAD: Workload = register_workload(
         ),
         impl_keys=paper_implementation_keys(),
         sample_variants=_sample_variants,
-        vectorized_body=lower_gemm_spec,
+        lower_group=lower_gemm_group,
         metrics={
             "gflops": lambda spec, r: r.best_gflops,
             "mean_gflops": lambda spec, r: r.mean_gflops,

@@ -6,24 +6,24 @@ stay in :mod:`repro.experiments` — plus the standalone codec for the nested
 their own ``type="power"`` tag.  The piggybacked powermetrics protocol
 reduces to a closed form — one warm-up sleep plus one calibrated operation
 per repetition, with both power rails averaged over exactly the
-operation's own window — so :func:`lower_powered_gemm_spec` replays it as a
-:class:`~repro.sim.vectorized.LoweredSequence` holding plain GEMM's own
-repetition ops behind a per-op warm-up, including the tool's
+operation's own window — so :func:`lower_powered_gemm_group` replays it as
+a :class:`~repro.sim.vectorized.LoweredGroup` holding plain GEMM's own
+repetition rows behind a per-op warm-up, including the tool's
 ``%.0f``/``%.2f`` render-then-parse rounding, under every numerics profile.
 The result carries no ``verified`` flag, so no numerics run at all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.calibration import paper
 from repro.core.gemm.registry import get_implementation, paper_implementation_keys
 from repro.core.results import GemmResult, PoweredGemmResult, PowerMeasurement
-from repro.errors import ProtocolError, UnsupportedProblemError
+from repro.errors import ProtocolError
 from repro.experiments.executor import run_powered_gemm_spec
 from repro.experiments.specs import PoweredGemmSpec, SweepSpec
-from repro.sim.vectorized import LoweredSequence
+from repro.sim.vectorized import LoweredGroup
 from repro.soc.power import PowerComponent
 from repro.workloads.base import (
     Workload,
@@ -33,9 +33,9 @@ from repro.workloads.base import (
 )
 from repro.workloads.gemm import (
     cell_is_supported,
-    gemm_repetition_ops,
     gemm_result_from_dict,
     gemm_result_to_dict,
+    gemm_rows,
 )
 from repro.workloads.registry import register_result_codec, register_workload
 
@@ -43,7 +43,7 @@ __all__ = [
     "POWERED_GEMM_WORKLOAD",
     "power_measurement_to_dict",
     "power_measurement_from_dict",
-    "lower_powered_gemm_spec",
+    "lower_powered_gemm_group",
 ]
 
 
@@ -96,29 +96,14 @@ def _powered_from_dict(data: Mapping[str, Any]) -> PoweredGemmResult:
 # floats round through the tool's ``%.0f``/``%.2f`` text identically.
 
 
-def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
-    """Lower one Figure-3/4 cell to its protocol sequence.
+def _rails_mw(machine, ops) -> tuple[float, float]:
+    """The (CPU, GPU) rail draws (W) the recorder holds while ``ops[0]`` runs.
 
-    The one definition of the cell's timing and power, evaluated by the
-    scalar executor and the vectorized backend alike under every numerics
-    profile.  Unsupported cells raise the same
-    :class:`UnsupportedProblemError` the Table-2 classes raise.
+    The recorder stores the *clamped* draw; this replicates
+    ``machine.execute``'s clamping (same summation order — the draws
+    mapping is shared), and an inactive rail reads its idle floor.
     """
-    impl = get_implementation(spec.impl_key)
-    if not impl.supports(machine, spec.n):
-        raise UnsupportedProblemError(
-            f"{impl.key} does not execute n={spec.n} on {machine.chip.name}"
-        )
-    ops = gemm_repetition_ops(machine.chip, impl.key, spec.n, spec.repeats)
-
-    impl_key = impl.key
-    chip_name = machine.chip.name
-    n = spec.n
-    flop_count = paper.gemm_flop_count(spec.n)
     envelope = machine.envelope
-
-    # The recorder stores the *clamped* draw; replicate machine.execute's
-    # clamping (same summation order — the draws mapping is shared).
     draws = ops[0].power_draws_w
     requested = sum(draws.values())
     clamp = machine.thermal.clamp_factor(requested)
@@ -126,46 +111,69 @@ def lower_powered_gemm_spec(machine, spec: PoweredGemmSpec) -> LoweredSequence:
         recorded = {comp: watts * clamp for comp, watts in draws.items()}
     else:
         recorded = dict(draws)
-    cpu_rail = recorded.get(
-        PowerComponent.CPU, envelope.idle_watts(PowerComponent.CPU)
-    )
-    gpu_rail = recorded.get(
-        PowerComponent.GPU, envelope.idle_watts(PowerComponent.GPU)
+    return (
+        recorded.get(PowerComponent.CPU, envelope.idle_watts(PowerComponent.CPU)),
+        recorded.get(PowerComponent.GPU, envelope.idle_watts(PowerComponent.GPU)),
     )
 
-    def assemble(starts, ends) -> PoweredGemmResult:
-        measurements = []
+
+def lower_powered_gemm_group(machine, specs: Sequence[PoweredGemmSpec]) -> LoweredGroup:
+    """Lower Figure-3/4 cells of one (chip, implementation, repeats) group.
+
+    The one definition of a cell's timing and power, evaluated by the
+    scalar executor (a group of one) and the vectorized backend alike
+    under every numerics profile: each cell holds plain GEMM's memoized
+    repetition row of its size behind the per-op warm-up.  Unsupported
+    cells raise the same :class:`~repro.errors.UnsupportedProblemError`
+    the Table-2 classes raise.
+    """
+    impl = get_implementation(specs[0].impl_key)
+    rows, slots = gemm_rows(machine, impl, specs)
+    rails = [_rails_mw(machine, row) for row in rows]
+    impl_key = impl.key
+    chip_name = machine.chip.name
+
+    def assemble(starts, ends) -> list[PoweredGemmResult]:
+        results = []
         # the tool formats Python floats: one tolist() of the windows
-        for window in (ends - starts).tolist():
-            elapsed_ms = float(f"{window * 1e3:.2f}")
-            if elapsed_ms <= 0.0:
-                raise ProtocolError(
-                    "measurement window is empty — the workload consumed no "
-                    "simulated time"
+        for spec, slot, windows in zip(specs, slots, (ends - starts).tolist()):
+            cpu_rail, gpu_rail = rails[slot]
+            measurements = []
+            for window in windows:
+                elapsed_ms = float(f"{window * 1e3:.2f}")
+                if elapsed_ms <= 0.0:
+                    raise ProtocolError(
+                        "measurement window is empty — the workload consumed "
+                        "no simulated time"
+                    )
+                cpu_mw = float(f"{window * cpu_rail / window * 1e3:.0f}")
+                gpu_mw = float(f"{window * gpu_rail / window * 1e3:.0f}")
+                measurements.append(
+                    PowerMeasurement(
+                        cpu_mw=cpu_mw, gpu_mw=gpu_mw, elapsed_ms=elapsed_ms
+                    )
                 )
-            cpu_mw = float(f"{window * cpu_rail / window * 1e3:.0f}")
-            gpu_mw = float(f"{window * gpu_rail / window * 1e3:.0f}")
-            measurements.append(
-                PowerMeasurement(
-                    cpu_mw=cpu_mw, gpu_mw=gpu_mw, elapsed_ms=elapsed_ms
-                )
+            gemm = GemmResult(
+                impl_key=impl_key,
+                chip_name=chip_name,
+                n=spec.n,
+                flop_count=paper.gemm_flop_count(spec.n),
+                elapsed_ns=tuple(
+                    max(1, int(m.elapsed_ms * 1e6)) for m in measurements
+                ),
             )
-        gemm = GemmResult(
-            impl_key=impl_key,
-            chip_name=chip_name,
-            n=n,
-            flop_count=flop_count,
-            elapsed_ns=tuple(
-                max(1, int(m.elapsed_ms * 1e6)) for m in measurements
-            ),
-        )
-        return PoweredGemmResult(gemm=gemm, measurements=tuple(measurements))
+            results.append(
+                PoweredGemmResult(gemm=gemm, measurements=tuple(measurements))
+            )
+        return results
 
-    return LoweredSequence(
-        seed=spec.seed,
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
         thermal=machine.thermal,
-        ops=ops,
+        ops=rows,
+        length=specs[0].repeats,
         assemble=assemble,
+        slots=slots,
         pre_advance_s=paper.POWERMETRICS_WARMUP_S,
     )
 
@@ -232,7 +240,7 @@ POWERED_GEMM_WORKLOAD: Workload = register_workload(
         ),
         impl_keys=paper_implementation_keys(),
         sample_variants=_sample_variants,
-        vectorized_body=lower_powered_gemm_spec,
+        lower_group=lower_powered_gemm_group,
         metrics={
             # The measured draw (section-3.3 protocol) backs the power
             # metrics here; the modelled workloads derive theirs from the

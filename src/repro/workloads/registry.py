@@ -5,7 +5,7 @@ through.  It holds two tables:
 
 * the **workload table**, keyed by ``kind`` and by spec class — consulted by
   spec deserialization, sweep expansion, the executor, the vectorized
-  backend (which reads each workload's optional ``vectorized_body`` lowering
+  backend (which reads each workload's optional ``lower_group`` lowering
   hook and falls back to scalar execution when it is ``None``) and the CLI;
 * the **result-codec table**, keyed by result ``type`` tag and by result
   class — consulted by the envelope layer.  Workload registration populates

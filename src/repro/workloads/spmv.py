@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,18 +36,24 @@ from repro.core.results import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
-from repro.sim.engine import EngineKind, Operation
+from repro.sim.engine import EngineKind
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredSequence, effective_draw_w, run_lowered_sequence
+from repro.sim.vectorized import (
+    LoweredGroup,
+    OpColumns,
+    effective_draw_w,
+    run_lowered_sequence,
+)
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
     elapsed_ns_from_list,
     iter_axes,
+    lowered_cell,
     modelled_power_metrics,
     rounded_elapsed_ns,
+    spec_column,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -55,7 +61,7 @@ from repro.workloads.registry import register_workload
 __all__ = [
     "SpmvSpec",
     "SpmvResult",
-    "lower_spmv_spec",
+    "lower_spmv_group",
     "run_spmv_spec",
     "SPMV_WORKLOAD",
 ]
@@ -161,28 +167,15 @@ class SpmvResult:
         return self.flop_count / self.bytes_moved
 
 
-def _traffic_bytes(n: int, nnz: int) -> tuple[float, float]:
-    """(bytes_read, bytes_written) of one CSR SpMV pass."""
-    reads = (
-        nnz * (_VALUE_BYTES + _INDEX_BYTES)  # values + column indices
-        + (n + 1) * _INDEX_BYTES  # row pointer
-        + n * _VALUE_BYTES  # x, one streaming pass (gather cost is in eff.)
-    )
-    writes = n * _VALUE_BYTES  # y
-    return float(reads), float(writes)
-
-
-def _link_efficiency(machine: Machine, spec: SpmvSpec) -> float:
-    """Effective fraction of peak bandwidth: STREAM link x gather penalty."""
-    calibration = stream_calibration(machine.chip)
+def _link_fraction(chip, target: str) -> float:
+    """The STREAM link's fraction of the theoretical peak on one target."""
+    calibration = stream_calibration(chip)
     target_gbs = (
         calibration.cpu_target("triad")
-        if spec.target == "cpu"
+        if target == "cpu"
         else calibration.gpu_target("triad")
     )
-    link = min(1.0, target_gbs / machine.chip.memory.bandwidth_gbs)
-    gather = spec.nnz_per_row / (spec.nnz_per_row + _GATHER_HALF_NNZ)
-    return link * gather
+    return min(1.0, target_gbs / chip.memory.bandwidth_gbs)
 
 
 def _numerics_verified(spec: SpmvSpec) -> bool:
@@ -208,71 +201,101 @@ def _numerics_verified(spec: SpmvSpec) -> bool:
     return bool(np.allclose(y, dense @ x, rtol=1e-10, atol=1e-12))
 
 
-def lower_spmv_spec(machine, spec: SpmvSpec) -> LoweredSequence:
-    """Lower one SpMV cell to its repetition grid (the shared cost model).
+def lower_spmv_group(machine, specs: Sequence[SpmvSpec]) -> LoweredGroup:
+    """Lower SpMV cells of one (chip, target, repeats) group (the cost model).
 
-    ``machine`` is a :class:`~repro.sim.machine.Machine` or a
+    Sizes and row densities are columns over the group, so the CSR traffic,
+    FLOPs and gather-degraded link efficiency are computed once for all of
+    its cells, each repeating its one op.  ``machine`` is a
+    :class:`~repro.sim.machine.Machine` or a
     :class:`~repro.sim.vectorized.VectorContext`; both the scalar executor
-    and the vectorized backend evaluate this one lowering.
+    (a group of one) and the vectorized backend evaluate this one lowering.
     """
     chip = machine.chip
-    nnz = spec.n * spec.nnz_per_row
-    bytes_read, bytes_written = _traffic_bytes(spec.n, nnz)
-    flops = 2.0 * nnz  # one multiply + one add per nonzero
-    engine = EngineKind.CPU_SIMD if spec.target == "cpu" else EngineKind.GPU
-    overhead = _CPU_OVERHEAD_S if spec.target == "cpu" else _GPU_OVERHEAD_S
-    memory_efficiency = _link_efficiency(machine, spec)
+    target, repeats = specs[0].target, specs[0].repeats
+    n = spec_column(specs, "n")
+    per_row = spec_column(specs, "nnz_per_row")
+    nnz = n * per_row
+    # one CSR pass: values + column indices, the row pointer, one streaming
+    # pass over x (the gather cost is in the efficiency), then y
+    bytes_read = (
+        nnz * (_VALUE_BYTES + _INDEX_BYTES)
+        + (n + 1) * _INDEX_BYTES
+        + n * _VALUE_BYTES
+    ).astype(np.float64)
+    bytes_written = (n * _VALUE_BYTES).astype(np.float64)
+    flops = (2.0 * nnz).astype(np.float64)  # one multiply + one add per nonzero
+    # the STREAM link, degraded by a gather penalty amortised by row density
+    gather = per_row / (per_row + _GATHER_HALF_NNZ)
+    memory_efficiency = (_link_fraction(chip, target) * gather).astype(np.float64)
+    engine = EngineKind.CPU_SIMD if target == "cpu" else EngineKind.GPU
 
-    verified: bool | None = None
+    verified: list = [None] * len(specs)
     if machine.numerics.policy is not NumericsPolicy.MODEL_ONLY:
-        verified = _numerics_verified(spec)
+        verified = [_numerics_verified(spec) for spec in specs]
 
-    draws = stream_power_draws(chip, spec.target)
+    draws = stream_power_draws(chip, target)
     power_w = effective_draw_w(machine.thermal, draws)
-
-    def assemble(starts, ends) -> SpmvResult:
-        return SpmvResult(
-            chip_name=chip.name,
-            target=spec.target,
-            n=spec.n,
-            nnz=nnz,
-            flop_count=int(flops),
-            bytes_moved=bytes_read + bytes_written,
-            theoretical_gbs=chip.memory.bandwidth_gbs,
-            elapsed_ns=rounded_elapsed_ns(starts, ends),
-            verified=verified,
-            power_w=power_w,
+    chip_name = chip.name
+    theoretical = chip.memory.bandwidth_gbs
+    cells = list(
+        zip(
+            n.tolist(),
+            nnz.tolist(),
+            flops.tolist(),
+            (bytes_read + bytes_written).tolist(),
+            verified,
         )
-
-    op = Operation(
-        engine=engine,
-        label=f"spmv/{spec.target}/n={spec.n}",
-        cost=OpCost(
-            flops=flops, bytes_read=bytes_read, bytes_written=bytes_written
-        ),
-        peak_flops=machine.peak_flops(engine),
-        peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
-        compute_efficiency=1.0,
-        memory_efficiency=memory_efficiency,
-        overhead_s=overhead,
-        power_draws_w=draws,
-        noise_key=(
-            f"spmv/{chip.name}/{spec.target}/n={spec.n}/k={spec.nnz_per_row}"
-        ),
-        noise_sigma=STREAM_NOISE_SIGMA,
     )
 
-    return LoweredSequence(
-        seed=spec.seed,
+    def assemble(starts, ends) -> list[SpmvResult]:
+        return [
+            SpmvResult(
+                chip_name=chip_name,
+                target=target,
+                n=rows,
+                nnz=nonzeros,
+                flop_count=int(work),
+                bytes_moved=moved,
+                theoretical_gbs=theoretical,
+                elapsed_ns=elapsed_ns,
+                verified=checked,
+                power_w=power_w,
+            )
+            for (rows, nonzeros, work, moved, checked), elapsed_ns in zip(
+                cells, rounded_elapsed_ns(starts, ends)
+            )
+        ]
+
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
         thermal=machine.thermal,
-        ops=(op,) * spec.repeats,
+        ops=OpColumns(
+            engine=engine,
+            label=lambda slot: f"spmv/{target}/n={specs[slot].n}",
+            noise_keys=[
+                f"spmv/{chip_name}/{target}/n={spec.n}/k={spec.nnz_per_row}"
+                for spec in specs
+            ],
+            flops=flops,
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
+            peak_flops=machine.peak_flops(engine),
+            peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
+            compute_efficiency=1.0,
+            memory_efficiency=memory_efficiency,
+            overhead_s=_CPU_OVERHEAD_S if target == "cpu" else _GPU_OVERHEAD_S,
+            power_draws_w=draws,
+            noise_sigma=STREAM_NOISE_SIGMA,
+        ),
+        length=repeats,
         assemble=assemble,
     )
 
 
 def run_spmv_spec(machine: Machine, spec: SpmvSpec) -> SpmvResult:
-    """Execute one SpMV cell on ``machine``."""
-    return run_lowered_sequence(machine, lower_spmv_spec(machine, spec))
+    """Execute one SpMV cell on ``machine`` (its group-of-one lowering)."""
+    return run_lowered_sequence(machine, lowered_cell(lower_spmv_group, machine, spec))
 
 
 def _result_to_dict(result: SpmvResult) -> dict[str, Any]:
@@ -366,7 +389,7 @@ SPMV_WORKLOAD: Workload = register_workload(
         ),
         impl_keys=("cpu", "gpu"),
         sample_variants=_sample_variants,
-        vectorized_body=lower_spmv_spec,
+        lower_group=lower_spmv_group,
         metrics={
             "gflops": lambda spec, r: r.best_gflops,
             "mean_gflops": lambda spec, r: r.mean_gflops,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,18 +31,24 @@ from repro.core.results import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.specs import ExperimentSpec, SweepSpec
-from repro.sim.engine import EngineKind, Operation
+from repro.sim.engine import EngineKind
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredSequence, effective_draw_w, run_lowered_sequence
+from repro.sim.vectorized import (
+    LoweredGroup,
+    OpColumns,
+    effective_draw_w,
+    run_lowered_sequence,
+)
 from repro.workloads.base import (
     Workload,
     best_elapsed_s,
     elapsed_ns_from_list,
     iter_axes,
+    lowered_cell,
     modelled_power_metrics,
     rounded_elapsed_ns,
+    spec_column,
     variant_grid,
 )
 from repro.workloads.registry import register_workload
@@ -51,7 +57,7 @@ __all__ = [
     "STENCIL_IMPL_KEYS",
     "StencilSpec",
     "StencilResult",
-    "lower_stencil_spec",
+    "lower_stencil_group",
     "run_stencil_spec",
     "STENCIL_WORKLOAD",
 ]
@@ -166,17 +172,6 @@ class StencilResult:
         return self.flop_count / self.bytes_moved
 
 
-def _sweep_cost(spec: StencilSpec) -> OpCost:
-    """Modelled cost of one repetition (= ``iterations`` grid sweeps)."""
-    points = float((spec.n - 2) * (spec.n - 2)) * spec.iterations
-    grid_bytes = points * _ELEMENT_BYTES
-    return OpCost(
-        flops=points * _FLOPS_PER_POINT,
-        bytes_read=grid_bytes * _READ_FACTOR[spec.impl_key],
-        bytes_written=grid_bytes,
-    )
-
-
 def _jacobi_step(grid: np.ndarray) -> np.ndarray:
     """One full-array 5-point Jacobi sweep over the interior."""
     return 0.25 * (
@@ -213,64 +208,94 @@ def _numerics_verified(spec: StencilSpec) -> bool:
     return bool(np.allclose(grid_a, grid_b, rtol=1e-12, atol=1e-12))
 
 
-def lower_stencil_spec(machine, spec: StencilSpec) -> LoweredSequence:
-    """Lower one stencil cell to its repetition grid (the shared cost model).
+def lower_stencil_group(machine, specs: Sequence[StencilSpec]) -> LoweredGroup:
+    """Lower stencil cells of one (chip, traversal, repeats) group.
 
-    ``machine`` is a :class:`~repro.sim.machine.Machine` or a
+    Grid sizes and sweep counts are columns over the group: one repetition
+    is ``iterations`` sweeps of the interior, its cost computed once for
+    every cell, each repeating its one op.  ``machine`` is a
+    :class:`~repro.sim.machine.Machine` or a
     :class:`~repro.sim.vectorized.VectorContext`; both the scalar executor
-    and the vectorized backend evaluate this one lowering.
+    (a group of one) and the vectorized backend evaluate this one lowering.
     """
     chip = machine.chip
-    cost = _sweep_cost(spec)
+    impl_key, repeats = specs[0].impl_key, specs[0].repeats
+    n = spec_column(specs, "n")
+    iterations = spec_column(specs, "iterations")
+    points = ((n - 2) * (n - 2)).astype(np.float64) * iterations
+    grid_bytes = points * _ELEMENT_BYTES
+    flops = (points * _FLOPS_PER_POINT).astype(np.float64)
+    bytes_read = (grid_bytes * _READ_FACTOR[impl_key]).astype(np.float64)
+    bytes_written = grid_bytes.astype(np.float64)
 
-    verified: bool | None = None
+    verified: list = [None] * len(specs)
     if machine.numerics.policy is not NumericsPolicy.MODEL_ONLY:
-        verified = _numerics_verified(spec)
+        verified = [_numerics_verified(spec) for spec in specs]
 
     draws = stream_power_draws(chip, "cpu")
     power_w = effective_draw_w(machine.thermal, draws)
-
-    def assemble(starts, ends) -> StencilResult:
-        return StencilResult(
-            chip_name=chip.name,
-            impl_key=spec.impl_key,
-            n=spec.n,
-            iterations=spec.iterations,
-            flop_count=int(cost.flops),
-            bytes_moved=cost.total_bytes,
-            theoretical_gbs=chip.memory.bandwidth_gbs,
-            elapsed_ns=rounded_elapsed_ns(starts, ends),
-            verified=verified,
-            power_w=power_w,
+    chip_name = chip.name
+    theoretical = chip.memory.bandwidth_gbs
+    cells = list(
+        zip(
+            n.tolist(),
+            iterations.tolist(),
+            flops.tolist(),
+            (bytes_read + bytes_written).tolist(),
+            verified,
         )
-
-    op = Operation(
-        engine=EngineKind.CPU_SIMD,
-        label=f"stencil/{spec.impl_key}/n={spec.n}",
-        cost=cost,
-        peak_flops=machine.peak_flops(EngineKind.CPU_SIMD),
-        peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
-        compute_efficiency=_COMPUTE_EFFICIENCY,
-        memory_efficiency=_MEMORY_EFFICIENCY[spec.impl_key],
-        overhead_s=_OVERHEAD_S,
-        power_draws_w=draws,
-        noise_key=(
-            f"stencil/{chip.name}/{spec.impl_key}/n={spec.n}/it={spec.iterations}"
-        ),
-        noise_sigma=_NOISE_SIGMA,
     )
 
-    return LoweredSequence(
-        seed=spec.seed,
+    def assemble(starts, ends) -> list[StencilResult]:
+        return [
+            StencilResult(
+                chip_name=chip_name,
+                impl_key=impl_key,
+                n=size,
+                iterations=sweeps,
+                flop_count=int(work),
+                bytes_moved=moved,
+                theoretical_gbs=theoretical,
+                elapsed_ns=elapsed_ns,
+                verified=checked,
+                power_w=power_w,
+            )
+            for (size, sweeps, work, moved, checked), elapsed_ns in zip(
+                cells, rounded_elapsed_ns(starts, ends)
+            )
+        ]
+
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
         thermal=machine.thermal,
-        ops=(op,) * spec.repeats,
+        ops=OpColumns(
+            engine=EngineKind.CPU_SIMD,
+            label=lambda slot: f"stencil/{impl_key}/n={specs[slot].n}",
+            noise_keys=[
+                f"stencil/{chip_name}/{impl_key}/n={spec.n}/it={spec.iterations}"
+                for spec in specs
+            ],
+            flops=flops,
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
+            peak_flops=machine.peak_flops(EngineKind.CPU_SIMD),
+            peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
+            compute_efficiency=_COMPUTE_EFFICIENCY,
+            memory_efficiency=_MEMORY_EFFICIENCY[impl_key],
+            overhead_s=_OVERHEAD_S,
+            power_draws_w=draws,
+            noise_sigma=_NOISE_SIGMA,
+        ),
+        length=repeats,
         assemble=assemble,
     )
 
 
 def run_stencil_spec(machine: Machine, spec: StencilSpec) -> StencilResult:
-    """Execute one stencil cell on ``machine``."""
-    return run_lowered_sequence(machine, lower_stencil_spec(machine, spec))
+    """Execute one stencil cell on ``machine`` (its group-of-one lowering)."""
+    return run_lowered_sequence(
+        machine, lowered_cell(lower_stencil_group, machine, spec)
+    )
 
 
 def _result_to_dict(result: StencilResult) -> dict[str, Any]:
@@ -365,7 +390,7 @@ STENCIL_WORKLOAD: Workload = register_workload(
         ),
         impl_keys=STENCIL_IMPL_KEYS,
         sample_variants=_sample_variants,
-        vectorized_body=lower_stencil_spec,
+        lower_group=lower_stencil_group,
         metrics={
             "gflops": lambda spec, r: r.best_gflops,
             "mean_gflops": lambda spec, r: r.mean_gflops,

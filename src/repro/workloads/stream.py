@@ -8,9 +8,9 @@ rendering.  The spec class and executor body stay in
 
 One STREAM cell is a whole protocol — the CPU OpenMP thread sweep across
 four kernels, or the 20-repetition GPU dispatch loop — not a homogeneous
-repetition grid, so it lowers to a
-:class:`~repro.sim.vectorized.LoweredSequence`: one position per
-(thread-count, repetition, kernel) dispatch, holding the operations that
+repetition grid, so each cell of a
+:class:`~repro.sim.vectorized.LoweredGroup` follows a row of one position
+per (thread-count, repetition, kernel) dispatch, holding the operations that
 :func:`~repro.calibration.stream.cpu_stream_operations` and
 :func:`~repro.calibration.stream.gpu_stream_operations` build for the
 benchmark classes and the Metal shaders too.  Each distinct dispatch — per
@@ -23,7 +23,7 @@ the array numerics is a separate memoized check (DESIGN.md §7).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,14 +40,14 @@ from repro.experiments.executor import run_stream_spec
 from repro.experiments.specs import StreamSpec, SweepSpec
 from repro.sim.machine import Machine
 from repro.sim.policy import NumericsPolicy
-from repro.sim.vectorized import LoweredSequence
+from repro.sim.vectorized import LoweredGroup
 from repro.soc.catalog import chip_memo
 from repro.workloads.base import Workload, variant_grid
 from repro.workloads.registry import register_workload
 
 __all__ = [
     "STREAM_WORKLOAD",
-    "lower_stream_spec",
+    "lower_stream_group",
     "stream_result_to_dict",
     "stream_result_from_dict",
 ]
@@ -127,6 +127,12 @@ def _gpu_loop_ops(machine_like, n: int, ntimes: int):
 _STREAM_LAYOUTS: dict[tuple, tuple] = {}
 
 
+#: ``(target, settings, ntimes) -> pattern``: position ``p`` of every row of
+#: that shape holds its ``pattern[p]``-th distinct dispatch (first-appearance
+#: order): 4 x setting + kernel.  It follows from the sweep's structure
+#: alone, so every chip of the shape shares one array.
+_STREAM_PATTERNS: dict[tuple, np.ndarray] = {}
+
 #: (target, n_elements, ntimes, numerics config) of every validated cell.
 _VALIDATED: "set[tuple]" = set()
 
@@ -162,80 +168,120 @@ def _validate_stream_numerics(machine, target: str, n: int, ntimes: int) -> None
     _VALIDATED.add(key)
 
 
-def lower_stream_spec(machine, spec: StreamSpec) -> LoweredSequence:
-    """Lower one STREAM cell to its dispatch sequence.
+def lower_stream_group(machine, specs: Sequence[StreamSpec]) -> LoweredGroup:
+    """Lower STREAM cells of one (chip, target, repetitions) group.
 
-    The scalar executor and the vectorized backend both evaluate this one
-    lowering, whatever the numerics profile.  The op sequence replays the
-    benchmark protocol dispatch for dispatch; ``assemble`` recomputes each
-    dispatch's achieved GB/s from its clock window and replays the CPU
-    sweep's per-kernel maximum selection.  Cells that run numerics first
-    pass :func:`_validate_stream_numerics`.
+    The scalar executor (a group of one) and the vectorized backend both
+    evaluate this one lowering, whatever the numerics profile.  Each cell
+    follows the memoized dispatch row of its array size, which replays the
+    benchmark protocol dispatch for dispatch; ``assemble`` recomputes
+    every dispatch's achieved GB/s from its clock window and replays the
+    CPU sweep's per-kernel maximum selection for the whole group at once.
+    Cells that run numerics first pass :func:`_validate_stream_numerics`.
     """
     from repro.core.stream.cpu import DEFAULT_CPU_ELEMENTS
     from repro.core.stream.gpu import DEFAULT_GPU_ELEMENTS
 
-    target = spec.target
-    if target == "cpu":
-        n = spec.n_elements or DEFAULT_CPU_ELEMENTS
-        ntimes = spec.repeats or paper.STREAM_CPU_REPEATS
-        build = _cpu_sweep_ops
-    else:
-        n = spec.n_elements or DEFAULT_GPU_ELEMENTS
-        ntimes = spec.repeats or paper.STREAM_GPU_REPEATS
-        build = _gpu_loop_ops
-    _validate_stream_numerics(machine, target, n, ntimes)
+    target = specs[0].target
     chip = machine.chip
-    ops = chip_memo(
-        _STREAM_OPS_CACHE,
-        (chip.name, target, n, ntimes),
-        chip,
-        lambda: build(machine, n, ntimes),
-    )
-    settings = chip.total_cores if target == "cpu" else 1
-    layout_key = (target, n, settings)
-    layout = _STREAM_LAYOUTS.get(layout_key)
-    if layout is None:
-        # The first four positions are the four kernels; the bytes a kernel
-        # moves do not depend on the thread count.
-        layout = _STREAM_LAYOUTS[layout_key] = (
-            np.array([op.cost.total_bytes for op in ops[:4]]),
-            tuple(range(1, settings + 1)) if target == "cpu" else (None,),
+    if target == "cpu":
+        default_n = DEFAULT_CPU_ELEMENTS
+        ntimes = specs[0].repeats or paper.STREAM_CPU_REPEATS
+        build = _cpu_sweep_ops
+        settings = chip.total_cores
+    else:
+        default_n = DEFAULT_GPU_ELEMENTS
+        ntimes = specs[0].repeats or paper.STREAM_GPU_REPEATS
+        build = _gpu_loop_ops
+        settings = 1
+    sizes = [spec.n_elements or default_n for spec in specs]
+    index: dict[int, int] = {}
+    rows: list = []
+    moved_rows: list = []
+    threads = ()
+    for n in sizes:
+        if n in index:
+            continue
+        _validate_stream_numerics(machine, target, n, ntimes)
+        ops = chip_memo(
+            _STREAM_OPS_CACHE,
+            (chip.name, target, n, ntimes),
+            chip,
+            lambda: build(machine, n, ntimes),
         )
-    moved, threads = layout
+        layout_key = (target, n, settings)
+        layout = _STREAM_LAYOUTS.get(layout_key)
+        if layout is None:
+            # The first four positions are the four kernels; the bytes a
+            # kernel moves do not depend on the thread count.
+            layout = _STREAM_LAYOUTS[layout_key] = (
+                np.array([op.cost.total_bytes for op in ops[:4]]),
+                tuple(range(1, settings + 1)) if target == "cpu" else (None,),
+            )
+        index[n] = len(rows)
+        rows.append(ops)
+        moved_rows.append(layout[0])
+        threads = layout[1]
+    slots = [index[n] for n in sizes]
+    pattern_key = (target, settings, ntimes)
+    pattern = _STREAM_PATTERNS.get(pattern_key)
+    if pattern is None:
+        first: dict[int, int] = {}
+        pattern = _STREAM_PATTERNS[pattern_key] = np.array(
+            [first.setdefault(id(op), len(first)) for op in rows[0]], dtype=np.intp
+        )
+    # the kernel bytes, broadcast over the (cell, setting, repetition) axes
+    moved = (
+        moved_rows[0]
+        if len(rows) == 1
+        else np.array(moved_rows)[slots][:, None, None, :]
+    )
     chip_name = chip.name
     theoretical = chip.memory.bandwidth_gbs
+    element_bytes = STREAM_ELEMENT_BYTES[target]
 
-    def assemble(starts, ends) -> StreamResult:
-        # Replay the benchmark: each dispatch's GB/s, viewed as (setting,
-        # repetition, kernel), then per kernel the first setting holding
-        # the largest maximum — strict >, so ties keep the lower count.
+    def assemble(starts, ends) -> list[StreamResult]:
+        # Replay the benchmark: each dispatch's GB/s, viewed as (cell,
+        # setting, repetition, kernel), then per cell and kernel the first
+        # setting holding the largest maximum — strict >, so ties keep the
+        # lower count.
         widths = ends - starts
         if not (widths > 0.0).all():
             raise ConfigurationError(
                 "STREAM dispatch windows must be positive; a zero-width "
                 "window has no bandwidth"
             )
-        gbs = moved / widths.reshape(settings, ntimes, 4) / 1e9
-        best = gbs.max(axis=1).argmax(axis=0).tolist()
-        return StreamResult(
-            chip_name=chip_name,
-            target=target,
-            n_elements=n,
-            element_bytes=STREAM_ELEMENT_BYTES[target],
-            kernels={
-                kernel: StreamKernelResult(
-                    kernel=kernel,
-                    bandwidths_gbs=tuple(gbs[setting, :, k].tolist()),
-                    best_threads=threads[setting],
-                )
-                for k, (kernel, setting) in enumerate(zip(STREAM_KERNELS, best))
-            },
-            theoretical_gbs=theoretical,
-        )
+        gbs = moved / widths.reshape(len(sizes), settings, ntimes, 4) / 1e9
+        best = gbs.max(axis=2).argmax(axis=1).tolist()
+        return [
+            StreamResult(
+                chip_name=chip_name,
+                target=target,
+                n_elements=n,
+                element_bytes=element_bytes,
+                kernels={
+                    kernel: StreamKernelResult(
+                        kernel=kernel,
+                        bandwidths_gbs=tuple(gbs[cell, setting, :, k].tolist()),
+                        best_threads=threads[setting],
+                    )
+                    for k, (kernel, setting) in enumerate(
+                        zip(STREAM_KERNELS, best[cell])
+                    )
+                },
+                theoretical_gbs=theoretical,
+            )
+            for cell, n in enumerate(sizes)
+        ]
 
-    return LoweredSequence(
-        seed=spec.seed, thermal=machine.thermal, ops=ops, assemble=assemble
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
+        thermal=machine.thermal,
+        ops=rows,
+        length=len(rows[0]),
+        assemble=assemble,
+        slots=slots,
+        layout=pattern,
     )
 
 
@@ -293,7 +339,7 @@ STREAM_WORKLOAD: Workload = register_workload(
         ),
         impl_keys=("cpu", "gpu"),
         sample_variants=_sample_variants,
-        vectorized_body=lower_stream_spec,
+        lower_group=lower_stream_group,
         metrics={
             "gbs": lambda spec, r: float(r.max_gbs),
             "fraction_of_peak": lambda spec, r: float(r.fraction_of_peak),

@@ -27,7 +27,7 @@ from repro.experiments.specs import ExperimentSpec
 from repro.sim.engine import EngineKind, Operation
 from repro.sim.machine import Machine
 from repro.sim.roofline import OpCost
-from repro.sim.vectorized import LoweredSequence, run_lowered_sequence
+from repro.sim.vectorized import LoweredGroup, run_lowered_sequence
 from repro.workloads import (
     Workload,
     get_workload,
@@ -35,7 +35,7 @@ from repro.workloads import (
     unregister_workload,
     workload_kinds,
 )
-from repro.workloads.base import rounded_elapsed_ns
+from repro.workloads.base import lowered_cell, rounded_elapsed_ns
 
 pytestmark = []
 
@@ -128,23 +128,30 @@ class OverEfficientResult:
     elapsed_ns: tuple[int, ...]
 
 
-def _lower_over_efficient(machine, spec):
-    op = Operation(
-        engine=EngineKind.CPU_SIMD,
-        label="over-efficient",
-        cost=OpCost(flops=1e9 * spec.n),
-        peak_flops=machine.peak_flops(EngineKind.CPU_SIMD),
-        peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
-        compute_efficiency=1.5,
-        noise_key=f"over-efficient/{machine.chip.name}/n={spec.n}",
-    )
-    return LoweredSequence(
-        seed=spec.seed,
+def _lower_over_efficient(machine, specs):
+    return LoweredGroup(
+        seeds=[spec.seed for spec in specs],
         thermal=machine.thermal,
-        ops=(op,) * 3,
-        assemble=lambda starts, ends: OverEfficientResult(
-            machine.chip.name, rounded_elapsed_ns(starts, ends)
-        ),
+        ops=[
+            (
+                Operation(
+                    engine=EngineKind.CPU_SIMD,
+                    label="over-efficient",
+                    cost=OpCost(flops=1e9 * spec.n),
+                    peak_flops=machine.peak_flops(EngineKind.CPU_SIMD),
+                    peak_bytes_per_s=machine.memory_bandwidth_bytes_per_s(),
+                    compute_efficiency=1.5,
+                    noise_key=f"over-efficient/{machine.chip.name}/n={spec.n}",
+                ),
+            )
+            * 3
+            for spec in specs
+        ],
+        length=3,
+        assemble=lambda starts, ends: [
+            OverEfficientResult(machine.chip.name, elapsed_ns)
+            for elapsed_ns in rounded_elapsed_ns(starts, ends)
+        ],
     )
 
 
@@ -158,7 +165,7 @@ def over_efficient():
             spec_cls=OverEfficientSpec,
             result_cls=OverEfficientResult,
             execute=lambda machine, spec: run_lowered_sequence(
-                machine, _lower_over_efficient(machine, spec)
+                machine, lowered_cell(_lower_over_efficient, machine, spec)
             ),
             result_to_dict=lambda r: {
                 "type": "over-efficient",
@@ -172,7 +179,7 @@ def over_efficient():
             sample_spec=lambda: OverEfficientSpec(chip="M1"),
             cell_label=lambda spec: f"{spec.chip} over-efficient",
             summary_line=lambda spec, result: spec.chip,
-            vectorized_body=_lower_over_efficient,
+            lower_group=_lower_over_efficient,
         )
     )
     yield workload
@@ -195,6 +202,36 @@ class TestOneBadCellInABulkGroup:
         )
         assert envelopes[0] is None
         assert envelopes[1].to_json() == batch_json([good], backend="serial")[0]
+        [failure] = session.last_health.failures
+        assert (failure.spec_hash, failure.error) == (
+            bad.spec_hash(),
+            "ConfigurationError",
+        )
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_a_bad_cell_beside_a_256_cell_spmv_group_fails_alone(
+        self, over_efficient, backend
+    ):
+        # one bulk call evaluates both groups; when it raises, the SpMV
+        # group is evaluated again on its own and keeps its serial bytes
+        spmv = SweepSpec(
+            kind="spmv",
+            chips=("M1",),
+            targets=("cpu",),
+            sizes=tuple(range(1000, 1256)),
+            repeats=3,
+        ).expand()
+        bad = OverEfficientSpec(chip="M1")
+        session = model_session()
+        envelopes = session.run_batch(
+            [*spmv[:128], bad, *spmv[128:]],
+            backend=backend,
+            max_workers=2,
+            on_error="collect",
+        )
+        assert envelopes[128] is None
+        delivered = envelopes[:128] + envelopes[129:]
+        assert [e.to_json() for e in delivered] == batch_json(spmv, backend="serial")
         [failure] = session.last_health.failures
         assert (failure.spec_hash, failure.error) == (
             bad.spec_hash(),

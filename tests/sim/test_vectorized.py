@@ -381,27 +381,30 @@ class TestNoiseReplayContract:
         )
         assert run_lowered_sequence(machine, sequence) == tuple(expected)
 
-    def test_one_op_sequence_draws_in_one_repeated_key_call(self, monkeypatch):
-        """A repetition grid hands ``noise_entropies`` its key repeated, once
-        per sequence; a mixed sequence hands it its active keys in order."""
-        from repro.sim import vectorized
+    def test_each_cell_hashes_each_active_key_once(self, monkeypatch):
+        """The engine draws one ``noise_entropy`` per (cell seed, key): a
+        repetition grid's key once per cell however long, a mixed row's
+        active keys once each, and a silent op's key never."""
+        from repro.sim import noise
 
         calls = []
+        real = noise.noise_entropy
 
-        def spy(seed, keys):
-            calls.append((seed, list(keys)))
-            return noise_entropies(seed, keys)
+        def spy(seed, key):
+            calls.append((seed, key))
+            return real(seed, key)
 
-        monkeypatch.setattr(vectorized, "noise_entropies", spy)
+        monkeypatch.setattr(noise, "noise_entropy", spy)
         op, other = toy_op(), toy_op(noise_key="other", noise_sigma=0.0)
         copies = tuple(dataclasses.replace(op) for _ in range(4))
         batch = [
             toy_sequence(*(op,) * 5, seed=1),
             toy_sequence(*copies, seed=2),
             toy_sequence(op, other, op, seed=3),
+            toy_sequence(*(op,) * 5, seed=4),
         ]
         evaluate_sequences(batch, default_sigma=0.015)
-        assert calls == [(1, ["toy"] * 5), (2, ["toy"] * 4), (3, ["toy"] * 2)]
+        assert sorted(calls) == [(1, "toy"), (2, "toy"), (3, "toy"), (4, "toy")]
 
     def test_zero_sigma_ops_take_no_counter_on_either_engine(self):
         """A sequence mixing silent and noisy draws of one key: the bulk

@@ -21,6 +21,22 @@ class TestChartOutput:
         assert "log-log" in out
         assert "gpu-mps" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure3", "--chart"],
+            ["figure4", "--chart"],
+            ["compare", "--csv"],
+            ["compare", "--chart"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_a_flag_the_command_does_not_render_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--chips", "M1", "--fast"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExperimentsCommand:
     def test_writes_report(self, tmp_path, capsys):

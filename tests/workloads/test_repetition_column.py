@@ -28,10 +28,6 @@ from repro.workloads import (
     serialize_result,
 )
 from repro.workloads.base import elapsed_ns_from_list, rounded_elapsed_ns
-from repro.workloads.batched_gemm import lower_batched_gemm_spec
-from repro.workloads.gemm import lower_gemm_spec
-from repro.workloads.spmv import lower_spmv_spec
-from repro.workloads.stencil import lower_stencil_spec
 
 from tests.conftest import make_model_machine
 
@@ -176,10 +172,10 @@ class TestNonPositiveTimeOnEveryPath:
     @pytest.mark.parametrize(
         "lower, spec",
         [
-            (lower_spmv_spec, SpmvSpec(chip="M1", n=4096, repeats=2)),
-            (lower_stencil_spec, StencilSpec(chip="M1", n=64, repeats=2)),
+            (get_workload("spmv").vectorized_body, SpmvSpec(chip="M1", n=4096, repeats=2)),
+            (get_workload("stencil").vectorized_body, StencilSpec(chip="M1", n=64, repeats=2)),
             (
-                lower_batched_gemm_spec,
+                get_workload("batched-gemm").vectorized_body,
                 BatchedGemmSpec(chip="M1", n=64, batch=4, repeats=2),
             ),
         ],
@@ -196,7 +192,7 @@ class TestNonPositiveTimeOnEveryPath:
 
     def test_lowered_gemm_assemble(self):
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256, repeats=2)
-        sequence = lower_gemm_spec(make_model_machine("M1"), spec)
+        sequence = get_workload("gemm").vectorized_body(make_model_machine("M1"), spec)
         with pytest.raises(ConfigurationError, match="positive time"):
             sequence.assemble(np.array([0.0, 5e-9]), np.array([5e-9, 5e-9]))
 

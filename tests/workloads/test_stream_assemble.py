@@ -17,7 +17,7 @@ from repro.calibration.stream import STREAM_KERNELS
 from repro.errors import ConfigurationError
 from repro.experiments import StreamSpec
 from repro.soc.catalog import get_chip
-from repro.workloads.stream import lower_stream_spec
+from repro.workloads import get_workload
 from tests.conftest import make_model_machine
 
 N_ELEMENTS = 1 << 16
@@ -27,7 +27,7 @@ def lowered(target: str, chip: str = "M1", repeats: int = 3):
     spec = StreamSpec(
         chip=chip, target=target, n_elements=N_ELEMENTS, repeats=repeats
     )
-    return lower_stream_spec(make_model_machine(chip), spec)
+    return get_workload("stream").vectorized_body(make_model_machine(chip), spec)
 
 
 def equal_windows(count: int, width: float = 1e-3):
